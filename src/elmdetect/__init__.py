@@ -18,9 +18,7 @@ from .features import (
     PeripheralVector,
     central_features,
     elm_vector,
-    fit_scaler,
     peripheral_features,
-    transform,
 )
 from .evaluation import (
     ComparisonReport,
@@ -64,8 +62,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Document", "DocumentSet", "FoldPlan", "clean_text", "load_dataset", "stratified_folds",
     "FEATURE_NAMES", "CentralVector", "PeripheralVector", "ElmVector", "FeatureExtractor",
-    "FeatureScaler", "central_features", "peripheral_features", "elm_vector", "fit_scaler",
-    "transform",
+    "FeatureScaler", "central_features", "peripheral_features", "elm_vector",
     "ConfusionMatrix", "MetricSet", "RocCurve", "ComparisonReport", "confusion", "metrics",
     "roc_curve", "auc", "cross_validate",
     "PairedSample", "WilcoxonResult", "TTestResult", "wilcoxon_signed_rank", "paired_t_test",

@@ -13,7 +13,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .corpus import DocumentSet, FoldPlan, load_dataset, stratified_folds
@@ -22,7 +22,11 @@ from .evaluation import (
     FNIR_REFERENCE_RESULTS,
     METRIC_NAMES,
     ComparisonReport,
+    confusion,
     cross_validate,
+    metrics,
+    roc_auc,
+    roc_curve,
 )
 from .features import FEATURE_NAMES, FeatureExtractor
 from .plots import render_improvement_svg, render_roc_svg
@@ -53,25 +57,15 @@ class RunConfig:
     max_seq_len: int = 100
     batch_size: int = 32
     learning_rate: float = 0.001
-    jobs: int = 1
     emit_plots: bool = False
 
+    def hashed_fields(self) -> dict:
+        """The fields that determine the outputs: all but where they are
+        written and whether plots are drawn. report.json embeds them."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("out_dir", "emit_plots")}
+
     def config_hash(self) -> str:
-        payload = {
-            "true_csv": self.true_csv,
-            "fake_csv": self.fake_csv,
-            "k": self.k,
-            "seed": self.seed,
-            "variants": list(self.variants),
-            "sentiment_lexicon": self.sentiment_lexicon,
-            "urgency_lexicon": self.urgency_lexicon,
-            "epochs": self.epochs,
-            "patience": self.patience,
-            "max_seq_len": self.max_seq_len,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-        }
-        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
+        return hashlib.sha256(json.dumps(self.hashed_fields(), sort_keys=True).encode("utf-8")).hexdigest()
 
     def train_config(self, variant: str) -> TrainConfig:
         return TrainConfig(
@@ -83,6 +77,9 @@ class RunConfig:
             seed=self.seed,
             max_seq_len=self.max_seq_len,
         )
+
+
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
 def _extractor(cfg: RunConfig) -> FeatureExtractor:
@@ -118,19 +115,22 @@ def _read_stamp(path: Path) -> dict[str, str]:
 # -- subcommands ----------------------------------------------------------------
 
 
+def _write_fold_assignments(out: Path, stamp: str, corpus: DocumentSet, plan: FoldPlan) -> None:
+    _write_csv(
+        out / "fold_assignments.csv",
+        stamp,
+        ["doc_id", "fold"],
+        ((doc.id, fold) for doc, fold in zip(corpus, plan.assignments)),
+    )
+
+
 def cmd_ingest(args) -> int:
     cfg = _run_config(args)
     corpus = load_dataset(cfg.true_csv, cfg.fake_csv)
     plan = stratified_folds(corpus, cfg.k, cfg.seed)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stamp = _stamp(cfg.config_hash(), cfg.seed)
-    _write_csv(
-        out / "folds.csv",
-        stamp,
-        ["doc_id", "fold"],
-        ((doc.id, fold) for doc, fold in zip(corpus, plan.assignments)),
-    )
+    _write_fold_assignments(out, _stamp(cfg.config_hash(), cfg.seed), corpus, plan)
     n_true, n_fake = corpus.class_counts
     fold_sizes = [plan.assignments.count(f) for f in range(cfg.k)]
     summary = {
@@ -147,7 +147,7 @@ def cmd_ingest(args) -> int:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"ingested {len(corpus)} documents ({n_true} true, {n_fake} fake), "
-          f"{corpus.dropped_rows} empty rows dropped; folds written to {out / 'folds.csv'}")
+          f"{corpus.dropped_rows} empty rows dropped; folds written to {out / 'fold_assignments.csv'}")
     return EXIT_OK
 
 
@@ -174,7 +174,7 @@ def cmd_run(args) -> int:
     plan = stratified_folds(corpus, cfg.k, cfg.seed)
     configs = [cfg.train_config(v) for v in cfg.variants]
     try:
-        report = cross_validate(corpus, plan, configs, extractor=extractor, jobs=cfg.jobs)
+        report = cross_validate(corpus, plan, configs, extractor=extractor)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRAINING
@@ -191,12 +191,7 @@ def _write_run_outputs(
     cfg: RunConfig, corpus: DocumentSet, plan: FoldPlan, report: ComparisonReport, out: Path
 ) -> None:
     stamp = _stamp(cfg.config_hash(), cfg.seed)
-    _write_csv(
-        out / "fold_assignments.csv",
-        stamp,
-        ["doc_id", "fold"],
-        ((doc.id, fold) for doc, fold in zip(corpus, plan.assignments)),
-    )
+    _write_fold_assignments(out, stamp, corpus, plan)
     _write_csv(
         out / "folds.csv",
         stamp,
@@ -235,8 +230,6 @@ def _write_run_outputs(
         # pooled out-of-fold scores give one ROC per variant
         scores = [s for r in rows for s in r.scores]
         labels = [y for r in rows for y in r.labels]
-        from .evaluation import roc_curve
-
         curve = roc_curve(scores, labels)
         _write_csv(
             out / f"roc_{variant}.csv",
@@ -250,20 +243,7 @@ def _write_run_outputs(
         "seed": cfg.seed,
         "k": report.k,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        "config": {
-            "true_csv": cfg.true_csv,
-            "fake_csv": cfg.fake_csv,
-            "k": cfg.k,
-            "seed": cfg.seed,
-            "variants": list(cfg.variants),
-            "sentiment_lexicon": cfg.sentiment_lexicon,
-            "urgency_lexicon": cfg.urgency_lexicon,
-            "epochs": cfg.epochs,
-            "patience": cfg.patience,
-            "max_seq_len": cfg.max_seq_len,
-            "batch_size": cfg.batch_size,
-            "learning_rate": cfg.learning_rate,
-        },
+        "config": cfg.hashed_fields(),
         "variants": list(report.variants),
         "mean_metrics": {v: m.as_dict() for v, m in report.mean_metrics.items()},
         "deltas": report.deltas,
@@ -382,52 +362,49 @@ def _read_csv(path: Path) -> list[dict[str, str]]:
     return list(csv.DictReader(lines))
 
 
+def _read_report(path: Path) -> tuple[str, RunConfig, list[tuple[str, int, dict]]]:
+    """The stored config hash, the embedded config and the (variant, fold,
+    metrics) of every per-fold entry; ValueError says what is malformed."""
+    try:
+        report = json.loads(path.read_text(encoding="utf-8"))
+        per_fold = [
+            (e["variant"], e["fold"], {name: float(e["metrics"][name]) for name in METRIC_NAMES})
+            for e in report["per_fold"]
+        ]
+        return report["config_hash"], RunConfig(**report["config"]), per_fold
+    except KeyError as exc:
+        raise ValueError(f"missing key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(str(exc)) from None
+
+
 def cmd_verify(args) -> int:
     out = Path(args.out)
     report_path = out / "report.json"
     if not report_path.exists():
         print(f"error: {report_path} not found", file=sys.stderr)
         return EXIT_INPUT
-    with open(report_path, encoding="utf-8") as fh:
-        report = json.load(fh)
-    cfg = report["config"]
-    recomputed = RunConfig(
-        true_csv=cfg["true_csv"],
-        fake_csv=cfg["fake_csv"],
-        k=cfg["k"],
-        seed=cfg["seed"],
-        variants=tuple(cfg["variants"]),
-        sentiment_lexicon=cfg["sentiment_lexicon"],
-        urgency_lexicon=cfg["urgency_lexicon"],
-        epochs=cfg["epochs"],
-        patience=cfg["patience"],
-        max_seq_len=cfg["max_seq_len"],
-        batch_size=cfg["batch_size"],
-        learning_rate=cfg["learning_rate"],
-    ).config_hash()
+    try:
+        stored_hash, cfg, per_fold = _read_report(report_path)
+    except ValueError as exc:
+        print(f"verify: report.json is malformed: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     problems = []
-    if recomputed != report["config_hash"]:
+    if cfg.config_hash() != stored_hash:
         problems.append("report.json config hash does not match its embedded config")
     for path in sorted(out.glob("*.csv")):
         stamp = _read_stamp(path)
-        if stamp.get("config_hash") != report["config_hash"]:
+        if stamp.get("config_hash") != stored_hash:
             problems.append(f"{path.name}: config hash stamp mismatch")
     # metrics must be recomputable from the persisted per-document scores
-    from .evaluation import confusion, metrics, roc_auc
-
-    for variant in report["variants"]:
-        for entry in report["per_fold"]:
-            if entry["variant"] != variant:
-                continue
-            rows = _read_csv(out / f"scores_{variant}_{entry['fold']}.csv")
-            scores = [float(r["score"]) for r in rows]
-            labels = [int(r["label"]) for r in rows]
-            mset = metrics(confusion(scores, labels), roc_auc(scores, labels))
-            for name in METRIC_NAMES:
-                if abs(getattr(mset, name) - entry["metrics"][name]) > 1e-9:
-                    problems.append(
-                        f"fold {entry['fold']} {variant}: stored {name} does not match scores"
-                    )
+    for variant, fold, stored in per_fold:
+        rows = _read_csv(out / f"scores_{variant}_{fold}.csv")
+        scores = [float(r["score"]) for r in rows]
+        labels = [int(r["label"]) for r in rows]
+        mset = metrics(confusion(scores, labels), roc_auc(scores, labels))
+        for name in METRIC_NAMES:
+            if abs(getattr(mset, name) - stored[name]) > 1e-9:
+                problems.append(f"fold {fold} {variant}: stored {name} does not match scores")
     if problems:
         for p in problems:
             print(f"verify: {p}", file=sys.stderr)
@@ -440,44 +417,33 @@ def cmd_verify(args) -> int:
 
 
 def _run_config(args) -> RunConfig:
-    variants = tuple(args.variants.split(",")) if getattr(args, "variants", None) else ("base", "enhanced")
-    for v in variants:
+    """The RunConfig of the parsed flags, whose destinations are its field names."""
+    values = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+    values["variants"] = tuple(args.variants.split(","))
+    for v in values["variants"]:
         if v not in VARIANTS:
             raise ElmDetectError(f"unknown variant {v!r}; choose from {','.join(VARIANTS)}")
-    return RunConfig(
-        true_csv=args.true_csv,
-        fake_csv=args.fake_csv,
-        k=args.k,
-        seed=args.seed,
-        variants=variants,
-        out_dir=args.out,
-        sentiment_lexicon=args.sentiment_lexicon,
-        urgency_lexicon=args.urgency_lexicon,
-        epochs=args.epochs,
-        patience=args.patience,
-        max_seq_len=args.max_seq_len,
-        batch_size=args.batch_size,
-        learning_rate=args.learning_rate,
-        jobs=getattr(args, "jobs", 1),
-        emit_plots=getattr(args, "plots", False),
-    )
+    return RunConfig(**values)
 
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
+    d = _DEFAULTS
     p.add_argument("--true-csv", required=True, help="path to the true-news CSV")
     p.add_argument("--fake-csv", required=True, help="path to the fake-news CSV")
-    p.add_argument("--k", type=int, default=10, help="fold count (default 10)")
-    p.add_argument("--seed", type=int, default=42, help="global RNG seed (default 42)")
-    p.add_argument("--out", default="out", help="output directory (default ./out)")
-    p.add_argument("--variants", default="base,enhanced",
-                   help="comma-separated variants (base,features_only,enhanced,combined)")
-    p.add_argument("--sentiment-lexicon", default=None, help="override the bundled sentiment lexicon")
-    p.add_argument("--urgency-lexicon", default=None, help="override the bundled urgency lexicon")
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--patience", type=int, default=2, help="early-stop patience; 0 disables")
-    p.add_argument("--max-seq-len", type=int, default=100)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--learning-rate", type=float, default=0.001)
+    p.add_argument("--k", type=int, default=d["k"], help=f"fold count (default {d['k']})")
+    p.add_argument("--seed", type=int, default=d["seed"], help=f"global RNG seed (default {d['seed']})")
+    p.add_argument("--out", dest="out_dir", default=d["out_dir"],
+                   help=f"output directory (default ./{d['out_dir']})")
+    p.add_argument("--variants", default=",".join(d["variants"]),
+                   help=f"comma-separated variants ({','.join(VARIANTS)})")
+    p.add_argument("--sentiment-lexicon", default=d["sentiment_lexicon"],
+                   help="override the bundled sentiment lexicon")
+    p.add_argument("--urgency-lexicon", default=d["urgency_lexicon"], help="override the bundled urgency lexicon")
+    p.add_argument("--epochs", type=int, default=d["epochs"])
+    p.add_argument("--patience", type=int, default=d["patience"], help="early-stop patience; 0 disables")
+    p.add_argument("--max-seq-len", type=int, default=d["max_seq_len"])
+    p.add_argument("--batch-size", type=int, default=d["batch_size"])
+    p.add_argument("--learning-rate", type=float, default=d["learning_rate"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -497,8 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="cross-validate the requested variants and write the report")
     _add_dataset_args(p)
-    p.add_argument("--jobs", type=int, default=1, help="concurrent fold workers (default 1)")
-    p.add_argument("--plots", action="store_true", help="also emit roc.svg / improvement.svg")
+    p.add_argument("--plots", dest="emit_plots", action="store_true", help="also emit roc.svg / improvement.svg")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("plot", help="render SVG plots from a completed run directory")

@@ -6,7 +6,6 @@ fake.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -267,13 +266,12 @@ def cross_validate(
     fold_plan: FoldPlan,
     configs: Sequence[TrainConfig],
     extractor: FeatureExtractor | None = None,
-    jobs: int = 1,
 ) -> ComparisonReport:
     """Train and evaluate every (fold, variant) pair.
 
     Each task gets its own model and an RNG seeded from (global seed, fold,
-    variant), so results do not depend on scheduling; a failed fold aborts
-    the run with its fold index.
+    variant), so results do not depend on the order of the tasks; a failed
+    fold aborts the run with its fold index.
     """
     if len(fold_plan.assignments) != len(corpus):
         raise ValueError("fold plan does not cover the corpus")
@@ -282,7 +280,7 @@ def cross_validate(
     extractor = extractor or FeatureExtractor()
     docs = list(corpus)
 
-    tasks = []
+    fold_results = []
     for fold in range(fold_plan.k):
         train_docs = [docs[i] for i in fold_plan.train_indices(fold)]
         test_docs = [docs[i] for i in fold_plan.test_indices(fold)]
@@ -290,30 +288,26 @@ def cross_validate(
             seed = int(
                 np.random.SeedSequence([config.seed, fold, vi]).generate_state(1)[0]
             )
-            tasks.append((fold, replace(config, seed=seed), train_docs, test_docs))
-
-    def run_task(task):
-        fold, config, train_docs, test_docs = task
-        try:
-            model = train(train_docs, config, extractor=extractor)
-            scores = predict_scores(model, test_docs)
-        except Exception as exc:
-            raise RuntimeError(f"fold {fold} variant {config.variant} failed: {exc}") from exc
-        _audit_no_leakage(model.fit_doc_ids, train_docs, test_docs)
-        return evaluate_fold(
-            fold,
-            config.variant,
-            [d.id for d in test_docs],
-            scores.tolist(),
-            [d.label for d in test_docs],
-        )
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            fold_results = list(pool.map(run_task, tasks))
-    else:
-        fold_results = [run_task(t) for t in tasks]
+            fold_results.append(_run_task(fold, replace(config, seed=seed), train_docs, test_docs, extractor))
     return build_report(fold_results, fold_plan.k)
+
+
+def _run_task(fold: int, config: TrainConfig, train_docs, test_docs, extractor: FeatureExtractor) -> FoldResult:
+    """Train and score one (fold, variant) task. The model, with its layer
+    caches, is freed on return, before the next task trains."""
+    try:
+        model = train(train_docs, config, extractor=extractor)
+        scores = predict_scores(model, test_docs)
+    except Exception as exc:
+        raise RuntimeError(f"fold {fold} variant {config.variant} failed: {exc}") from exc
+    _audit_no_leakage(model.fit_doc_ids, train_docs, test_docs)
+    return evaluate_fold(
+        fold,
+        config.variant,
+        [d.id for d in test_docs],
+        scores.tolist(),
+        [d.label for d in test_docs],
+    )
 
 
 def _audit_no_leakage(fit_ids, train_docs, test_docs) -> None:

@@ -97,10 +97,7 @@ class ElmVector:
 
 
 class FeatureExtractor:
-    """Computes feature vectors for documents with fixed lexicons.
-
-    Immutable after construction; safe for concurrent per-document use.
-    """
+    """Computes feature vectors for documents with fixed lexicons."""
 
     def __init__(self, sentiment: Lexicon | None = None, urgency: Lexicon | None = None):
         self.sentiment = sentiment if sentiment is not None else bundled_sentiment_lexicon()
@@ -216,18 +213,6 @@ class FeatureScaler:
         values = np.asarray(values, dtype=np.float64)
         scaled = (values - self.mins) / (self.maxs - self.mins)
         return np.clip(scaled, 0.0, 1.0)
-
-
-def fit_scaler(rows: Sequence[ElmVector]) -> FeatureScaler:
-    """Fit min-max bounds over a list of ElmVectors."""
-    if not rows:
-        raise EmptyTrainingSetError("cannot fit a scaler on zero rows")
-    return FeatureScaler.fit(np.array([r.values for r in rows], dtype=np.float64))
-
-
-def transform(scaler: FeatureScaler, v: ElmVector) -> ElmVector:
-    """Scale one ElmVector into [0, 1] per feature."""
-    return ElmVector(tuple(scaler.transform(v.as_array()).tolist()))
 
 
 @dataclass(frozen=True)

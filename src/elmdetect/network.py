@@ -3,8 +3,7 @@
 Layers operate on float64 numpy arrays with a leading batch dimension and
 cache whatever the backward pass needs. Gradients accumulate into per-layer
 ``grads`` dicts (call ``zero_grads`` between steps); every backward returns
-the gradient w.r.t. the layer input. The single-sequence helpers at the
-bottom wrap the batched layers for one example.
+the gradient w.r.t. the layer input. A single example is a batch of one.
 
 The pipeline is a fixed chain (embedding, convolution, dropout, recurrence,
 concatenation, sigmoid head), so explicit per-layer backprop is used instead
@@ -12,8 +11,6 @@ of a general autodiff graph; tests verify every layer against central finite
 differences.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -160,29 +157,6 @@ class ConvLayer(Layer):
         return demb
 
 
-class MaxPoolLayer:
-    """Per-filter maximum over positions; gradient goes to the first argmax."""
-
-    def __init__(self):
-        self._argmax: np.ndarray | None = None
-        self._shape: tuple | None = None
-
-    def forward(self, feature_map: np.ndarray) -> np.ndarray:
-        if feature_map.shape[1] == 0:
-            raise EmptySequenceError("cannot max-pool an empty sequence")
-        self._argmax = feature_map.argmax(axis=1)  # (B, nf), first max on ties
-        self._shape = feature_map.shape
-        return feature_map.max(axis=1)
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        batch, length, nf = self._shape
-        dmap = np.zeros(self._shape)
-        b_idx = np.arange(batch)[:, None]
-        f_idx = np.arange(nf)[None, :]
-        dmap[b_idx, self._argmax, f_idx] = dout
-        return dmap
-
-
 class DropoutLayer:
     """Inverted dropout: survivors are scaled by 1/(1-rate); eval is identity."""
 
@@ -206,23 +180,15 @@ class DropoutLayer:
         return dout * self._mask
 
 
-@dataclass(frozen=True)
-class LstmState:
-    """Final cell and hidden state of a recurrence."""
-
-    c: np.ndarray
-    h: np.ndarray
-
-
 class LstmLayer(Layer):
     """Single-layer LSTM returning the final hidden state.
 
-    Gate weights are stored per gate (input/forget/cell/output, each with an
-    input-to-gate and hidden-to-gate matrix) and stacked once per call for
-    the matmuls. Backward is full backprop through time.
+    The four gates (input, forget, cell, output) are stacked, in that order,
+    along the last axis of three parameters: ``Wx (in_dim, 4H)``,
+    ``Wh (H, 4H)`` and ``b (4H,)``, so each step computes every gate with one
+    input and one recurrent matmul (the fused-gate layout of Appleyard et al.
+    2016, arXiv:1604.01946). Backward is full backprop through time.
     """
-
-    GATES = ("i", "f", "g", "o")
 
     def __init__(
         self,
@@ -234,23 +200,14 @@ class LstmLayer(Layer):
         rng = rng or np.random.default_rng(0)
         self.in_dim = in_dim
         self.hidden = hidden
-        for gate in self.GATES:
-            self._register(f"W_i{gate}", _glorot(rng, (in_dim, hidden), in_dim, hidden))
-        for gate in self.GATES:
-            self._register(f"W_h{gate}", _glorot(rng, (hidden, hidden), hidden, hidden))
-        for gate in self.GATES:
-            # forget bias 1.0 keeps early cell memory open on short sequences
-            init = np.ones(hidden) if gate == "f" else np.zeros(hidden)
-            self._register(f"b_{gate}", init)
+        # one gate block at a time, in gate order
+        self._register("Wx", np.hstack([_glorot(rng, (in_dim, hidden), in_dim, hidden) for _ in range(4)]))
+        self._register("Wh", np.hstack([_glorot(rng, (hidden, hidden), hidden, hidden) for _ in range(4)]))
+        b = np.zeros(4 * hidden)
+        b[hidden : 2 * hidden] = 1.0  # forget bias 1.0 keeps early cell memory open on short sequences
+        self._register("b", b)
         self._cache: list[tuple] = []
         self._seq_shape: tuple | None = None
-        self.final_state: LstmState | None = None
-
-    def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        wx = np.hstack([self.params[f"W_i{g}"] for g in self.GATES])
-        wh = np.hstack([self.params[f"W_h{g}"] for g in self.GATES])
-        b = np.concatenate([self.params[f"b_{g}"] for g in self.GATES])
-        return wx, wh, b
 
     def forward(self, seq: np.ndarray) -> np.ndarray:
         batch, steps, dim = seq.shape
@@ -258,7 +215,7 @@ class LstmLayer(Layer):
             raise DimensionMismatchError(f"expected input dim {self.in_dim}, got {dim}")
         if steps < 1:
             raise EmptySequenceError("LSTM needs at least one timestep")
-        wx, wh, b = self._stacked()
+        wx, wh, b = self.params["Wx"], self.params["Wh"], self.params["b"]
         hsz = self.hidden
         h = np.zeros((batch, hsz))
         c = np.zeros((batch, hsz))
@@ -276,11 +233,10 @@ class LstmLayer(Layer):
             self._cache.append((x_t, h, c, i, f, g, o, tanh_c))
             c = c_new
             h = o * tanh_c
-        self.final_state = LstmState(c=c, h=h)
         return h
 
     def backward(self, dh_final: np.ndarray) -> np.ndarray:
-        wx, wh, _ = self._stacked()
+        wx, wh = self.params["Wx"], self.params["Wh"]
         hsz = self.hidden
         batch, steps, _ = self._seq_shape
         dwx = np.zeros_like(wx)
@@ -311,10 +267,9 @@ class LstmLayer(Layer):
             dseq[:, t, :] = dpre @ wx.T
             dh = dpre @ wh.T
             dc = dc * f
-        for k, gate in enumerate(self.GATES):
-            self.grads[f"W_i{gate}"] += dwx[:, k * hsz : (k + 1) * hsz]
-            self.grads[f"W_h{gate}"] += dwh[:, k * hsz : (k + 1) * hsz]
-            self.grads[f"b_{gate}"] += db[k * hsz : (k + 1) * hsz]
+        self.grads["Wx"] += dwx
+        self.grads["Wh"] += dwh
+        self.grads["b"] += db
         return dseq
 
 
@@ -376,50 +331,3 @@ class DenseHead(Layer):
         self.grads["w"] += self._z.T @ dlogit
         self.grads["b"] += np.array([dlogit.sum()])
         return dlogit[:, None] * self.params["w"][None, :]
-
-
-# -- single-sequence views of the batched layers ------------------------------
-
-
-def embed(table: EmbeddingTable, ids) -> np.ndarray:
-    """(L,) token ids -> (L, dim) embedding rows."""
-    return table.forward(np.asarray(ids)[None, :])[0]
-
-
-def conv1d_relu(layer: ConvLayer, emb: np.ndarray) -> np.ndarray:
-    """(L, d) -> (L - h + 1, n_filters) convolved feature map."""
-    return layer.forward(np.asarray(emb, dtype=np.float64)[None])[0]
-
-
-def max_pool(feature_map: np.ndarray) -> np.ndarray:
-    """(L, nf) -> (nf,) per-filter maximum."""
-    feature_map = np.asarray(feature_map, dtype=np.float64)
-    if feature_map.ndim != 2 or feature_map.shape[0] == 0:
-        raise EmptySequenceError("max_pool expects a non-empty (L, nf) map")
-    return feature_map.max(axis=0)
-
-
-def dropout(x: np.ndarray, rate: float, mode: str, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Inverted dropout; mode is 'train' or 'eval' (eval is the identity)."""
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    layer = DropoutLayer(rate)
-    return layer.forward(np.asarray(x, dtype=np.float64), train=(mode == "train"), rng=rng)
-
-
-def lstm_forward(layer: LstmLayer, seq: np.ndarray) -> LstmState:
-    """(T, in_dim) -> final LstmState from zero initial state."""
-    layer.forward(np.asarray(seq, dtype=np.float64)[None])
-    state = layer.final_state
-    return LstmState(c=state.c[0], h=state.h[0])
-
-
-def dense_sigmoid(head: DenseHead, z: np.ndarray) -> float:
-    """(dim,) -> classification probability in (0, 1)."""
-    return float(head.forward(np.asarray(z, dtype=np.float64)[None])[0])
-
-
-def concat_features(h: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Concatenate the sequence representation with the feature vector,
-    sequence side first."""
-    return np.concatenate([np.asarray(h, dtype=np.float64), np.asarray(features, dtype=np.float64)])

@@ -1,9 +1,8 @@
-"""Training of the four model variants: base, features_only, enhanced, combined.
+"""Training of the four model variants of VARIANT_SPECS.
 
-base        text path only (embedding -> conv -> dropout -> LSTM -> head)
-features_only  the ten scaled dual-route features -> small dense head
-enhanced    text path concatenated with the ten scaled features
-combined    enhanced plus bigram-presence and subjectivity features
+The text path is embedding -> conv -> dropout -> LSTM -> sigmoid head; the
+scaled features either join it before the head or, without a text path,
+feed a small dense head of their own.
 
 All randomness flows from TrainConfig.seed through one numpy Generator, so a
 training run is reproducible bit for bit.
@@ -39,16 +38,32 @@ from .network import (
     DropoutLayer,
     EmbeddingTable,
     LstmLayer,
-    MaxPoolLayer,
 )
 from .textstats import tokenize
 
-VARIANTS = ("base", "features_only", "enhanced", "combined")
+
+@dataclass(frozen=True)
+class VariantSpec:
+    """What a variant fits and feeds to its network."""
+
+    text: bool  # token ids through the embedding -> conv -> LSTM path
+    features: bool  # the ten scaled dual-route features
+    extended: bool  # bigram-presence and subjectivity features after the ten
+
+
+# the one place that says what each variant name means; the first is the default
+VARIANT_SPECS = {
+    "base": VariantSpec(text=True, features=False, extended=False),
+    "features_only": VariantSpec(text=False, features=True, extended=False),
+    "enhanced": VariantSpec(text=True, features=True, extended=False),
+    "combined": VariantSpec(text=True, features=True, extended=True),
+}
+VARIANTS = tuple(VARIANT_SPECS)
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    variant: str = "base"
+    variant: str = VARIANTS[0]
     epochs: int = 10
     batch_size: int = 32
     learning_rate: float = 0.001
@@ -63,8 +78,6 @@ class TrainConfig:
     min_token_freq: int = 2
     feature_hidden: int = 32
     bigram_top_n: int = 50
-    pool_head: bool = False  # ablation: max-pool instead of the LSTM
-    dropout_on_features: bool = False
     progress: bool = True
 
     def validate(self) -> None:
@@ -78,14 +91,9 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
 
 
-def bce_loss(pred: float, label: int) -> float:
-    """Binary cross-entropy with defensive clamping of the probability."""
-    p = min(max(float(pred), 1e-7), 1.0 - 1e-7)
-    y = float(label)
-    return -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
-
-
-def _bce_mean(preds: np.ndarray, labels: np.ndarray) -> float:
+def bce_loss(preds: np.ndarray, labels: np.ndarray) -> float:
+    """Mean binary cross-entropy, with the probabilities clamped to
+    [1e-7, 1 - 1e-7]."""
     p = np.clip(preds, 1e-7, 1.0 - 1e-7)
     return float(np.mean(-(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))))
 
@@ -189,61 +197,34 @@ class TextPipelineModel:
     with a scaled feature vector before the sigmoid head."""
 
     def __init__(self, vocab_size: int, feature_dim: int, cfg: TrainConfig, rng: np.random.Generator):
-        self.feature_dim = feature_dim
-        self.pool_head = cfg.pool_head
-        self.dropout_on_features = cfg.dropout_on_features
         self.embedding = EmbeddingTable(vocab_size, EMBEDDING_DIM, rng)
         self.conv = ConvLayer(CONV_FILTERS, KERNEL_SIZE, EMBEDDING_DIM, rng)
         self.dropout = DropoutLayer(cfg.dropout_rate)
-        self.feature_dropout = DropoutLayer(cfg.dropout_rate)
-        if self.pool_head:
-            self.pool = MaxPoolLayer()
-            text_dim = CONV_FILTERS
-        else:
-            self.lstm = LstmLayer(CONV_FILTERS, LSTM_UNITS, rng)
-            text_dim = LSTM_UNITS
-        self.text_dim = text_dim
-        self.head = DenseHead(text_dim + feature_dim, rng)
-        self._feats: np.ndarray | None = None
+        self.lstm = LstmLayer(CONV_FILTERS, LSTM_UNITS, rng)
+        self.head = DenseHead(LSTM_UNITS + feature_dim, rng)
 
     def layers(self):
-        out = [self.embedding, self.conv]
-        if not self.pool_head:
-            out.append(self.lstm)
-        out.append(self.head)
-        return out
+        return [self.embedding, self.conv, self.lstm, self.head]
 
     def forward(self, ids: np.ndarray, feats: np.ndarray | None, train: bool, rng=None) -> np.ndarray:
         emb = self.embedding.forward(ids)
         fmap = self.conv.forward(emb)
         fmap = self.dropout.forward(fmap, train=train, rng=rng)
-        if self.pool_head:
-            text = self.pool.forward(fmap)
-        else:
-            text = self.lstm.forward(fmap)
-        if self.feature_dim:
-            if self.dropout_on_features:
-                feats = self.feature_dropout.forward(feats, train=train, rng=rng)
-            z = np.concatenate([text, feats], axis=1)
-        else:
-            z = text
-        self._feats = feats
+        text = self.lstm.forward(fmap)
+        z = text if feats is None else np.concatenate([text, feats], axis=1)
         return self.head.forward(z)
 
     def backward_logit(self, dlogit: np.ndarray) -> None:
         dz = self.head.backward_logit(dlogit)
-        dtext = dz[:, : self.text_dim]
-        if self.pool_head:
-            dfmap = self.pool.backward(dtext)
-        else:
-            dfmap = self.lstm.backward(dtext)
+        dfmap = self.lstm.backward(dz[:, :LSTM_UNITS])
         dfmap = self.dropout.backward(dfmap)
         demb = self.conv.backward(dfmap)
         self.embedding.backward(demb)
 
 
 class FeatureHeadModel:
-    """features_only variant: scaled features -> dense ReLU -> sigmoid head."""
+    """The network of a variant without a text path: scaled features ->
+    dense ReLU -> sigmoid head."""
 
     def __init__(self, feature_dim: int, cfg: TrainConfig, rng: np.random.Generator):
         self.hidden = DenseLayer(feature_dim, cfg.feature_hidden, relu=True, rng=rng)
@@ -261,7 +242,6 @@ class FeatureHeadModel:
 
 @dataclass
 class TrainedModel:
-    variant: str
     model: object
     vocab: Vocabulary | None
     scaler: FeatureScaler | None
@@ -272,6 +252,10 @@ class TrainedModel:
     best_epoch: int
     fit_doc_ids: tuple[str, ...]
     fit_fingerprint: str
+
+    @property
+    def variant(self) -> str:
+        return self.config.variant
 
     def params(self) -> list[np.ndarray]:
         return [p for layer in self.model.layers() for _, p in layer.param_items()]
@@ -291,16 +275,28 @@ class TrainedModel:
         return items
 
 
-def _encode_batch(model: TrainedModel, docs: Sequence[Document]) -> np.ndarray:
+def _build_net(config: TrainConfig, vocab: Vocabulary | None, scaler: FeatureScaler | None,
+               rng: np.random.Generator):
+    """The network for what was fitted: a text pipeline when there is a
+    vocabulary, widened by the scaled features when there is a scaler."""
+    feature_dim = 0 if scaler is None else scaler.n_features
+    if vocab is None:
+        return FeatureHeadModel(feature_dim, config, rng)
+    return TextPipelineModel(vocab.size, feature_dim, config, rng)
+
+
+def _encode_batch(model: TrainedModel, docs: Sequence[Document]) -> np.ndarray | None:
+    if model.vocab is None:
+        return None
     max_len = max(model.config.max_seq_len, KERNEL_SIZE)
     return np.stack([model.vocab.encode(_doc_tokens(d), max_len) for d in docs])
 
 
 def _feature_batch(model: TrainedModel, docs: Sequence[Document]) -> np.ndarray | None:
-    if model.variant == "base":
+    if model.scaler is None:
         return None
     raw = model.extractor.matrix(docs)
-    if model.variant == "combined":
+    if model.extended is not None:
         raw = np.hstack([raw, model.extended.matrix(docs)])
     return model.scaler.transform(raw)
 
@@ -313,10 +309,7 @@ def predict(model: TrainedModel, doc: Document) -> float:
 def predict_scores(model: TrainedModel, docs: Sequence[Document]) -> np.ndarray:
     """Vectorized eval-mode scoring (dropout is the identity)."""
     feats = _feature_batch(model, docs)
-    if model.variant == "features_only":
-        return model.model.forward(None, feats, train=False)
-    ids = _encode_batch(model, docs)
-    return model.model.forward(ids, feats, train=False)
+    return model.model.forward(_encode_batch(model, docs), feats, train=False)
 
 
 def train(
@@ -346,24 +339,19 @@ def train(
     fit_ids = tuple(d.id for d in train_docs)
     fingerprint = hashlib.sha256("\n".join(fit_ids).encode("utf-8")).hexdigest()
 
+    spec = VARIANT_SPECS[config.variant]
     vocab = scaler = extended = None
-    if config.variant != "features_only":
+    if spec.text:
         vocab = Vocabulary.build([_doc_tokens(d) for d in train_docs], config.min_token_freq)
-    if config.variant != "base":
+    if spec.features:
         raw = extractor.matrix(train_docs)
-        if config.variant == "combined":
+        if spec.extended:
             extended = ExtendedFeaturizer.fit(train_docs, extractor, config.bigram_top_n)
             raw = np.hstack([raw, extended.matrix(train_docs)])
         scaler = FeatureScaler.fit(raw)
 
-    feature_dim = 0 if config.variant == "base" else scaler.n_features
-    if config.variant == "features_only":
-        net = FeatureHeadModel(feature_dim, config, rng)
-    else:
-        net = TextPipelineModel(vocab.size, 0 if config.variant == "base" else feature_dim, config, rng)
-
+    net = _build_net(config, vocab, scaler, rng)
     model = TrainedModel(
-        variant=config.variant,
         model=net,
         vocab=vocab,
         scaler=scaler,
@@ -376,10 +364,10 @@ def train(
         fit_fingerprint=fingerprint,
     )
 
-    ids_train = None if config.variant == "features_only" else _encode_batch(model, train_docs)
+    ids_train = _encode_batch(model, train_docs)
     feats_train = _feature_batch(model, train_docs)
     y_train = np.array([d.label for d in train_docs], dtype=np.float64)
-    ids_val = None if config.variant == "features_only" else _encode_batch(model, val_docs)
+    ids_val = _encode_batch(model, val_docs)
     feats_val = _feature_batch(model, val_docs)
     y_val = np.array([d.label for d in val_docs], dtype=np.float64)
 
@@ -398,7 +386,7 @@ def train(
             batch_feats = None if feats_train is None else feats_train[idx]
             y = y_train[idx]
             p = net.forward(batch_ids, batch_feats, train=True, rng=rng)
-            loss_sum += _bce_mean(p, y) * len(idx)
+            loss_sum += bce_loss(p, y) * len(idx)
             model.zero_grads()
             net.backward_logit((p - y) / len(idx))
             adam_step(
@@ -411,7 +399,7 @@ def train(
                 config.adam_eps,
             )
         train_loss = loss_sum / n
-        val_loss = _bce_mean(net.forward(ids_val, feats_val, train=False), y_val)
+        val_loss = bce_loss(net.forward(ids_val, feats_val, train=False), y_val)
         model.history.append((train_loss, val_loss))
         if config.progress:
             print(f"epoch={epoch} train_loss={train_loss:.6f} val_loss={val_loss:.6f}")
@@ -447,7 +435,7 @@ def _stratified_val_split(
 
 # -- checkpoint container ------------------------------------------------------
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def config_digest(config: TrainConfig) -> str:
@@ -469,7 +457,6 @@ def save_model(model: TrainedModel, path) -> None:
     ]
     payload = {
         "format_version": CHECKPOINT_VERSION,
-        "variant": model.variant,
         "config": asdict(model.config),
         "config_hash": config_digest(model.config),
         "vocab": model.vocab.token_to_id if model.vocab else None,
@@ -514,17 +501,8 @@ def load_model(path, extractor: FeatureExtractor | None = None) -> TrainedModel:
             bigrams=tuple(tuple(bg) for bg in payload["extended_bigrams"]),
             extractor=extractor,
         )
-    rng = np.random.default_rng(0)
-    feature_dim = scaler.n_features if scaler is not None else 0
-    if config.variant == "features_only":
-        net = FeatureHeadModel(feature_dim, config, rng)
-    else:
-        net = TextPipelineModel(
-            vocab.size, 0 if config.variant == "base" else feature_dim, config, rng
-        )
     model = TrainedModel(
-        variant=config.variant,
-        model=net,
+        model=_build_net(config, vocab, scaler, np.random.default_rng(0)),
         vocab=vocab,
         scaler=scaler,
         extended=extended,

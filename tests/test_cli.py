@@ -1,0 +1,124 @@
+"""Round trips through the `elmdetect` subcommands on a tiny corpus."""
+import csv
+import json
+import shutil
+
+import pytest
+
+from elmdetect import cli
+from test_golden import write_corpus
+
+FAST_FLAGS = ["--k", "2", "--seed", "5", "--epochs", "1", "--max-seq-len", "16", "--variants", "base,features_only"]
+
+
+def dataset_flags(directory):
+    return ["--true-csv", str(directory / "true.csv"), "--fake-csv", str(directory / "fake.csv")]
+
+
+@pytest.fixture(scope="module")
+def corpus_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("corpus")
+    write_corpus(directory, n=24, seed=1)
+    return directory
+
+
+@pytest.fixture(scope="module")
+def run_dir(corpus_dir, tmp_path_factory):
+    """A completed `run --plots` directory; tests copy it before changing it."""
+    out = tmp_path_factory.mktemp("run") / "out"
+    assert cli.main(["run", *dataset_flags(corpus_dir), "--out", str(out), *FAST_FLAGS, "--plots"]) == 0
+    return out
+
+
+@pytest.fixture
+def run_copy(run_dir, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(run_dir, out)
+    return out
+
+
+def test_run_writes_every_artifact(run_dir):
+    names = {p.name for p in run_dir.iterdir()}
+    expected = {"report.json", "folds.csv", "fold_assignments.csv", "roc.svg", "improvement.svg"}
+    for variant in ("base", "features_only"):
+        expected |= {f"confusion_{variant}.csv", f"roc_{variant}.csv"}
+        expected |= {f"scores_{variant}_{fold}.csv" for fold in range(2)}
+    assert names == expected
+    assert cli.main(["verify", "--out", str(run_dir)]) == 0
+
+
+def test_ingest_features_plot_verify(corpus_dir, run_copy):
+    for path in ("roc.svg", "improvement.svg"):
+        (run_copy / path).unlink()
+    flags = [*dataset_flags(corpus_dir), "--out", str(run_copy), *FAST_FLAGS]
+    assert cli.main(["ingest", *flags]) == 0
+    assert cli.main(["features", *flags]) == 0
+    assert cli.main(["plot", "--out", str(run_copy)]) == 0
+    assert cli.main(["verify", "--out", str(run_copy)]) == 0
+    for name in ("corpus_summary.json", "features.csv", "roc.svg", "improvement.svg"):
+        assert (run_copy / name).is_file()
+    summary = json.loads((run_copy / "corpus_summary.json").read_text(encoding="utf-8"))
+    assert summary["n_documents"] == 24 and sum(summary["fold_sizes"]) == 24
+
+
+def test_ingest_after_run_leaves_the_run_metrics(corpus_dir, run_copy):
+    before = (run_copy / "folds.csv").read_bytes()
+    flags = [*dataset_flags(corpus_dir), "--out", str(run_copy), *FAST_FLAGS]
+    assert cli.main(["ingest", *flags]) == 0
+    assert (run_copy / "folds.csv").read_bytes() == before
+    assert cli.main(["plot", "--out", str(run_copy)]) == 0
+    assert cli.main(["verify", "--out", str(run_copy)]) == 0
+
+
+def test_verify_detects_an_edited_score(run_copy, capsys):
+    path = run_copy / "scores_base_0.csv"
+    stamp, *rows = path.read_text(encoding="utf-8").splitlines()
+    table = list(csv.reader(rows))
+    score = float(table[1][1])
+    table[1][1] = repr(0.0 if score >= 0.5 else 1.0)  # flips one prediction, so accuracy moves
+    path.write_text("\n".join([stamp, *(",".join(r) for r in table)]) + "\n", encoding="utf-8")
+    assert cli.main(["verify", "--out", str(run_copy)]) == 2
+    assert "fold 0 base: stored accuracy does not match scores" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda r: r.pop("config"),
+        lambda r: r.pop("config_hash"),
+        lambda r: r["config"].pop("true_csv"),
+        lambda r: r["config"].update(jobs=2),
+        lambda r: r["per_fold"][0]["metrics"].pop("f1"),
+        lambda r: r["per_fold"][0]["metrics"].update(f1="high"),
+        lambda r: r.update(config=[1, 2]),
+    ],
+    ids=["no_config", "no_hash", "no_config_field", "unknown_config_field", "no_fold_metric", "fold_metric_not_number",
+         "config_not_object"],
+)
+def test_verify_reports_a_malformed_report(run_copy, capsys, damage):
+    path = run_copy / "report.json"
+    report = json.loads(path.read_text(encoding="utf-8"))
+    damage(report)
+    path.write_text(json.dumps(report), encoding="utf-8")
+    assert cli.main(["verify", "--out", str(run_copy)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("verify: report.json is malformed: ")
+    assert "Traceback" not in err
+
+
+def test_verify_reports_an_unparsable_report(run_copy, capsys):
+    (run_copy / "report.json").write_text("{not json", encoding="utf-8")
+    assert cli.main(["verify", "--out", str(run_copy)]) == 2
+    assert capsys.readouterr().err.startswith("verify: report.json is malformed: ")
+
+
+def test_unknown_variant_exits_2(corpus_dir, tmp_path, capsys):
+    argv = ["run", *dataset_flags(corpus_dir), "--out", str(tmp_path / "out"), "--variants", "base,bogus"]
+    assert cli.main(argv) == 2
+    assert "unknown variant 'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_flag_defaults_are_the_run_config_defaults():
+    args = cli.build_parser().parse_args(["run", "--true-csv", "t.csv", "--fake-csv", "f.csv"])
+    assert cli._run_config(args) == cli.RunConfig(true_csv="t.csv", fake_csv="f.csv")

@@ -224,15 +224,6 @@ class TestCrossValidate:
         seen = [d for r in report.fold_results for d in r.doc_ids]
         assert sorted(seen) == sorted(d.id for d in corpus)
 
-    def test_jobs_do_not_change_results(self):
-        corpus = planted_token_corpus(n=30, seed=3)
-        plan = stratified_folds(corpus, 2, seed=3)
-        seq = cross_validate(corpus, plan, [self.fast_config("features_only")], jobs=1)
-        par = cross_validate(corpus, plan, [self.fast_config("features_only")], jobs=2)
-        assert seq.fold_accuracies == par.fold_accuracies
-        for a, b in zip(seq.fold_results, par.fold_results):
-            assert a.scores == b.scores
-
     def test_plan_must_cover_corpus(self):
         corpus = planted_token_corpus(n=20, seed=1)
         plan = stratified_folds(corpus, 2, seed=1)

@@ -12,9 +12,7 @@ from elmdetect.features import (
     FeatureScaler,
     central_features,
     elm_vector,
-    fit_scaler,
     peripheral_features,
-    transform,
 )
 from elmdetect.textstats import Lexicon, bundled_sentiment_lexicon, bundled_urgency_lexicon
 
@@ -196,15 +194,14 @@ class TestElmVector:
 
 class TestFeatureScaler:
     def test_endpoints(self):
-        rows = [ElmVector((0.0,) * 10), ElmVector((1.0,) * 10)]
-        scaler = fit_scaler(rows)
-        assert transform(scaler, rows[0]).values == (0.0,) * 10
-        assert transform(scaler, rows[1]).values == (1.0,) * 10
+        rows = np.array([[0.0] * 10, [1.0] * 10])
+        scaler = FeatureScaler.fit(rows)
+        assert scaler.transform(rows).tolist() == rows.tolist()
 
     def test_constant_feature_maps_to_zero(self):
-        rows = [ElmVector((5.0,) * 10), ElmVector((5.0,) * 10)]
-        scaler = fit_scaler(rows)
-        assert transform(scaler, rows[0]).values == (0.0,) * 10
+        rows = np.full((2, 10), 5.0)
+        scaler = FeatureScaler.fit(rows)
+        assert scaler.transform(rows[0]).tolist() == [0.0] * 10
 
     def test_midpoint_and_clamping(self):
         scaler = FeatureScaler(mins=np.zeros(1), maxs=np.array([10.0]))
@@ -222,7 +219,9 @@ class TestFeatureScaler:
 
     def test_empty_rows_rejected(self):
         with pytest.raises(EmptyTrainingSetError):
-            fit_scaler([])
+            FeatureScaler.fit(np.zeros((0, 10)))
+        with pytest.raises(EmptyTrainingSetError):
+            FeatureScaler.fit([])
 
 
 class TestExtendedFeaturizer:

@@ -3,7 +3,6 @@ import pytest
 
 from elmdetect.errors import (
     DimensionMismatchError,
-    EmptySequenceError,
     IndexOutOfVocabError,
     SequenceTooShortError,
 )
@@ -14,15 +13,7 @@ from elmdetect.network import (
     DropoutLayer,
     EmbeddingTable,
     LstmLayer,
-    MaxPoolLayer,
     PAD_INDEX,
-    concat_features,
-    conv1d_relu,
-    dense_sigmoid,
-    dropout,
-    embed,
-    lstm_forward,
-    max_pool,
     sigmoid,
 )
 
@@ -37,20 +28,21 @@ def projection_loss(forward, weights):
 class TestEmbedding:
     def test_pad_rows_are_zero(self):
         table = EmbeddingTable(5, 4)
-        out = embed(table, [PAD_INDEX, PAD_INDEX, PAD_INDEX])
+        out = table.forward(np.array([[PAD_INDEX, PAD_INDEX, PAD_INDEX]]))
+        assert out.shape == (1, 3, 4)
         assert np.all(out == 0.0)
 
     def test_lookup_identity(self):
         table = EmbeddingTable(4, 3)
         table.params["weights"][2] = [7.0, 8.0, 9.0]
-        assert np.array_equal(embed(table, [2])[0], [7.0, 8.0, 9.0])
+        assert np.array_equal(table.forward(np.array([[2]]))[0, 0], [7.0, 8.0, 9.0])
 
     def test_out_of_vocab_rejected(self):
         table = EmbeddingTable(4, 3)
         with pytest.raises(IndexOutOfVocabError):
-            embed(table, [4])
+            table.forward(np.array([[4]]))
         with pytest.raises(IndexOutOfVocabError):
-            embed(table, [-1])
+            table.forward(np.array([[-1]]))
 
     def test_gradient_counts_repetitions(self):
         table = EmbeddingTable(6, 3, np.random.default_rng(0))
@@ -82,24 +74,24 @@ class TestConv:
         layer = ConvLayer(n_filters=1, kernel_size=1, in_dim=1)
         layer.params["filters"][...] = 1.0
         layer.params["bias"][...] = 0.0
-        out = conv1d_relu(layer, np.array([[2.0], [-3.0], [5.0]]))
-        assert out.shape == (3, 1)
+        out = layer.forward(np.array([[[2.0], [-3.0], [5.0]]]))
+        assert out.shape == (1, 3, 1)
         assert out.ravel().tolist() == [2.0, 0.0, 5.0]
 
     def test_zero_filters_zero_output(self):
         layer = ConvLayer(n_filters=2, kernel_size=3, in_dim=4)
         layer.params["filters"][...] = 0.0
-        out = conv1d_relu(layer, np.ones((5, 4)))
+        out = layer.forward(np.ones((1, 5, 4)))
         assert np.all(out == 0.0)
 
     def test_output_length(self):
         layer = ConvLayer(n_filters=2, kernel_size=3, in_dim=4, rng=np.random.default_rng(0))
-        assert conv1d_relu(layer, np.ones((9, 4))).shape == (7, 2)
+        assert layer.forward(np.ones((1, 9, 4))).shape == (1, 7, 2)
 
     def test_sequence_too_short(self):
         layer = ConvLayer(n_filters=2, kernel_size=3, in_dim=4)
         with pytest.raises(SequenceTooShortError):
-            conv1d_relu(layer, np.ones((2, 4)))
+            layer.forward(np.ones((1, 2, 4)))
 
     def test_gradients_match_finite_differences(self):
         for seed in range(3):
@@ -126,65 +118,39 @@ def _smooth_conv_case(seed, margin=1e-3):
     raise AssertionError("could not find a smooth conv case")
 
 
-class TestMaxPool:
-    def test_max_per_column(self):
-        assert max_pool(np.array([[1.0], [7.0], [3.0]]))[0] == 7.0
-
-    def test_tie_routes_gradient_to_first(self):
-        layer = MaxPoolLayer()
-        fmap = np.full((1, 3, 1), 2.0)
-        layer.forward(fmap)
-        grad = layer.backward(np.array([[5.0]]))
-        assert grad[0, :, 0].tolist() == [5.0, 0.0, 0.0]
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptySequenceError):
-            max_pool(np.zeros((0, 3)))
-
-    def test_gradient_matches_finite_differences_away_from_ties(self):
-        for seed in range(3):
-            rng = np.random.default_rng(seed + 50)
-            fmap = rng.normal(size=(2, 6, 3)) * 3
-            # enforce a clear gap between the top two entries per column
-            top2 = np.sort(fmap, axis=1)[:, -2:, :]
-            if np.any(top2[:, 1, :] - top2[:, 0, :] < 1e-3):
-                continue
-            layer = MaxPoolLayer()
-            proj = rng.normal(size=(2, 3))
-            loss = projection_loss(lambda: layer.forward(fmap), proj)
-            loss()
-            grad = layer.backward(proj)
-            assert grads_close(grad, numeric_grad(loss, fmap))
-
-
 class TestDropout:
     def test_eval_mode_is_identity(self):
         x = np.arange(12.0).reshape(3, 4)
-        assert np.array_equal(dropout(x, 0.5, "eval", np.random.default_rng(0)), x)
+        layer = DropoutLayer(0.5)
+        assert np.array_equal(layer.forward(x, train=False, rng=np.random.default_rng(0)), x)
+        assert np.array_equal(layer.backward(x), x)
 
     def test_rate_zero_is_identity(self):
-        x = np.arange(6.0)
-        assert np.array_equal(dropout(x, 0.0, "train", np.random.default_rng(0)), x)
+        x = np.arange(6.0)[None]
+        out = DropoutLayer(0.0).forward(x, train=True, rng=np.random.default_rng(0))
+        assert np.array_equal(out, x)
 
     def test_train_mode_preserves_expectation(self):
         rng = np.random.default_rng(42)
-        x = np.linspace(0.5, 2.0, 8)
+        layer = DropoutLayer(0.5)
+        x = np.linspace(0.5, 2.0, 8)[None]
         acc = np.zeros_like(x)
         trials = 10_000
         for _ in range(trials):
-            acc += dropout(x, 0.5, "train", rng)
+            acc += layer.forward(x, train=True, rng=rng)
         mean = acc / trials
         assert np.all(np.abs(mean - x) <= 0.05 * np.abs(x))
 
     def test_survivors_scaled_by_inverse_keep(self):
         rng = np.random.default_rng(3)
-        x = np.ones(1000)
-        out = dropout(x, 0.5, "train", rng)
+        x = np.ones((1, 1000))
+        out = DropoutLayer(0.5).forward(x, train=True, rng=rng)
         assert set(np.unique(out)) == {0.0, 2.0}
 
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
-            dropout(np.ones(3), 0.5, "test")
+    def test_bad_rate_rejected(self):
+        for rate in (-0.1, 1.0):
+            with pytest.raises(ValueError):
+                DropoutLayer(rate)
 
     def test_backward_applies_same_mask(self):
         rng = np.random.default_rng(9)
@@ -195,44 +161,60 @@ class TestDropout:
         assert np.array_equal(grad, out)
 
 
+# column of each gate's block in the stacked Wx / Wh / b of a 1-unit LSTM
+GATE_COLUMN = {"i": 0, "f": 1, "g": 2, "o": 3}
+
+
+def final_tanh_c(layer):
+    """tanh of the final cell state, from the last cached step."""
+    return layer._cache[-1][-1]
+
+
 class TestLstm:
+    def test_stacked_parameter_shapes(self):
+        layer = LstmLayer(3, 5)
+        assert [(n, p.shape) for n, p in layer.param_items()] == [
+            ("Wx", (3, 20)), ("Wh", (5, 20)), ("b", (20,))
+        ]
+        # forget bias 1.0, every other gate bias 0.0
+        assert layer.params["b"].tolist() == [0.0] * 5 + [1.0] * 5 + [0.0] * 10
+
     def test_zero_weights_fixed_point(self):
         layer = LstmLayer(2, 3)
         for _, p in layer.param_items():
             p[...] = 0.0
-        state = lstm_forward(layer, np.ones((4, 2)))
-        assert np.all(state.h == 0.0)
-        assert np.all(state.c == 0.0)
+        h = layer.forward(np.ones((1, 4, 2)))
+        assert np.all(h == 0.0)
+        assert np.all(final_tanh_c(layer) == 0.0)
 
     def test_hand_evaluated_single_step(self):
         layer = LstmLayer(1, 1)
         for _, p in layer.param_items():
             p[...] = 0.0
-        layer.params["W_ii"][...] = 1.0
-        state = lstm_forward(layer, np.array([[1.0]]))
+        layer.params["Wx"][0, GATE_COLUMN["i"]] = 1.0
+        h = layer.forward(np.array([[[1.0]]]))
         # i = sigmoid(1) ~ 0.7311, g = tanh(0) = 0 -> c = 0, h = 0
-        assert state.c[0] == 0.0
-        assert state.h[0] == 0.0
+        assert final_tanh_c(layer)[0, 0] == 0.0
+        assert h[0, 0] == 0.0
 
     def test_hand_evaluated_with_cell_input(self):
         layer = LstmLayer(1, 1)
         for _, p in layer.param_items():
             p[...] = 0.0
-        layer.params["W_ii"][...] = 1.0
-        layer.params["W_ig"][...] = 1.0
-        state = lstm_forward(layer, np.array([[1.0]]))
+        layer.params["Wx"][0, GATE_COLUMN["i"]] = 1.0
+        layer.params["Wx"][0, GATE_COLUMN["g"]] = 1.0
+        h = layer.forward(np.array([[[1.0]]]))
         i = 1 / (1 + np.exp(-1.0))
         g = np.tanh(1.0)
         c = i * g
-        h = 0.5 * np.tanh(c)  # o = sigmoid(0) = 0.5
-        assert abs(state.c[0] - c) < 1e-12
-        assert abs(state.h[0] - h) < 1e-12
+        assert abs(final_tanh_c(layer)[0, 0] - np.tanh(c)) < 1e-12
+        assert abs(h[0, 0] - 0.5 * np.tanh(c)) < 1e-12  # o = sigmoid(0) = 0.5
 
     def test_hidden_state_bounded(self):
         rng = np.random.default_rng(0)
         layer = LstmLayer(3, 5, rng)
-        state = lstm_forward(layer, rng.normal(size=(20, 3)) * 10)
-        assert np.all(np.abs(state.h) <= 1.0)
+        h = layer.forward(rng.normal(size=(1, 20, 3)) * 10)
+        assert np.all(np.abs(h) <= 1.0)
 
     def test_gate_activations_bounded(self):
         rng = np.random.default_rng(4)
@@ -267,27 +249,27 @@ class TestDenseHead:
     def test_zero_weights_give_half(self):
         head = DenseHead(4)
         head.params["w"][...] = 0.0
-        assert dense_sigmoid(head, np.ones(4)) == 0.5
+        assert head.forward(np.ones((1, 4))).tolist() == [0.5]
 
     def test_large_bias_saturates(self):
         head = DenseHead(2)
         head.params["w"][...] = 0.0
         head.params["b"][...] = 20.0
-        p = dense_sigmoid(head, np.zeros(2))
-        assert abs(p - 0.9999999979388463) < 1e-12
+        p = head.forward(np.zeros((1, 2)))
+        assert p.shape == (1,)
+        assert abs(p[0] - 0.9999999979388463) < 1e-12
 
     def test_output_in_open_interval(self):
         # model logits are O(1): h is bounded by 1 and features lie in [0,1]
         rng = np.random.default_rng(0)
         head = DenseHead(6, rng)
-        for _ in range(20):
-            p = dense_sigmoid(head, rng.normal(size=6) * 5)
-            assert 0.0 < p < 1.0
+        p = head.forward(rng.normal(size=(20, 6)) * 5)
+        assert np.all((p > 0.0) & (p < 1.0))
 
     def test_dimension_mismatch(self):
         head = DenseHead(3)
         with pytest.raises(DimensionMismatchError):
-            dense_sigmoid(head, np.ones(5))
+            head.forward(np.ones((1, 5)))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -318,22 +300,6 @@ class TestDenseLayer:
         assert grads_close(layer.grads["W"], numeric_grad(loss, layer.params["W"]))
         assert grads_close(layer.grads["b"], numeric_grad(loss, layer.params["b"]))
         assert grads_close(dx, numeric_grad(loss, x))
-
-
-class TestConcat:
-    def test_shape_and_order(self):
-        out = concat_features(np.array([3.0, 4.0]), np.zeros(10))
-        assert out.shape == (12,)
-        assert out[:2].tolist() == [3.0, 4.0]
-        assert np.all(out[2:] == 0.0)
-
-    def test_gradient_is_slicing(self):
-        h = np.array([1.0, 2.0])
-        e = np.array([5.0, 6.0, 7.0])
-        dout = np.array([10.0, 20.0, 30.0, 40.0, 50.0])
-        assert dout[:2].tolist() == [10.0, 20.0]
-        assert dout[2:].tolist() == [30.0, 40.0, 50.0]
-        assert concat_features(h, e).shape == (5,)
 
 
 def test_sigmoid_overflow_safe():

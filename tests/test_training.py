@@ -11,6 +11,7 @@ from elmdetect.errors import (
 from elmdetect.training import (
     AdamState,
     EarlyStopper,
+    VARIANT_SPECS,
     TrainConfig,
     Vocabulary,
     adam_step,
@@ -27,20 +28,25 @@ from synthetic import make_doc, planted_token_corpus
 
 class TestBceLoss:
     def test_midpoint_is_ln2(self):
-        assert bce_loss(0.5, 0) == pytest.approx(math.log(2))
-        assert bce_loss(0.5, 1) == pytest.approx(math.log(2))
+        assert bce_loss(np.array([0.5, 0.5]), np.array([0.0, 1.0])) == pytest.approx(math.log(2))
 
     def test_confident_wrong(self):
-        assert bce_loss(0.9, 0) == pytest.approx(-math.log(0.1))
+        assert bce_loss(np.array([0.9]), np.array([0.0])) == pytest.approx(-math.log(0.1))
 
     def test_perfect_prediction_clamps_near_zero(self):
-        assert 0.0 < bce_loss(1.0, 1) < 2e-7
-        assert 0.0 < bce_loss(0.0, 0) < 2e-7
+        assert 0.0 < bce_loss(np.array([1.0]), np.array([1.0])) < 2e-7
+        assert 0.0 < bce_loss(np.array([0.0]), np.array([0.0])) < 2e-7
 
     def test_nonnegative(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
-            assert bce_loss(float(rng.random()), int(rng.integers(0, 2))) >= 0.0
+            assert bce_loss(rng.random(3), rng.integers(0, 2, 3).astype(float)) >= 0.0
+
+    def test_is_the_mean_of_per_row_losses(self):
+        preds = np.array([0.2, 0.7, 0.9])
+        labels = np.array([0.0, 1.0, 0.0])
+        rows = [-math.log(0.8), -math.log(0.7), -math.log(0.1)]
+        assert bce_loss(preds, labels) == pytest.approx(sum(rows) / 3)
 
 
 class TestAdam:
@@ -190,15 +196,14 @@ class TestTrain:
 
     def test_each_variant_trains_and_predicts(self):
         corpus = planted_token_corpus(40, seed=5)
-        for variant in ("base", "features_only", "enhanced", "combined"):
+        for variant, spec in VARIANT_SPECS.items():
             model = train(list(corpus), quick_config(variant, epochs=1))
+            assert model.variant == variant
+            assert (model.vocab is not None) == spec.text
+            assert (model.scaler is not None) == spec.features
+            assert (model.extended is not None) == spec.extended
             p = predict(model, corpus[0])
             assert 0.0 < p < 1.0
-
-    def test_pool_head_variant_runs(self):
-        corpus = planted_token_corpus(32, seed=6)
-        model = train(list(corpus), quick_config("base", pool_head=True, epochs=1))
-        assert 0.0 < predict(model, corpus[1]) < 1.0
 
 
 class TestPredictIsolation:
@@ -261,6 +266,18 @@ class TestCheckpoint:
         payload["config"]["learning_rate"] = 0.999
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="hash"):
+            load_model(path)
+
+    def test_version_one_checkpoint_rejected(self, tmp_path):
+        import json
+
+        corpus = planted_token_corpus(32, seed=12)
+        path = tmp_path / "model.json"
+        save_model(train(list(corpus), quick_config(epochs=1)), path)
+        payload = json.loads(path.read_text())
+        payload["format_version"] = 1  # per-gate LSTM parameters
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="version 1"):
             load_model(path)
 
 
