@@ -1,9 +1,10 @@
 """Command-line entry point: ingest, features, run, plot, verify.
 
 Exit codes: 0 success, 2 input error, 3 training/evaluation failure.
-Every output file is stamped with the run's config hash and global seed, and
-all commands are deterministic given identical inputs and flags (report.json
-carries the only timestamp).
+Every output file is stamped with the run's config hash, which covers the
+dataset files' contents, and with its global seed. All commands are
+deterministic given identical inputs and flags (report.json carries the only
+timestamp).
 """
 from __future__ import annotations
 
@@ -39,6 +40,8 @@ EXIT_TRAINING = 3
 
 REPORT_SCHEMA_VERSION = 1
 
+DATASET_FIELDS = ("true_csv", "fake_csv")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -61,11 +64,14 @@ class RunConfig:
 
     def hashed_fields(self) -> dict:
         """The fields that determine the outputs: all but where they are
-        written and whether plots are drawn. report.json embeds them."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("out_dir", "emit_plots")}
+        written and whether plots are drawn, plus `dataset_sha256`, the
+        sha256 of each dataset file's bytes. report.json embeds them."""
+        values = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("out_dir", "emit_plots")}
+        values["dataset_sha256"] = {name: _file_sha256(getattr(self, name)) for name in DATASET_FIELDS}
+        return values
 
     def config_hash(self) -> str:
-        return hashlib.sha256(json.dumps(self.hashed_fields(), sort_keys=True).encode("utf-8")).hexdigest()
+        return _config_hash(self.hashed_fields())
 
     def train_config(self, variant: str) -> TrainConfig:
         return TrainConfig(
@@ -80,6 +86,14 @@ class RunConfig:
 
 
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+
+
+def _file_sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _config_hash(hashed_fields: dict) -> str:
+    return hashlib.sha256(json.dumps(hashed_fields, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 def _extractor(cfg: RunConfig) -> FeatureExtractor:
@@ -101,7 +115,7 @@ def _write_csv(path: Path, stamp: str, header: list[str], rows) -> None:
 
 
 def _read_stamp(path: Path) -> dict[str, str]:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="replace") as fh:
         first = fh.readline().strip()
     out: dict[str, str] = {}
     if first.startswith("#"):
@@ -127,14 +141,15 @@ def _write_fold_assignments(out: Path, stamp: str, corpus: DocumentSet, plan: Fo
 def cmd_ingest(args) -> int:
     cfg = _run_config(args)
     corpus = load_dataset(cfg.true_csv, cfg.fake_csv)
+    cfg_hash = cfg.config_hash()
     plan = stratified_folds(corpus, cfg.k, cfg.seed)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_fold_assignments(out, _stamp(cfg.config_hash(), cfg.seed), corpus, plan)
+    _write_fold_assignments(out, _stamp(cfg_hash, cfg.seed), corpus, plan)
     n_true, n_fake = corpus.class_counts
     fold_sizes = [plan.assignments.count(f) for f in range(cfg.k)]
     summary = {
-        "config_hash": cfg.config_hash(),
+        "config_hash": cfg_hash,
         "seed": cfg.seed,
         "k": cfg.k,
         "n_documents": len(corpus),
@@ -170,6 +185,7 @@ def cmd_features(args) -> int:
 def cmd_run(args) -> int:
     cfg = _run_config(args)
     corpus = load_dataset(cfg.true_csv, cfg.fake_csv)
+    hashed = cfg.hashed_fields()  # of the dataset as loaded, not as it is when training ends
     extractor = _extractor(cfg)
     plan = stratified_folds(corpus, cfg.k, cfg.seed)
     configs = [cfg.train_config(v) for v in cfg.variants]
@@ -180,17 +196,29 @@ def cmd_run(args) -> int:
         return EXIT_TRAINING
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_run_outputs(cfg, corpus, plan, report, out)
+    _remove_stale_artifacts(out)
+    _write_run_outputs(cfg, hashed, corpus, plan, report, out)
     _print_tables(report)
     if cfg.emit_plots:
         _emit_plots(out)
     return EXIT_OK
 
 
+def _remove_stale_artifacts(out: Path) -> None:
+    """Delete the per-variant CSVs of an earlier run in out, so that a run
+    of fewer variants leaves none of them behind; files without an elmdetect
+    stamp stay."""
+    for pattern in ("scores_*.csv", "roc_*.csv", "confusion_*.csv"):
+        for path in out.glob(pattern):
+            if "config_hash" in _read_stamp(path):
+                path.unlink()
+
+
 def _write_run_outputs(
-    cfg: RunConfig, corpus: DocumentSet, plan: FoldPlan, report: ComparisonReport, out: Path
+    cfg: RunConfig, hashed: dict, corpus: DocumentSet, plan: FoldPlan, report: ComparisonReport, out: Path
 ) -> None:
-    stamp = _stamp(cfg.config_hash(), cfg.seed)
+    cfg_hash = _config_hash(hashed)
+    stamp = _stamp(cfg_hash, cfg.seed)
     _write_fold_assignments(out, stamp, corpus, plan)
     _write_csv(
         out / "folds.csv",
@@ -239,11 +267,11 @@ def _write_run_outputs(
         )
     payload = {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "config_hash": cfg.config_hash(),
+        "config_hash": cfg_hash,
         "seed": cfg.seed,
         "k": report.k,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        "config": cfg.hashed_fields(),
+        "config": hashed,
         "variants": list(report.variants),
         "mean_metrics": {v: m.as_dict() for v, m in report.mean_metrics.items()},
         "deltas": report.deltas,
@@ -362,19 +390,25 @@ def _read_csv(path: Path) -> list[dict[str, str]]:
     return list(csv.DictReader(lines))
 
 
-def _read_report(path: Path) -> tuple[str, RunConfig, list[tuple[str, int, dict]]]:
-    """The stored config hash, the embedded config and the (variant, fold,
-    metrics) of every per-fold entry; ValueError says what is malformed."""
+def _read_report(path: Path) -> tuple[str, dict, RunConfig, list[tuple[str, int, dict]]]:
+    """The stored config hash, the embedded hashed fields, the RunConfig
+    they hold and the (variant, fold, metrics) of every per-fold entry;
+    ValueError says what is malformed."""
     try:
         report = json.loads(path.read_text(encoding="utf-8"))
         per_fold = [
             (e["variant"], e["fold"], {name: float(e["metrics"][name]) for name in METRIC_NAMES})
             for e in report["per_fold"]
         ]
-        return report["config_hash"], RunConfig(**report["config"]), per_fold
+        hashed = report["config"]
+        config = {name: value for name, value in hashed.items() if name != "dataset_sha256"}
+        digests = hashed["dataset_sha256"]
+        if not isinstance(digests, dict) or sorted(digests) != sorted(DATASET_FIELDS):
+            raise ValueError(f"dataset_sha256 must name {', '.join(DATASET_FIELDS)}")
+        return report["config_hash"], hashed, RunConfig(**config), per_fold
     except KeyError as exc:
         raise ValueError(f"missing key {exc}") from None
-    except TypeError as exc:
+    except (TypeError, AttributeError) as exc:
         raise ValueError(str(exc)) from None
 
 
@@ -385,13 +419,22 @@ def cmd_verify(args) -> int:
         print(f"error: {report_path} not found", file=sys.stderr)
         return EXIT_INPUT
     try:
-        stored_hash, cfg, per_fold = _read_report(report_path)
+        stored_hash, hashed, cfg, per_fold = _read_report(report_path)
     except ValueError as exc:
         print(f"verify: report.json is malformed: {exc}", file=sys.stderr)
         return EXIT_INPUT
     problems = []
-    if cfg.config_hash() != stored_hash:
+    if _config_hash(hashed) != stored_hash:
         problems.append("report.json config hash does not match its embedded config")
+    for name in DATASET_FIELDS:
+        path = getattr(cfg, name)
+        try:
+            digest = _file_sha256(path)
+        except OSError as exc:
+            problems.append(f"dataset {path} cannot be read: {exc.strerror}")
+            continue
+        if digest != hashed["dataset_sha256"][name]:
+            problems.append(f"dataset {path} has changed since the run (its sha256 differs from report.json)")
     for path in sorted(out.glob("*.csv")):
         stamp = _read_stamp(path)
         if stamp.get("config_hash") != stored_hash:

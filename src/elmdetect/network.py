@@ -181,13 +181,18 @@ class DropoutLayer:
 
 
 class LstmLayer(Layer):
-    """Single-layer LSTM returning the final hidden state.
+    """Single-layer LSTM returning each row's hidden state at its last real
+    step.
 
     The four gates (input, forget, cell, output) are stacked, in that order,
     along the last axis of three parameters: ``Wx (in_dim, 4H)``,
     ``Wh (H, 4H)`` and ``b (4H,)``, so each step computes every gate with one
     input and one recurrent matmul (the fused-gate layout of Appleyard et al.
     2016, arXiv:1604.01946). Backward is full backprop through time.
+
+    ``forward(seq, last)`` returns ``h`` of row ``b`` after step ``last[b]``;
+    steps past it are padding, and neither reach the output nor receive
+    gradient. Without ``last`` every row is read after the final step.
     """
 
     def __init__(
@@ -208,19 +213,25 @@ class LstmLayer(Layer):
         self._register("b", b)
         self._cache: list[tuple] = []
         self._seq_shape: tuple | None = None
+        self._last: np.ndarray | None = None
 
-    def forward(self, seq: np.ndarray) -> np.ndarray:
+    def forward(self, seq: np.ndarray, last: np.ndarray | None = None) -> np.ndarray:
         batch, steps, dim = seq.shape
         if dim != self.in_dim:
             raise DimensionMismatchError(f"expected input dim {self.in_dim}, got {dim}")
         if steps < 1:
             raise EmptySequenceError("LSTM needs at least one timestep")
+        last = np.full(batch, steps - 1) if last is None else np.asarray(last)
+        if last.shape != (batch,) or np.any((last < 0) | (last >= steps)):
+            raise ValueError(f"last must hold one step in [0, {steps}) for each of {batch} rows")
         wx, wh, b = self.params["Wx"], self.params["Wh"], self.params["b"]
         hsz = self.hidden
         h = np.zeros((batch, hsz))
         c = np.zeros((batch, hsz))
+        out = np.empty((batch, hsz))
         self._cache = []
         self._seq_shape = seq.shape
+        self._last = last
         for t in range(steps):
             x_t = seq[:, t, :]
             pre = x_t @ wx + h @ wh + b
@@ -233,9 +244,13 @@ class LstmLayer(Layer):
             self._cache.append((x_t, h, c, i, f, g, o, tanh_c))
             c = c_new
             h = o * tanh_c
-        return h
+            ends = last == t
+            out[ends] = h[ends]
+        return out
 
     def backward(self, dh_final: np.ndarray) -> np.ndarray:
+        """Backprop of the gradient w.r.t. each row's returned state, which
+        enters that row at its last real step."""
         wx, wh = self.params["Wx"], self.params["Wh"]
         hsz = self.hidden
         batch, steps, _ = self._seq_shape
@@ -243,9 +258,11 @@ class LstmLayer(Layer):
         dwh = np.zeros_like(wh)
         db = np.zeros(4 * hsz)
         dseq = np.zeros(self._seq_shape)
-        dh = dh_final.copy()
+        dh = np.zeros((batch, hsz))
         dc = np.zeros((batch, hsz))
         for t in range(steps - 1, -1, -1):
+            ends = self._last == t
+            dh[ends] += dh_final[ends]
             x_t, h_prev, c_prev, i, f, g, o, tanh_c = self._cache[t]
             do = dh * tanh_c
             dc = dc + dh * o * (1.0 - tanh_c**2)

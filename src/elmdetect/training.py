@@ -63,6 +63,13 @@ VARIANTS = tuple(VARIANT_SPECS)
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Hyperparameters of one training run.
+
+    ``max_seq_len`` caps how many tokens of a document the text path reads;
+    it does not set the work done, since each batch is trimmed to its
+    longest document and each row is read at its last real step.
+    """
+
     variant: str = VARIANTS[0]
     epochs: int = 10
     batch_size: int = 32
@@ -183,6 +190,11 @@ class Vocabulary:
         return len(self.token_to_id) + 2
 
     def encode(self, tokens: Sequence[str], max_len: int) -> np.ndarray:
+        """The first max_len token ids, padded at the end to max_len.
+
+        Padding only ever follows the real tokens; the text pipeline counts
+        them from there and never computes past a batch's longest row.
+        """
         ids = [self.token_to_id.get(t, OOV_INDEX) for t in tokens[:max_len]]
         ids.extend([PAD_INDEX] * (max_len - len(ids)))
         return np.array(ids, dtype=np.int64)
@@ -207,10 +219,19 @@ class TextPipelineModel:
         return [self.embedding, self.conv, self.lstm, self.head]
 
     def forward(self, ids: np.ndarray, feats: np.ndarray | None, train: bool, rng=None) -> np.ndarray:
+        """Probabilities for end-padded id rows.
+
+        The batch is cut to its longest row (at least one conv window), and
+        the head reads each row's LSTM state after its last conv window made
+        only of real tokens, so the result does not depend on how far the
+        rows were padded.
+        """
+        lengths = np.count_nonzero(ids != PAD_INDEX, axis=1)
+        ids = ids[:, : max(KERNEL_SIZE, int(lengths.max()))]
         emb = self.embedding.forward(ids)
         fmap = self.conv.forward(emb)
         fmap = self.dropout.forward(fmap, train=train, rng=rng)
-        text = self.lstm.forward(fmap)
+        text = self.lstm.forward(fmap, last=np.maximum(lengths - KERNEL_SIZE, 0))
         z = text if feats is None else np.concatenate([text, feats], axis=1)
         return self.head.forward(z)
 
@@ -435,7 +456,7 @@ def _stratified_val_split(
 
 # -- checkpoint container ------------------------------------------------------
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3  # 3: the head reads each row at its last real step
 
 
 def config_digest(config: TrainConfig) -> str:

@@ -106,6 +106,33 @@ def test_verify_reports_a_malformed_report(run_copy, capsys, damage):
     assert "Traceback" not in err
 
 
+def test_verify_detects_a_changed_or_missing_dataset(tmp_path, capsys):
+    write_corpus(tmp_path, n=24, seed=1)
+    out = tmp_path / "out"
+    assert cli.main(["run", *dataset_flags(tmp_path), "--out", str(out), *FAST_FLAGS]) == 0
+    assert cli.main(["verify", "--out", str(out)]) == 0
+    true_csv = tmp_path / "true.csv"
+    header, first, *rest = true_csv.read_text(encoding="utf-8").splitlines()
+    true_csv.write_text("\n".join([header, "Edited " + first.split(" ", 1)[1], *rest]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["verify", "--out", str(out)]) == 2
+    assert f"dataset {true_csv} has changed since the run" in capsys.readouterr().err
+    (tmp_path / "fake.csv").unlink()
+    assert cli.main(["verify", "--out", str(out)]) == 2
+    assert f"dataset {tmp_path / 'fake.csv'} cannot be read" in capsys.readouterr().err
+
+
+def test_rerun_with_fewer_variants_removes_their_artifacts(corpus_dir, run_copy):
+    notes = run_copy / "scores_notes.csv"
+    notes.write_text("doc_id,note\n", encoding="utf-8")  # no elmdetect stamp: not ours to delete
+    argv = ["run", *dataset_flags(corpus_dir), "--out", str(run_copy), *FAST_FLAGS, "--variants", "base", "--seed", "9"]
+    assert cli.main(argv) == 0
+    assert not list(run_copy.glob("*features_only*"))
+    assert notes.exists()
+    notes.unlink()
+    assert cli.main(["verify", "--out", str(run_copy)]) == 0
+
+
 def test_verify_reports_an_unparsable_report(run_copy, capsys):
     (run_copy / "report.json").write_text("{not json", encoding="utf-8")
     assert cli.main(["verify", "--out", str(run_copy)]) == 2

@@ -244,6 +244,51 @@ class TestLstm:
                 assert grads_close(layer.grads[name], numeric_grad(loss, p)), name
             assert grads_close(dseq, numeric_grad(loss, seq))
 
+    def test_bptt_with_rows_ending_at_different_steps(self):
+        for seed, last in ((0, [4, 0, 2]), (1, [1, 3, 1]), (2, [0, 0, 4])):
+            rng = np.random.default_rng(seed + 200)
+            layer = LstmLayer(3, 4, rng)
+            seq = rng.normal(size=(3, 5, 3))
+            proj = rng.normal(size=(3, 4))
+            loss = projection_loss(lambda: layer.forward(seq, last=np.array(last)), proj)
+            loss()
+            layer.zero_grads()
+            dseq = layer.backward(proj)
+            for name, p in layer.param_items():
+                assert grads_close(layer.grads[name], numeric_grad(loss, p)), name
+            assert grads_close(dseq, numeric_grad(loss, seq))
+            for b, end in enumerate(last):
+                assert np.all(dseq[b, end + 1 :] == 0.0)
+
+    def test_row_read_at_last_step_ignores_later_steps(self):
+        rng = np.random.default_rng(7)
+        layer = LstmLayer(3, 4, rng)
+        seq = rng.normal(size=(2, 6, 3))
+        h = layer.forward(seq, last=np.array([2, 5]))
+        # a batch of one may round differently in the matmuls
+        np.testing.assert_allclose(h[0], layer.forward(seq[:1, :3])[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(h[1], layer.forward(seq[1:])[0], rtol=0, atol=1e-12)
+
+    def test_default_reads_every_row_after_the_final_step(self):
+        rng = np.random.default_rng(8)
+        layer = LstmLayer(3, 4, rng)
+        seq = rng.normal(size=(3, 5, 3))
+        proj = rng.normal(size=(3, 4))
+        h = layer.forward(seq)
+        dseq = layer.backward(proj)
+        grads = [g.copy() for g in layer.grads.values()]
+        layer.zero_grads()
+        assert np.array_equal(h, layer.forward(seq, last=np.array([4, 4, 4])))
+        assert np.array_equal(dseq, layer.backward(proj))
+        for g, again in zip(grads, layer.grads.values()):
+            assert np.array_equal(g, again)
+
+    @pytest.mark.parametrize("last", [[0, 5], [-1, 2], [1, 2, 3]])
+    def test_last_out_of_range_rejected(self, last):
+        layer = LstmLayer(3, 4)
+        with pytest.raises(ValueError):
+            layer.forward(np.ones((2, 5, 3)), last=np.array(last))
+
 
 class TestDenseHead:
     def test_zero_weights_give_half(self):

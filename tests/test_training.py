@@ -8,6 +8,7 @@ from elmdetect.errors import (
     ShapeMismatchError,
     SingleClassTrainingSetError,
 )
+from elmdetect.textstats import tokenize
 from elmdetect.training import (
     AdamState,
     EarlyStopper,
@@ -23,7 +24,7 @@ from elmdetect.training import (
     train,
 )
 
-from synthetic import make_doc, planted_token_corpus
+from synthetic import dual_signal_corpus, make_doc, planted_token_corpus
 
 
 class TestBceLoss:
@@ -205,6 +206,31 @@ class TestTrain:
             p = predict(model, corpus[0])
             assert 0.0 < p < 1.0
 
+    def test_max_seq_len_past_the_longest_document_changes_nothing(self):
+        corpus = list(planted_token_corpus(40, seed=13))
+        assert max(len(tokenize(d.clean_text)) for d in corpus) < 20
+        a = train(corpus, quick_config("enhanced", max_seq_len=20))
+        b = train(corpus, quick_config("enhanced", max_seq_len=100))
+        assert a.history == b.history
+        assert np.array_equal(predict_scores(a, corpus), predict_scores(b, corpus))
+
+    def test_scores_do_not_depend_on_batching(self):
+        corpus = list(planted_token_corpus(40, seed=14))
+        model = train(corpus, quick_config("base", epochs=1, max_seq_len=100))
+        docs = [make_doc("zorblat", 1, doc_id="short"), *corpus, make_doc("?!", 0, doc_id="empty")]
+        whole = predict_scores(model, docs)
+        halves = np.concatenate([predict_scores(model, docs[:21]), predict_scores(model, docs[21:])])
+        singles = np.array([predict(model, d) for d in docs])
+        np.testing.assert_allclose(halves, whole, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(singles, whole, rtol=0, atol=1e-12)
+
+    def test_base_learns_at_the_default_max_seq_len(self):
+        """Posts of 8-18 tokens padded to 100: the head must read each row
+        where its tokens end, not after 80-odd steps of padding."""
+        cfg = TrainConfig(variant="base", epochs=3, learning_rate=0.01, early_stop_patience=0, progress=False)
+        model = train(list(dual_signal_corpus(n=300, seed=0)), cfg)
+        assert min(val for _, val in model.history) < math.log(2) - 0.05
+
 
 class TestPredictIsolation:
     def test_base_ignores_raw_punctuation(self):
@@ -268,16 +294,20 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="hash"):
             load_model(path)
 
-    def test_version_one_checkpoint_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "version",
+        [1, 2],  # 1: per-gate LSTM parameters; 2: trained to read the state after the padding
+    )
+    def test_older_checkpoint_version_rejected(self, version, tmp_path):
         import json
 
         corpus = planted_token_corpus(32, seed=12)
         path = tmp_path / "model.json"
         save_model(train(list(corpus), quick_config(epochs=1)), path)
         payload = json.loads(path.read_text())
-        payload["format_version"] = 1  # per-gate LSTM parameters
+        payload["format_version"] = version
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="version 1"):
+        with pytest.raises(ValueError, match=f"version {version}"):
             load_model(path)
 
 
