@@ -42,6 +42,12 @@ REPORT_SCHEMA_VERSION = 1
 
 DATASET_FIELDS = ("true_csv", "fake_csv")
 
+# the stamped CSVs `run` writes, which `verify` checks; a re-run first deletes
+# the per-variant ones and the plots of an earlier run
+VARIANT_CSV_PATTERNS = ("scores_*.csv", "roc_*.csv", "confusion_*.csv")
+RUN_CSV_PATTERNS = ("fold_assignments.csv", "folds.csv", *VARIANT_CSV_PATTERNS)
+PLOT_NAMES = ("roc.svg", "improvement.svg")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -115,15 +121,17 @@ def _write_csv(path: Path, stamp: str, header: list[str], rows) -> None:
 
 
 def _read_stamp(path: Path) -> dict[str, str]:
+    """The key=value pairs of the first line when it is a comment: `# ...`
+    in a CSV, `<!-- ... -->` in an SVG."""
     with open(path, encoding="utf-8", errors="replace") as fh:
         first = fh.readline().strip()
-    out: dict[str, str] = {}
     if first.startswith("#"):
-        for part in first[1:].split():
-            if "=" in part:
-                key, value = part.split("=", 1)
-                out[key] = value
-    return out
+        body = first[1:]
+    elif first.startswith("<!--") and first.endswith("-->"):
+        body = first[4:-3]
+    else:
+        return {}
+    return dict(part.split("=", 1) for part in body.split() if "=" in part)
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -205,10 +213,10 @@ def cmd_run(args) -> int:
 
 
 def _remove_stale_artifacts(out: Path) -> None:
-    """Delete the per-variant CSVs of an earlier run in out, so that a run
-    of fewer variants leaves none of them behind; files without an elmdetect
-    stamp stay."""
-    for pattern in ("scores_*.csv", "roc_*.csv", "confusion_*.csv"):
+    """Delete the per-variant CSVs and the plots of an earlier run in out,
+    so that a run of fewer variants or without --plots leaves none of them
+    behind; files without an elmdetect stamp stay."""
+    for pattern in (*VARIANT_CSV_PATTERNS, *PLOT_NAMES):
         for path in out.glob(pattern):
             if "config_hash" in _read_stamp(path):
                 path.unlink()
@@ -435,9 +443,8 @@ def cmd_verify(args) -> int:
             continue
         if digest != hashed["dataset_sha256"][name]:
             problems.append(f"dataset {path} has changed since the run (its sha256 differs from report.json)")
-    for path in sorted(out.glob("*.csv")):
-        stamp = _read_stamp(path)
-        if stamp.get("config_hash") != stored_hash:
+    for path in sorted(path for pattern in RUN_CSV_PATTERNS for path in out.glob(pattern)):
+        if _read_stamp(path).get("config_hash") != stored_hash:
             problems.append(f"{path.name}: config hash stamp mismatch")
     # metrics must be recomputable from the persisted per-document scores
     for variant, fold, stored in per_fold:

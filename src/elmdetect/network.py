@@ -12,6 +12,8 @@ differences.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -32,19 +34,28 @@ OOV_INDEX = 1
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Overflow-safe logistic function."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function as 0.5 + 0.5 tanh(x/2): one ufunc, and tanh
+    saturates to +-1 instead of overflowing."""
+    return 0.5 + 0.5 * np.tanh(0.5 * np.asarray(x, dtype=np.float64))
 
 
 def _glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
+
+
+def _one_block(*shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """Empty arrays of the given shapes, laid end to end in one allocation.
+
+    A layer cache of several large arrays, freed after each backward, is
+    partly handed back to the operating system, and the next batch faults
+    those pages in afresh; one block of the same total size is kept and
+    reused by the allocator.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    block = np.empty(sum(sizes))
+    starts = np.cumsum([0, *sizes])
+    return [block[lo : lo + n].reshape(shape) for lo, n, shape in zip(starts, sizes, shapes)]
 
 
 class Layer:
@@ -100,7 +111,12 @@ class EmbeddingTable(Layer):
 
 
 class ConvLayer(Layer):
-    """Valid 1-D convolution over the token axis, ReLU activation."""
+    """Valid 1-D convolution over the token axis, ReLU activation.
+
+    Forward unrolls the windows into rows ``(B * L_out, kernel * dim)`` and
+    multiplies them with all filters in one GEMM; backward gets the filter
+    gradient from one GEMM over the same rows.
+    """
 
     def __init__(
         self,
@@ -146,10 +162,9 @@ class ConvLayer(Layer):
         batch, out_len, _ = windows.shape
         dpre = dout * (pre > 0)
         flat = self.params["filters"].reshape(self.n_filters, h * dim)
-        self.grads["filters"] += np.einsum("blf,blk->fk", dpre, windows).reshape(
-            self.n_filters, h, dim
-        )
-        self.grads["bias"] += dpre.sum(axis=(0, 1))
+        rows = dpre.reshape(-1, self.n_filters)
+        self.grads["filters"] += (rows.T @ windows.reshape(-1, h * dim)).reshape(self.n_filters, h, dim)
+        self.grads["bias"] += rows.sum(axis=0)
         dwin = (dpre @ flat).reshape(batch, out_len, h, dim)
         demb = np.zeros((batch, out_len + h - 1, dim))
         for j in range(h):
@@ -186,13 +201,24 @@ class LstmLayer(Layer):
 
     The four gates (input, forget, cell, output) are stacked, in that order,
     along the last axis of three parameters: ``Wx (in_dim, 4H)``,
-    ``Wh (H, 4H)`` and ``b (4H,)``, so each step computes every gate with one
-    input and one recurrent matmul (the fused-gate layout of Appleyard et al.
-    2016, arXiv:1604.01946). Backward is full backprop through time.
+    ``Wh (H, 4H)`` and ``b (4H,)``. Forward projects the input of every step
+    with one GEMM before the loop, bias included (Appleyard et al. 2016,
+    arXiv:1604.01946); each step then does one recurrent GEMM and one
+    ``tanh`` over all four gates, since sigmoid(x) = 0.5 + 0.5 tanh(x/2) and
+    the i/f/o columns are halved first (exact in binary). The cache is
+    time-major, ``(T, B, .)``, so a step reads and writes contiguous blocks.
+    Each cached input row is ``[x_t, 1, h_(t-1)]``, the operand of both the
+    input projection and the weight gradient.
 
     ``forward(seq, last)`` returns ``h`` of row ``b`` after step ``last[b]``;
     steps past it are padding, and neither reach the output nor receive
     gradient. Without ``last`` every row is read after the final step.
+
+    Backward is full backprop through time. Its loop keeps only the
+    recurrent GEMM and the gate arithmetic and writes each step's gate
+    gradient over that step's cached activations; after the loop one GEMM
+    gives ``Wx``, ``b`` and ``Wh``'s gradients and one more the input's. It
+    consumes the cache: a second ``backward`` needs a new ``forward``.
     """
 
     def __init__(
@@ -211,9 +237,11 @@ class LstmLayer(Layer):
         b = np.zeros(4 * hidden)
         b[hidden : 2 * hidden] = 1.0  # forget bias 1.0 keeps early cell memory open on short sequences
         self._register("b", b)
-        self._cache: list[tuple] = []
-        self._seq_shape: tuple | None = None
-        self._last: np.ndarray | None = None
+        # tanh of the scaled pre-activation, times scale, plus shift, is each gate
+        self._scale = np.repeat([0.5, 0.5, 1.0, 0.5], hidden)
+        self._shift = np.repeat([0.5, 0.5, 0.0, 0.5], hidden)
+        self._is_tanh = np.repeat([0.0, 0.0, 1.0, 0.0], hidden)
+        self._cache: tuple | None = None
 
     def forward(self, seq: np.ndarray, last: np.ndarray | None = None) -> np.ndarray:
         batch, steps, dim = seq.shape
@@ -224,70 +252,76 @@ class LstmLayer(Layer):
         last = np.full(batch, steps - 1) if last is None else np.asarray(last)
         if last.shape != (batch,) or np.any((last < 0) | (last >= steps)):
             raise ValueError(f"last must hold one step in [0, {steps}) for each of {batch} rows")
-        wx, wh, b = self.params["Wx"], self.params["Wh"], self.params["b"]
-        hsz = self.hidden
-        h = np.zeros((batch, hsz))
-        c = np.zeros((batch, hsz))
-        out = np.empty((batch, hsz))
-        self._cache = []
-        self._seq_shape = seq.shape
-        self._last = last
+        self._cache = None  # frees the last forward's arrays before this one allocates
+        hsz, scale, shift = self.hidden, self._scale, self._shift
+        p = self.params
+        w = np.vstack([p["Wx"], p["b"], p["Wh"]]) * scale
+        # xh[t] = [x_t, 1, h before step t]; the last row holds only the final h
+        xh, acts, cs = _one_block((steps + 1, batch, dim + 1 + hsz), (steps, batch, 4 * hsz), (steps + 1, batch, hsz))
+        xh[:steps, :, :dim] = seq.transpose(1, 0, 2)
+        xh[:, :, dim] = 1.0
+        xh[0, :, dim + 1 :] = cs[0] = 0.0
+        hs = xh[:, :, dim + 1 :]  # hs[t + 1] is h after step t
+        np.matmul(xh[:steps, :, : dim + 1].reshape(-1, dim + 1), w[: dim + 1], out=acts.reshape(-1, 4 * hsz))
+        wh = w[dim + 1 :]
+        gates = acts.reshape(steps, batch, 4, hsz).transpose(0, 2, 1, 3)  # gates[t] = i, f, g, o of step t
         for t in range(steps):
-            x_t = seq[:, t, :]
-            pre = x_t @ wx + h @ wh + b
-            i = sigmoid(pre[:, 0 * hsz : 1 * hsz])
-            f = sigmoid(pre[:, 1 * hsz : 2 * hsz])
-            g = np.tanh(pre[:, 2 * hsz : 3 * hsz])
-            o = sigmoid(pre[:, 3 * hsz : 4 * hsz])
-            c_new = f * c + i * g
-            tanh_c = np.tanh(c_new)
-            self._cache.append((x_t, h, c, i, f, g, o, tanh_c))
-            c = c_new
-            h = o * tanh_c
-            ends = last == t
-            out[ends] = h[ends]
-        return out
+            a = acts[t]
+            if t:  # h before the first step is 0
+                a += hs[t] @ wh
+            np.tanh(a, out=a)
+            a *= scale
+            a += shift
+            i, f, g, o = gates[t]
+            np.multiply(f, cs[t], out=cs[t + 1])
+            cs[t + 1] += i * g
+            np.multiply(o, np.tanh(cs[t + 1]), out=hs[t + 1])
+        self._cache = (xh, acts, cs, last)
+        return hs[last + 1, np.arange(batch)]
 
     def backward(self, dh_final: np.ndarray) -> np.ndarray:
         """Backprop of the gradient w.r.t. each row's returned state, which
         enters that row at its last real step."""
-        wx, wh = self.params["Wx"], self.params["Wh"]
-        hsz = self.hidden
-        batch, steps, _ = self._seq_shape
-        dwx = np.zeros_like(wx)
-        dwh = np.zeros_like(wh)
-        db = np.zeros(4 * hsz)
-        dseq = np.zeros(self._seq_shape)
+        if self._cache is None:
+            raise RuntimeError("LstmLayer.backward needs a forward first; backward consumes its cache")
+        xh, acts, cs, last = self._cache
+        self._cache = None
+        steps, batch, _ = acts.shape
+        hsz, dim = self.hidden, self.in_dim
+        wh_t = np.ascontiguousarray(self.params["Wh"].T)
+        order = np.argsort(last, kind="stable")
+        ends_at = np.split(order, np.searchsorted(last[order], np.arange(1, steps)))  # rows by last step
         dh = np.zeros((batch, hsz))
         dc = np.zeros((batch, hsz))
+        dact = np.empty((batch, 4 * hsz))  # gradient w.r.t. each gate's activation
+        di, df, dg, do = dact.reshape(batch, 4, hsz).transpose(1, 0, 2)
+        gates = acts.reshape(steps, batch, 4, hsz).transpose(0, 2, 1, 3)
         for t in range(steps - 1, -1, -1):
-            ends = self._last == t
-            dh[ends] += dh_final[ends]
-            x_t, h_prev, c_prev, i, f, g, o, tanh_c = self._cache[t]
-            do = dh * tanh_c
-            dc = dc + dh * o * (1.0 - tanh_c**2)
-            di = dc * g
-            df = dc * c_prev
-            dg = dc * i
-            dpre = np.concatenate(
-                [
-                    di * i * (1.0 - i),
-                    df * f * (1.0 - f),
-                    dg * (1.0 - g**2),
-                    do * o * (1.0 - o),
-                ],
-                axis=1,
-            )
-            dwx += x_t.T @ dpre
-            dwh += h_prev.T @ dpre
-            db += dpre.sum(axis=0)
-            dseq[:, t, :] = dpre @ wx.T
-            dh = dpre @ wh.T
-            dc = dc * f
-        self.grads["Wx"] += dwx
-        self.grads["Wh"] += dwh
-        self.grads["b"] += db
-        return dseq
+            rows = ends_at[t]
+            if rows.size:
+                dh[rows] += dh_final[rows]
+            a, tanh_c = acts[t], np.tanh(cs[t + 1])  # recomputed: less memory than a cached copy
+            i, f, g, o = gates[t]
+            np.multiply(dh, tanh_c, out=do)
+            dc += (dh - do * tanh_c) * o  # dh * o * (1 - tanh_c**2)
+            np.multiply(dc, g, out=di)
+            np.multiply(dc, cs[t], out=df)
+            np.multiply(dc, i, out=dg)
+            dc *= f
+            # the gate gradient overwrites the activations: the derivative is
+            # (1 - a) * a for a sigmoid gate and (1 - a) * (1 + a) for tanh
+            deriv = 1.0 - a
+            a += self._is_tanh
+            a *= deriv
+            a *= dact
+            if t:  # the state before the first step is a constant
+                dh = a @ wh_t
+        dpre = acts.reshape(-1, 4 * hsz)
+        dw = xh[:steps].reshape(-1, dim + 1 + hsz).T @ dpre
+        self.grads["Wx"] += dw[:dim]
+        self.grads["b"] += dw[dim]
+        self.grads["Wh"] += dw[dim + 1 :]
+        return (dpre @ self.params["Wx"].T).reshape(steps, batch, dim).transpose(1, 0, 2)
 
 
 class DenseLayer(Layer):

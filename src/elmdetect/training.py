@@ -329,8 +329,22 @@ def predict(model: TrainedModel, doc: Document) -> float:
 
 def predict_scores(model: TrainedModel, docs: Sequence[Document]) -> np.ndarray:
     """Vectorized eval-mode scoring (dropout is the identity)."""
-    feats = _feature_batch(model, docs)
-    return model.model.forward(_encode_batch(model, docs), feats, train=False)
+    return _eval_forward(model.model, _encode_batch(model, docs), _feature_batch(model, docs), model.config.batch_size)
+
+
+def _eval_forward(net, ids: np.ndarray | None, feats: np.ndarray | None, size: int) -> np.ndarray:
+    """Eval-mode probabilities, `size` rows at a time, so the layer caches
+    stay bounded however many rows there are; each chunk is trimmed to its
+    own longest row."""
+    n = len(ids if feats is None else feats)
+    return np.concatenate([
+        net.forward(
+            None if ids is None else ids[start : start + size],
+            None if feats is None else feats[start : start + size],
+            train=False,
+        )
+        for start in range(0, n, size)
+    ])
 
 
 def train(
@@ -420,7 +434,7 @@ def train(
                 config.adam_eps,
             )
         train_loss = loss_sum / n
-        val_loss = bce_loss(net.forward(ids_val, feats_val, train=False), y_val)
+        val_loss = bce_loss(_eval_forward(net, ids_val, feats_val, config.batch_size), y_val)
         model.history.append((train_loss, val_loss))
         if config.progress:
             print(f"epoch={epoch} train_loss={train_loss:.6f} val_loss={val_loss:.6f}")

@@ -175,3 +175,58 @@ def grads_close(analytic: np.ndarray, numeric: np.ndarray, rel_tol: float = 1e-4
     diff = np.abs(analytic - numeric)
     tol = rel_tol * np.maximum(np.abs(analytic), np.abs(numeric)) + abs_floor
     return bool(np.all(diff <= tol))
+
+
+def oracle_lstm(params: dict, seq: np.ndarray, last: np.ndarray, dh_final: np.ndarray):
+    """Stacked-gate LSTM (gates i, f, g, o along the last axis of Wx, Wh, b)
+    stepped one timestep at a time, batch-major, with the sigmoid as
+    1 / (1 + exp(-x)). Returns each row's h after step last[b], the gradient
+    w.r.t. seq and the parameter gradients, for dh_final entering each row
+    at its last step."""
+    wx, wh, b = params["Wx"], params["Wh"], params["b"]
+    batch, steps, _ = seq.shape
+    hsz = wh.shape[0]
+
+    def sig(x):
+        return 1.0 / (1.0 + np.exp(-x))
+
+    h = np.zeros((batch, hsz))
+    c = np.zeros((batch, hsz))
+    out = np.empty((batch, hsz))
+    cache = []
+    for t in range(steps):
+        x_t = seq[:, t, :]
+        pre = x_t @ wx + h @ wh + b
+        i = sig(pre[:, 0 * hsz : 1 * hsz])
+        f = sig(pre[:, 1 * hsz : 2 * hsz])
+        g = np.tanh(pre[:, 2 * hsz : 3 * hsz])
+        o = sig(pre[:, 3 * hsz : 4 * hsz])
+        c_new = f * c + i * g
+        tanh_c = np.tanh(c_new)
+        cache.append((x_t, h, c, i, f, g, o, tanh_c))
+        c = c_new
+        h = o * tanh_c
+        ends = last == t
+        out[ends] = h[ends]
+
+    grads = {name: np.zeros_like(p) for name, p in params.items()}
+    dseq = np.zeros(seq.shape)
+    dh = np.zeros((batch, hsz))
+    dc = np.zeros((batch, hsz))
+    for t in range(steps - 1, -1, -1):
+        ends = last == t
+        dh[ends] += dh_final[ends]
+        x_t, h_prev, c_prev, i, f, g, o, tanh_c = cache[t]
+        do = dh * tanh_c
+        dc = dc + dh * o * (1.0 - tanh_c**2)
+        dpre = np.concatenate(
+            [dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f), dc * i * (1.0 - g**2), do * o * (1.0 - o)],
+            axis=1,
+        )
+        grads["Wx"] += x_t.T @ dpre
+        grads["Wh"] += h_prev.T @ dpre
+        grads["b"] += dpre.sum(axis=0)
+        dseq[:, t, :] = dpre @ wx.T
+        dh = dpre @ wh.T
+        dc = dc * f
+    return out, dseq, grads

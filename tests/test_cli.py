@@ -133,6 +133,23 @@ def test_rerun_with_fewer_variants_removes_their_artifacts(corpus_dir, run_copy)
     assert cli.main(["verify", "--out", str(run_copy)]) == 0
 
 
+def test_verify_ignores_files_run_does_not_write(corpus_dir, run_copy):
+    flags = [*dataset_flags(corpus_dir), "--out", str(run_copy), *FAST_FLAGS]
+    assert cli.main(["features", *flags]) == 0
+    assert cli.main(["run", *flags, "--variants", "base", "--seed", "9"]) == 0
+    assert (run_copy / "features.csv").is_file()  # stamped with the first run's hash
+    assert cli.main(["verify", "--out", str(run_copy)]) == 0
+
+
+def test_run_without_plots_removes_the_plots_of_an_earlier_run(corpus_dir, run_copy):
+    assert (run_copy / "roc.svg").is_file() and (run_copy / "improvement.svg").is_file()
+    argv = ["run", *dataset_flags(corpus_dir), "--out", str(run_copy), *FAST_FLAGS, "--variants", "base", "--seed", "9"]
+    assert cli.main(argv) == 0
+    assert not (run_copy / "roc.svg").exists()
+    assert not (run_copy / "improvement.svg").exists()
+    assert cli.main(["verify", "--out", str(run_copy)]) == 0
+
+
 def test_verify_reports_an_unparsable_report(run_copy, capsys):
     (run_copy / "report.json").write_text("{not json", encoding="utf-8")
     assert cli.main(["verify", "--out", str(run_copy)]) == 2

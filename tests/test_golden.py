@@ -34,22 +34,22 @@ CSV_SHA256 = {
     "confusion_features_only.csv": "ed490752fd809b0b639398159c6513406587d4228c4fcc55d9edc153525941d0",
     "fold_assignments.csv": "a35f5fb721335a7c3706d4a71001d3ddabb3bdd68bffd1ba747fc8f6f06fe5e9",
     "folds.csv": "77003e0299307dc96df7242646f493b4549a2433ee6607bcfa06f27f72fb5689",
-    "roc_base.csv": "54cf711562071635885118adddc0f7681db81aba9d69cdcf18c81dd9d2090200",
-    "roc_combined.csv": "cec018c7026aac9881d6e9c1780a236c9ee29e457ead1b1ba5a03716e85f36c8",
-    "roc_enhanced.csv": "e83891183a33d6ce0d1dde9f3ebed21db7e27452cc23535e2190b1b814d5a32b",
-    "roc_features_only.csv": "9f393206cd113d942cffdd6695a5b98864826c0b3e468865f34bbfb722eaa0ed",
-    "scores_base_0.csv": "3302470825de8764f6a1e6279cda8dfb5a8ecabf293a2df8f50a091f24563b57",
-    "scores_base_1.csv": "09f28d4c6bb6d198215ee689d1c72c74ca737cb1b959b5d2765f0cf5a80120a0",
-    "scores_base_2.csv": "704c0afb8bce5cd09ededa5ff6313a36b1fb54c5c2948c078dede3b0b48f9a5c",
-    "scores_combined_0.csv": "ec6f731ac4a12e80ceb8b1195bdfe6b0a7139b6961b925af067ca6d25211f8d3",
-    "scores_combined_1.csv": "c9cb42e9e814e966fb4607855888c8c7bd03b6f847ca1204b4cd68aa06a247c7",
-    "scores_combined_2.csv": "6d5495dfb958824e4d5044173893d5c572e0a34650552bf185ed272998882686",
-    "scores_enhanced_0.csv": "65b401408229f8ea9b16283893139abc52e5b9bfa75b8a76ac36bf8f243ea29c",
-    "scores_enhanced_1.csv": "1212ce09b2b41d8b600c324beda4dd22924f0181ca2716d7767954738a1e3436",
-    "scores_enhanced_2.csv": "e3a8eff19b831a3e24d7465ee6f35bc2877f5bd390b27439a642d01487aebb8d",
-    "scores_features_only_0.csv": "a8f0dec75de04e807ba36b8d1d16a2b9016e94b1270f9872876732faa9829882",
-    "scores_features_only_1.csv": "ded574a5ba8e451883b5c64608a206c94d63e914aabbbc3eb8868552db9e3c8f",
-    "scores_features_only_2.csv": "ef61143b18986707613f60ba31af1410a5c412dbf0e1e97177bdd9ac1b2194f5",
+    "roc_base.csv": "f6aba4e0435301856beafac3be050294197cf3da9a0c593afd1c96c2fe066010",
+    "roc_combined.csv": "bc0a5abb5999b4e4fa10989a9a7221ebcf54be811624cd79442f470422526da6",
+    "roc_enhanced.csv": "237fd6dc7cbc14ff4c525a5c653de4852b5368eac5ea0a50b0099d2a572aa964",
+    "roc_features_only.csv": "db4a44e85e09360bbb43afbb46c3a507653d1bbadfd173ba644e951558b6448e",
+    "scores_base_0.csv": "5cc59aea8bb9de7bc15fa3b2084c2fb1caeb72a224fa12f08ddaed969a857358",
+    "scores_base_1.csv": "f24e6e14ce076c103358ec9feeaad9499fe417133604718a8887f1589ad49360",
+    "scores_base_2.csv": "b6c68d09fe746c5dd2b54bbae0f42195c164d2902b0ad236682628df7911056b",
+    "scores_combined_0.csv": "9e0a4dfbe79943fa745549ee522578ffc8ec53daa21fbbeb5b41eb62e82f6ee7",
+    "scores_combined_1.csv": "51b41af452888816c2ad90876fcd8dcdea6d5d54a70d569752c74703878c7eea",
+    "scores_combined_2.csv": "aae32a06c9462939a0365c538dbd4237a26a14b4e42a46f57afe0d1bdf438a54",
+    "scores_enhanced_0.csv": "e1a5fe7ade44e240e379a6aba1901a815f9d8a5b3c9fd589018c577e726fd6b3",
+    "scores_enhanced_1.csv": "1175fc25185d316e9c7fa18c40fc26bd84c7eb547d8f1347a876da780be744d8",
+    "scores_enhanced_2.csv": "89321a2019df63c71c8882f017da53edde866be2dbdec1c4382eac0fb8b6f4f9",
+    "scores_features_only_0.csv": "a0e18854762504e7581e2aa5ce4225c17cbf040c12b3d37d5c6179b07a99eddc",
+    "scores_features_only_1.csv": "859e3715bf0d5e9195233124341c2191615f25663c7e93718f16febab13805a6",
+    "scores_features_only_2.csv": "f5f27f4b55c11012b2deabfe4719e6b2dc19dc748ce0b5fcd7199e35e6ba9929",
 }
 
 

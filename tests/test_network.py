@@ -17,7 +17,7 @@ from elmdetect.network import (
     sigmoid,
 )
 
-from oracles import grads_close, numeric_grad
+from oracles import grads_close, numeric_grad, oracle_lstm
 
 
 def projection_loss(forward, weights):
@@ -165,9 +165,14 @@ class TestDropout:
 GATE_COLUMN = {"i": 0, "f": 1, "g": 2, "o": 3}
 
 
-def final_tanh_c(layer):
-    """tanh of the final cell state, from the last cached step."""
-    return layer._cache[-1][-1]
+def final_tanh_c(layer, seq):
+    """tanh of the final cell state, as h / o: the output gate is recomputed
+    from the parameters and the state one step before the end."""
+    h = layer.forward(seq)
+    h_prev = layer.forward(seq[:, :-1]) if seq.shape[1] > 1 else np.zeros_like(h)
+    o = slice(3 * layer.hidden, 4 * layer.hidden)
+    p = layer.params
+    return h / sigmoid(seq[:, -1] @ p["Wx"][:, o] + h_prev @ p["Wh"][:, o] + p["b"][o])
 
 
 class TestLstm:
@@ -183,18 +188,20 @@ class TestLstm:
         layer = LstmLayer(2, 3)
         for _, p in layer.param_items():
             p[...] = 0.0
-        h = layer.forward(np.ones((1, 4, 2)))
+        seq = np.ones((1, 4, 2))
+        h = layer.forward(seq)
         assert np.all(h == 0.0)
-        assert np.all(final_tanh_c(layer) == 0.0)
+        assert np.all(final_tanh_c(layer, seq) == 0.0)
 
     def test_hand_evaluated_single_step(self):
         layer = LstmLayer(1, 1)
         for _, p in layer.param_items():
             p[...] = 0.0
         layer.params["Wx"][0, GATE_COLUMN["i"]] = 1.0
-        h = layer.forward(np.array([[[1.0]]]))
+        seq = np.array([[[1.0]]])
+        h = layer.forward(seq)
         # i = sigmoid(1) ~ 0.7311, g = tanh(0) = 0 -> c = 0, h = 0
-        assert final_tanh_c(layer)[0, 0] == 0.0
+        assert final_tanh_c(layer, seq)[0, 0] == 0.0
         assert h[0, 0] == 0.0
 
     def test_hand_evaluated_with_cell_input(self):
@@ -203,11 +210,12 @@ class TestLstm:
             p[...] = 0.0
         layer.params["Wx"][0, GATE_COLUMN["i"]] = 1.0
         layer.params["Wx"][0, GATE_COLUMN["g"]] = 1.0
-        h = layer.forward(np.array([[[1.0]]]))
+        seq = np.array([[[1.0]]])
+        h = layer.forward(seq)
         i = 1 / (1 + np.exp(-1.0))
         g = np.tanh(1.0)
         c = i * g
-        assert abs(final_tanh_c(layer)[0, 0] - np.tanh(c)) < 1e-12
+        assert abs(final_tanh_c(layer, seq)[0, 0] - np.tanh(c)) < 1e-12
         assert abs(h[0, 0] - 0.5 * np.tanh(c)) < 1e-12  # o = sigmoid(0) = 0.5
 
     def test_hidden_state_bounded(self):
@@ -217,13 +225,23 @@ class TestLstm:
         assert np.all(np.abs(h) <= 1.0)
 
     def test_gate_activations_bounded(self):
+        """The gates that reproduce the layer's state after every step lie
+        in (0, 1), and the cell candidate in (-1, 1)."""
         rng = np.random.default_rng(4)
         layer = LstmLayer(2, 3, rng)
-        layer.forward(rng.normal(size=(1, 6, 2)))
-        for x_t, h_prev, c_prev, i, f, g, o, tanh_c in layer._cache:
+        seq = rng.normal(size=(2, 6, 2))
+        p, hsz = layer.params, layer.hidden
+        h = c = np.zeros((2, hsz))
+        for t in range(seq.shape[1]):
+            pre = seq[:, t] @ p["Wx"] + h @ p["Wh"] + p["b"]
+            i, f, o = (sigmoid(pre[:, k * hsz : (k + 1) * hsz]) for k in (0, 1, 3))
+            g = np.tanh(pre[:, 2 * hsz : 3 * hsz])
             for gate in (i, f, o):
                 assert np.all((gate > 0) & (gate < 1))
             assert np.all((g > -1) & (g < 1))
+            c = f * c + i * g
+            h = o * np.tanh(c)
+            np.testing.assert_allclose(layer.forward(seq, last=np.full(2, t)), h, rtol=0, atol=1e-12)
 
     def test_dimension_mismatch(self):
         layer = LstmLayer(3, 4)
@@ -282,6 +300,33 @@ class TestLstm:
         assert np.array_equal(dseq, layer.backward(proj))
         for g, again in zip(grads, layer.grads.values()):
             assert np.array_equal(g, again)
+
+    @pytest.mark.parametrize(
+        "batch, steps, in_dim, hidden, last",
+        [(1, 1, 3, 4, [0]), (4, 7, 3, 5, [6, 0, 3, 3]), (32, 98, 64, 100, None)],
+        ids=["b1_t1", "rows_end_apart", "b32_t98"],
+    )
+    def test_matches_the_per_step_oracle(self, batch, steps, in_dim, hidden, last):
+        rng = np.random.default_rng(steps)
+        layer = LstmLayer(in_dim, hidden, rng)
+        seq = rng.normal(size=(batch, steps, in_dim))
+        dh = rng.normal(size=(batch, hidden))
+        last = np.full(batch, steps - 1) if last is None else np.array(last)
+        out = layer.forward(seq, last=last)
+        dseq = layer.backward(dh)
+        want_out, want_dseq, want_grads = oracle_lstm(layer.params, seq, last, dh)
+        np.testing.assert_allclose(out, want_out, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(dseq, want_dseq, rtol=1e-12, atol=1e-12)
+        for name, grad in want_grads.items():
+            np.testing.assert_allclose(layer.grads[name], grad, rtol=1e-12, atol=1e-12, err_msg=name)
+
+    def test_second_backward_raises(self):
+        rng = np.random.default_rng(5)
+        layer = LstmLayer(3, 4, rng)
+        layer.forward(rng.normal(size=(2, 5, 3)))
+        layer.backward(np.ones((2, 4)))
+        with pytest.raises(RuntimeError):
+            layer.backward(np.ones((2, 4)))
 
     @pytest.mark.parametrize("last", [[0, 5], [-1, 2], [1, 2, 3]])
     def test_last_out_of_range_rejected(self, last):

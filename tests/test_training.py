@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from elmdetect.training import (
     train,
 )
 
-from synthetic import dual_signal_corpus, make_doc, planted_token_corpus
+from synthetic import NEUTRAL_WORDS, dual_signal_corpus, make_doc, planted_token_corpus
 
 
 class TestBceLoss:
@@ -223,6 +224,24 @@ class TestTrain:
         singles = np.array([predict(model, d) for d in docs])
         np.testing.assert_allclose(halves, whole, rtol=0, atol=1e-12)
         np.testing.assert_allclose(singles, whole, rtol=0, atol=1e-12)
+
+    def test_scoring_memory_does_not_grow_with_the_corpus(self):
+        """The network runs batch_size rows at a time, so scoring four times
+        as many 100-token documents needs about the same peak memory."""
+        model = train(list(planted_token_corpus(40, seed=15)), quick_config("enhanced", epochs=1, max_seq_len=100))
+        rng = np.random.default_rng(16)
+        docs = [make_doc(" ".join(rng.choice(NEUTRAL_WORDS, 100)), i % 2, doc_id=f"d{i}") for i in range(256)]
+
+        def peak_bytes(n):
+            tracemalloc.start()
+            try:
+                predict_scores(model, docs[:n])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak_bytes(64)  # lexicon and tokenizer caches fill on the first call
+        assert peak_bytes(256) < 1.5 * peak_bytes(64)
 
     def test_base_learns_at_the_default_max_seq_len(self):
         """Posts of 8-18 tokens padded to 100: the head must read each row
