@@ -40,7 +40,6 @@ from .significance import (
 )
 from .textstats import (
     Lexicon,
-    TokenList,
     count_syllables,
     load_lexicon,
     split_sentences,
@@ -66,7 +65,7 @@ __all__ = [
     "ConfusionMatrix", "MetricSet", "RocCurve", "ComparisonReport", "confusion", "metrics",
     "roc_curve", "auc", "cross_validate",
     "PairedSample", "WilcoxonResult", "TTestResult", "wilcoxon_signed_rank", "paired_t_test",
-    "Lexicon", "TokenList", "tokenize", "split_sentences", "count_syllables", "load_lexicon",
+    "Lexicon", "tokenize", "split_sentences", "count_syllables", "load_lexicon",
     "TrainConfig", "TrainedModel", "train", "predict", "bce_loss", "adam_step",
     "save_model", "load_model",
 ]

@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +31,15 @@ class Document:
     label: int  # 0 = authentic, 1 = fake
     source_file: str  # SOURCE_TRUE or SOURCE_FAKE
 
+    @cached_property
+    def tokens(self) -> tuple[str, ...]:
+        """The tokens of clean_text, made on first use and kept with the
+        document, so every task of a run reads the same tuple."""
+        return tokenize(self.clean_text)
+
     @property
     def empty_after_cleaning(self) -> bool:
-        return len(tokenize(self.clean_text)) == 0
+        return not self.tokens
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,15 @@
 Central features read clean_text (the model's view of the message content);
 peripheral features read raw_text, because capitalization and punctuation
 cues are destroyed by cleaning.
+
+Each `FeatureExtractor` computes a document's ten-feature row once and keeps
+it, keyed weakly by the document, for as long as the document lives; every
+(fold, variant) task of a run shares one extractor and so reads the same
+rows. An extractor with other lexicons keeps rows of its own.
 """
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -97,15 +103,18 @@ class ElmVector:
 
 
 class FeatureExtractor:
-    """Computes feature vectors for documents with fixed lexicons."""
+    """Computes feature vectors for documents with fixed lexicons, each
+    document's `elm` row once."""
 
     def __init__(self, sentiment: Lexicon | None = None, urgency: Lexicon | None = None):
         self.sentiment = sentiment if sentiment is not None else bundled_sentiment_lexicon()
         self.urgency = urgency if urgency is not None else bundled_urgency_lexicon()
+        # a row holds no reference to its document, so an entry goes with it
+        self._rows: weakref.WeakKeyDictionary[Document, ElmVector] = weakref.WeakKeyDictionary()
 
     def central(self, doc: Document) -> CentralVector:
         """c1..c5 on clean_text; zero-token documents get all zeros."""
-        tokens = tokenize(doc.clean_text)
+        tokens = doc.tokens
         words = len(tokens)
         if words == 0:
             return CentralVector(0.0, 0.0, 0.0, 0, 0.0)
@@ -143,16 +152,20 @@ class FeatureExtractor:
         )
 
     def elm(self, doc: Document) -> ElmVector:
-        return ElmVector(self.central(doc).values() + self.peripheral(doc).values())
+        row = self._rows.get(doc)
+        if row is None:
+            row = self._rows[doc] = ElmVector(self.central(doc).values() + self.peripheral(doc).values())
+        return row
 
     def matrix(self, docs: Sequence[Document]) -> np.ndarray:
         """(n_docs, 10) feature matrix in document order."""
-        return np.array([self.elm(d).values for d in docs], dtype=np.float64)
+        rows = [self.elm(d).values for d in docs]
+        return np.array(rows, dtype=np.float64).reshape(len(rows), len(FEATURE_NAMES))
 
     def subjectivity(self, doc: Document) -> float:
         """Fraction of clean-text tokens present in the sentiment lexicon,
         regardless of sign."""
-        tokens = tokenize(doc.clean_text)
+        tokens = doc.tokens
         if not tokens:
             return 0.0
         return sum(1 for t in tokens if t.lower() in self.sentiment.entries) / len(tokens)
@@ -258,9 +271,11 @@ class ExtendedFeaturizer:
         return out
 
     def matrix(self, docs: Sequence[Document]) -> np.ndarray:
-        return np.array([self.vector(d) for d in docs], dtype=np.float64)
+        """(n_docs, n_features) matrix in document order."""
+        rows = [self.vector(d) for d in docs]
+        return np.array(rows, dtype=np.float64).reshape(len(rows), self.n_features)
 
 
 def _bigrams(doc: Document) -> list[tuple[str, str]]:
-    tokens = [t.lower() for t in tokenize(doc.clean_text)]
+    tokens = [t.lower() for t in doc.tokens]
     return list(zip(tokens, tokens[1:]))

@@ -1,7 +1,10 @@
 """Deterministic linguistic primitives: tokens, sentences, syllables, lexicons.
 
-Everything here is a pure function of its input, so the feature extractors
-built on top are safe to call from concurrent workers.
+Everything here is a pure function of its input and keeps no cache keyed by
+text, so running the same text twice does the work twice. What a run
+computes once is held by the objects it concerns: `Document.tokens` keeps a
+document's clean-text tokens, and each `FeatureExtractor` keeps its rows,
+both for as long as the document lives.
 """
 from __future__ import annotations
 
@@ -9,7 +12,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .errors import MalformedLineError
 
@@ -24,31 +27,9 @@ _SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])(?![.!?])")
 _VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
 
 
-@dataclass(frozen=True)
-class TokenList:
-    """Tokens plus their character offsets into the source text."""
-
-    tokens: tuple[str, ...]
-    spans: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.tokens)
-
-    def __getitem__(self, i: int) -> str:
-        return self.tokens[i]
-
-
-def tokenize(text: str) -> TokenList:
+def tokenize(text: str) -> tuple[str, ...]:
     """Split text into tokens, preserving casing; callers lowercase as needed."""
-    tokens = []
-    spans = []
-    for m in _TOKEN_RE.finditer(text):
-        tokens.append(m.group())
-        spans.append((m.start(), m.end()))
-    return TokenList(tuple(tokens), tuple(spans))
+    return tuple(_TOKEN_RE.findall(text))
 
 
 def split_sentences(text: str) -> list[str]:

@@ -39,7 +39,6 @@ from .network import (
     EmbeddingTable,
     LstmLayer,
 )
-from .textstats import tokenize
 
 
 @dataclass(frozen=True)
@@ -200,10 +199,6 @@ class Vocabulary:
         return np.array(ids, dtype=np.int64)
 
 
-def _doc_tokens(doc: Document) -> list[str]:
-    return list(tokenize(doc.clean_text))
-
-
 class TextPipelineModel:
     """The convolutional-recurrent text pipeline, optionally concatenated
     with a scaled feature vector before the sigmoid head."""
@@ -310,7 +305,8 @@ def _encode_batch(model: TrainedModel, docs: Sequence[Document]) -> np.ndarray |
     if model.vocab is None:
         return None
     max_len = max(model.config.max_seq_len, KERNEL_SIZE)
-    return np.stack([model.vocab.encode(_doc_tokens(d), max_len) for d in docs])
+    rows = [model.vocab.encode(d.tokens, max_len) for d in docs]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), max_len)
 
 
 def _feature_batch(model: TrainedModel, docs: Sequence[Document]) -> np.ndarray | None:
@@ -336,15 +332,14 @@ def _eval_forward(net, ids: np.ndarray | None, feats: np.ndarray | None, size: i
     """Eval-mode probabilities, `size` rows at a time, so the layer caches
     stay bounded however many rows there are; each chunk is trimmed to its
     own longest row."""
-    n = len(ids if feats is None else feats)
-    return np.concatenate([
-        net.forward(
+    out = np.empty(len(ids if feats is None else feats))
+    for start in range(0, len(out), size):
+        out[start : start + size] = net.forward(
             None if ids is None else ids[start : start + size],
             None if feats is None else feats[start : start + size],
             train=False,
         )
-        for start in range(0, n, size)
-    ])
+    return out
 
 
 def train(
@@ -377,7 +372,7 @@ def train(
     spec = VARIANT_SPECS[config.variant]
     vocab = scaler = extended = None
     if spec.text:
-        vocab = Vocabulary.build([_doc_tokens(d) for d in train_docs], config.min_token_freq)
+        vocab = Vocabulary.build([d.tokens for d in train_docs], config.min_token_freq)
     if spec.features:
         raw = extractor.matrix(train_docs)
         if spec.extended:

@@ -176,6 +176,11 @@ class TestElmVector:
         doc = make_doc("Same doc! Same features?")
         assert elm_vector(doc).values == elm_vector(doc).values
 
+    def test_matrix_of_no_documents_has_ten_columns(self):
+        rows = FeatureExtractor().matrix([])
+        assert rows.shape == (0, len(FEATURE_NAMES))
+        assert rows.dtype == np.float64
+
     @given(st.text(max_size=120))
     @settings(max_examples=200, deadline=None)
     def test_ranges_and_finiteness_fuzz(self, raw):
@@ -255,6 +260,12 @@ class TestExtendedFeaturizer:
         extractor = FeatureExtractor(sentiment=lex)
         doc = make_doc("good bad neutral")
         assert abs(extractor.subjectivity(doc) - 2 / 3) < 1e-12
+
+    def test_matrix_of_no_documents_has_every_column(self):
+        ext = ExtendedFeaturizer.fit(self.docs(), FeatureExtractor(), top_n=3)
+        rows = ext.matrix([])
+        assert rows.shape == (0, ext.n_features)
+        assert rows.dtype == np.float64
 
     def test_empty_fit_rejected(self):
         with pytest.raises(EmptyTrainingSetError):

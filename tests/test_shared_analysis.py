@@ -1,0 +1,89 @@
+"""What a run computes once per document: its clean-text tokens and, per
+feature extractor, its ten-feature row. Both live as long as the document."""
+import csv
+import gc
+import sys
+
+import numpy as np
+
+from elmdetect import textstats
+from elmdetect.corpus import load_dataset, stratified_folds
+from elmdetect.evaluation import cross_validate
+from elmdetect.features import FeatureExtractor
+from elmdetect.textstats import Lexicon, tokenize
+from elmdetect.training import VARIANTS, TrainConfig
+
+from synthetic import make_doc, planted_token_corpus
+
+
+def count_tokenize_calls(monkeypatch) -> list[str]:
+    """Route every elmdetect module's `tokenize` through a recorder; returns
+    the list the tokenised texts are appended to."""
+    texts: list[str] = []
+    real = textstats.tokenize
+
+    def recording(text):
+        texts.append(text)
+        return real(text)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("elmdetect") and getattr(module, "tokenize", None) is real:
+            monkeypatch.setattr(module, "tokenize", recording)
+    return texts
+
+
+def test_document_tokens_are_the_clean_text_tokens_made_once(monkeypatch):
+    doc = make_doc("Stay HOME, stay safe!!", 1)
+    texts = count_tokenize_calls(monkeypatch)
+    assert doc.tokens == tokenize(doc.clean_text) == ("stay", "home", "stay", "safe")
+    assert doc.tokens is doc.tokens
+    assert texts == [doc.clean_text]
+
+
+def test_cross_validate_tokenises_each_document_at_most_twice(monkeypatch):
+    corpus = planted_token_corpus(n=30, seed=3)
+    plan = stratified_folds(corpus, 3, seed=3)
+    configs = [TrainConfig(variant=v, epochs=1, batch_size=16, max_seq_len=16, progress=False) for v in VARIANTS]
+    texts = count_tokenize_calls(monkeypatch)
+    report = cross_validate(corpus, plan, configs)
+    assert len(report.fold_results) == 3 * len(VARIANTS)
+    assert len(texts) <= 2 * len(corpus)
+    assert set(texts) <= {d.clean_text for d in corpus} | {d.raw_text for d in corpus}
+
+
+def test_rows_are_kept_per_lexicon_pair():
+    docs = [make_doc("Good news today!", 0), make_doc("Bad news today?", 1)]
+    bundled = FeatureExtractor()
+    before = bundled.matrix(docs)
+    flipped = Lexicon("flipped", {w: -s for w, s in bundled.sentiment.entries.items()})
+    rows = FeatureExtractor(sentiment=flipped).matrix(docs)
+    polarity = 2
+    assert before[0, polarity] > 0 > before[1, polarity]
+    np.testing.assert_array_equal(rows[:, polarity], -before[:, polarity])
+    np.testing.assert_array_equal(np.delete(rows, polarity, axis=1), np.delete(before, polarity, axis=1))
+    np.testing.assert_array_equal(bundled.matrix(docs), before)
+
+
+def test_rows_are_freed_with_their_documents():
+    extractor = FeatureExtractor()
+    docs = [make_doc(f"report number {i} is out!") for i in range(5)]
+    extractor.matrix(docs)
+    assert len(extractor._rows) == len(docs)
+    del docs
+    gc.collect()
+    assert len(extractor._rows) == 0
+
+
+def test_each_load_of_the_same_file_tokenises_again(tmp_path, monkeypatch):
+    paths = []
+    for name, texts in (("true.csv", ["Masks work.", "Wash hands"]), ("fake.csv", ["MIRACLE cure!!"])):
+        with open(tmp_path / name, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([["text"], *[[t] for t in texts]])
+        paths.append(tmp_path / name)
+    texts = count_tokenize_calls(monkeypatch)
+    first, second = load_dataset(*paths), load_dataset(*paths)
+    expected = [("masks", "work"), ("wash", "hands"), ("miracle", "cure")]
+    assert [d.tokens for d in first] == [d.tokens for d in second] == expected
+    assert len(texts) == 2 * len(first)
+    # made afresh, not handed back by a cache keyed by the text
+    assert all(a.tokens is not b.tokens for a, b in zip(first, second))

@@ -32,13 +32,6 @@ class TestTokenize:
     def test_underscore_splits(self):
         assert list(tokenize("a_b")) == ["a", "b"]
 
-    def test_spans_point_into_source(self):
-        text = "one  two!"
-        tl = tokenize(text)
-        assert [text[a:b] for a, b in tl.spans] == list(tl)
-        flat = [x for span in tl.spans for x in span]
-        assert flat == sorted(flat)
-
     @given(st.text(alphabet=st.sampled_from("ab c.!?'129 -XY"), max_size=60))
     @settings(max_examples=200, deadline=None)
     def test_matches_character_scan(self, s):

@@ -207,6 +207,13 @@ class TestTrain:
             p = predict(model, corpus[0])
             assert 0.0 < p < 1.0
 
+    @pytest.mark.parametrize("variant", list(VARIANT_SPECS))
+    def test_no_documents_score_to_an_empty_array(self, variant):
+        model = train(list(planted_token_corpus(32, seed=6)), quick_config(variant, epochs=1))
+        scores = predict_scores(model, [])
+        assert scores.shape == (0,)
+        assert scores.dtype == np.float64
+
     def test_max_seq_len_past_the_longest_document_changes_nothing(self):
         corpus = list(planted_token_corpus(40, seed=13))
         assert max(len(tokenize(d.clean_text)) for d in corpus) < 20
@@ -240,7 +247,7 @@ class TestTrain:
             finally:
                 tracemalloc.stop()
 
-        peak_bytes(64)  # lexicon and tokenizer caches fill on the first call
+        peak_bytes(64)  # one-off allocations land in this first call
         assert peak_bytes(256) < 1.5 * peak_bytes(64)
 
     def test_base_learns_at_the_default_max_seq_len(self):
