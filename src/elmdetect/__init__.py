@@ -16,9 +16,6 @@ from .features import (
     FeatureExtractor,
     FeatureScaler,
     PeripheralVector,
-    central_features,
-    elm_vector,
-    peripheral_features,
 )
 from .evaluation import (
     ComparisonReport,
@@ -51,7 +48,6 @@ from .training import (
     adam_step,
     bce_loss,
     load_model,
-    predict,
     save_model,
     train,
 )
@@ -60,12 +56,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Document", "DocumentSet", "FoldPlan", "clean_text", "load_dataset", "stratified_folds",
-    "FEATURE_NAMES", "CentralVector", "PeripheralVector", "ElmVector", "FeatureExtractor",
-    "FeatureScaler", "central_features", "peripheral_features", "elm_vector",
+    "FEATURE_NAMES", "CentralVector", "PeripheralVector", "ElmVector", "FeatureExtractor", "FeatureScaler",
     "ConfusionMatrix", "MetricSet", "RocCurve", "ComparisonReport", "confusion", "metrics",
     "roc_curve", "auc", "cross_validate",
     "PairedSample", "WilcoxonResult", "TTestResult", "wilcoxon_signed_rank", "paired_t_test",
     "Lexicon", "tokenize", "split_sentences", "count_syllables", "load_lexicon",
-    "TrainConfig", "TrainedModel", "train", "predict", "bce_loss", "adam_step",
+    "TrainConfig", "TrainedModel", "train", "bce_loss", "adam_step",
     "save_model", "load_model",
 ]

@@ -95,9 +95,6 @@ class ElmVector:
         if len(self.values) != len(FEATURE_NAMES):
             raise ValueError(f"expected {len(FEATURE_NAMES)} values, got {len(self.values)}")
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64)
-
     def __len__(self) -> int:
         return len(self.values)
 
@@ -169,31 +166,6 @@ class FeatureExtractor:
         if not tokens:
             return 0.0
         return sum(1 for t in tokens if t.lower() in self.sentiment.entries) / len(tokens)
-
-
-_DEFAULT_EXTRACTOR: FeatureExtractor | None = None
-
-
-def default_extractor() -> FeatureExtractor:
-    global _DEFAULT_EXTRACTOR
-    if _DEFAULT_EXTRACTOR is None:
-        _DEFAULT_EXTRACTOR = FeatureExtractor()
-    return _DEFAULT_EXTRACTOR
-
-
-def central_features(doc: Document) -> CentralVector:
-    """Central-route vector with the bundled lexicons."""
-    return default_extractor().central(doc)
-
-
-def peripheral_features(doc: Document) -> PeripheralVector:
-    """Peripheral-route vector with the bundled lexicons."""
-    return default_extractor().peripheral(doc)
-
-
-def elm_vector(doc: Document) -> ElmVector:
-    """Combined ten-feature vector with the bundled lexicons."""
-    return default_extractor().elm(doc)
 
 
 @dataclass(frozen=True)

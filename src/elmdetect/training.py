@@ -318,11 +318,6 @@ def _feature_batch(model: TrainedModel, docs: Sequence[Document]) -> np.ndarray 
     return model.scaler.transform(raw)
 
 
-def predict(model: TrainedModel, doc: Document) -> float:
-    """Probability that the document is fake, in eval mode."""
-    return float(predict_scores(model, [doc])[0])
-
-
 def predict_scores(model: TrainedModel, docs: Sequence[Document]) -> np.ndarray:
     """Vectorized eval-mode scoring (dropout is the identity)."""
     return _eval_forward(model.model, _encode_batch(model, docs), _feature_batch(model, docs), model.config.batch_size)

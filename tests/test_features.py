@@ -10,9 +10,6 @@ from elmdetect.features import (
     ExtendedFeaturizer,
     FeatureExtractor,
     FeatureScaler,
-    central_features,
-    elm_vector,
-    peripheral_features,
 )
 from elmdetect.textstats import Lexicon, bundled_sentiment_lexicon, bundled_urgency_lexicon
 
@@ -76,7 +73,7 @@ EDGE_CASES = [
 class TestOracleEquivalence:
     def assert_matches_oracle(self, raw):
         doc = make_doc(raw, label=0)
-        got = elm_vector(doc).values
+        got = FeatureExtractor().elm(doc).values
         expected = oracle_elm(
             doc,
             dict(bundled_sentiment_lexicon().entries),
@@ -100,14 +97,14 @@ class TestOracleEquivalence:
 
 class TestCentralFeatures:
     def test_the_cat_sat(self):
-        cv = central_features(make_doc("The cat sat."))
+        cv = FeatureExtractor().central(make_doc("The cat sat."))
         assert abs(cv.flesch_kincaid_grade - (-2.62)) < 1e-9
         assert cv.vocabulary_richness == 1.0
         assert cv.text_length == 3
         assert cv.avg_words_per_sentence == 3.0
 
     def test_empty_document_is_all_zero(self):
-        cv = central_features(make_doc(""))
+        cv = FeatureExtractor().central(make_doc(""))
         assert cv.values() == (0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_repeated_word_polarity_and_richness(self):
@@ -126,17 +123,17 @@ class TestCentralFeatures:
 
 class TestPeripheralFeatures:
     def test_breaking_cure(self):
-        pv = peripheral_features(make_doc("BREAKING: Cure found!!"))
+        pv = FeatureExtractor().peripheral(make_doc("BREAKING: Cure found!!"))
         assert abs(pv.exclamation_ratio - 2 / 3) < 1e-12
         assert abs(pv.capitalization_ratio - 2 / 3) < 1e-12
         assert pv.all_caps_count == 1
 
     def test_no_cues(self):
-        pv = peripheral_features(make_doc("no signals here"))
+        pv = FeatureExtractor().peripheral(make_doc("no signals here"))
         assert pv.values() == (0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_act_now_urgency(self):
-        pv = peripheral_features(make_doc("Act NOW!"))
+        pv = FeatureExtractor().peripheral(make_doc("Act NOW!"))
         assert pv.urgency_frequency == 1.0
         assert pv.exclamation_ratio == 0.5
         assert pv.all_caps_count == 1
@@ -144,7 +141,7 @@ class TestPeripheralFeatures:
     def test_reads_raw_text_not_clean(self):
         doc = make_doc("SHOUTING LOUDLY!")
         assert doc.clean_text == "shouting loudly!"
-        assert peripheral_features(doc).all_caps_count == 2
+        assert FeatureExtractor().peripheral(doc).all_caps_count == 2
 
     def test_appending_bang_never_decreases_p1(self):
         rng = np.random.default_rng(5)
@@ -152,21 +149,21 @@ class TestPeripheralFeatures:
             raw = random_text(rng)
             doc, doc2 = make_doc(raw), make_doc(raw + "!")
             assert (
-                peripheral_features(doc2).exclamation_ratio
-                >= peripheral_features(doc).exclamation_ratio
+                FeatureExtractor().peripheral(doc2).exclamation_ratio
+                >= FeatureExtractor().peripheral(doc).exclamation_ratio
             )
 
 
 class TestElmVector:
     def test_length_and_order(self):
         doc = make_doc("The cat sat.")
-        v = elm_vector(doc)
+        v = FeatureExtractor().elm(doc)
         assert len(v) == 10
-        assert v.values[:5] == central_features(doc).values()
-        assert v.values[5:] == peripheral_features(doc).values()
+        assert v.values[:5] == FeatureExtractor().central(doc).values()
+        assert v.values[5:] == FeatureExtractor().peripheral(doc).values()
 
     def test_zero_token_doc_gives_ten_zeros(self):
-        assert elm_vector(make_doc("@#$")).values == (0.0,) * 10
+        assert FeatureExtractor().elm(make_doc("@#$")).values == (0.0,) * 10
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
@@ -174,7 +171,7 @@ class TestElmVector:
 
     def test_deterministic(self):
         doc = make_doc("Same doc! Same features?")
-        assert elm_vector(doc).values == elm_vector(doc).values
+        assert FeatureExtractor().elm(doc).values == FeatureExtractor().elm(doc).values
 
     def test_matrix_of_no_documents_has_ten_columns(self):
         rows = FeatureExtractor().matrix([])
@@ -184,7 +181,7 @@ class TestElmVector:
     @given(st.text(max_size=120))
     @settings(max_examples=200, deadline=None)
     def test_ranges_and_finiteness_fuzz(self, raw):
-        v = elm_vector(make_doc(raw)).as_array()
+        v = np.array(FeatureExtractor().elm(make_doc(raw)).values)
         assert np.all(np.isfinite(v))
         named = dict(zip(FEATURE_NAMES, v))
         assert 0.0 <= named["vocabulary_richness"] <= 1.0

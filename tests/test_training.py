@@ -19,7 +19,6 @@ from elmdetect.training import (
     adam_step,
     bce_loss,
     load_model,
-    predict,
     predict_scores,
     save_model,
     train,
@@ -204,7 +203,7 @@ class TestTrain:
             assert (model.vocab is not None) == spec.text
             assert (model.scaler is not None) == spec.features
             assert (model.extended is not None) == spec.extended
-            p = predict(model, corpus[0])
+            p = predict_scores(model, [corpus[0]])[0]
             assert 0.0 < p < 1.0
 
     @pytest.mark.parametrize("variant", list(VARIANT_SPECS))
@@ -228,7 +227,7 @@ class TestTrain:
         docs = [make_doc("zorblat", 1, doc_id="short"), *corpus, make_doc("?!", 0, doc_id="empty")]
         whole = predict_scores(model, docs)
         halves = np.concatenate([predict_scores(model, docs[:21]), predict_scores(model, docs[21:])])
-        singles = np.array([predict(model, d) for d in docs])
+        singles = np.array([predict_scores(model, [d])[0] for d in docs])
         np.testing.assert_allclose(halves, whole, rtol=0, atol=1e-12)
         np.testing.assert_allclose(singles, whole, rtol=0, atol=1e-12)
 
@@ -265,15 +264,15 @@ class TestPredictIsolation:
         a = make_doc("hello, world news", 0, doc_id="pa")
         b = make_doc("hello world NEWS!!!", 0, doc_id="pb")
         # same clean-token sequence after lowercasing; punctuation differs
-        assert predict(model, a) == predict(model, b)
+        assert predict_scores(model, [a])[0] == predict_scores(model, [b])[0]
 
     def test_features_only_invariant_to_feature_preserving_reorder(self):
         corpus = planted_token_corpus(32, seed=8)
         model = train(list(corpus), quick_config("features_only", epochs=1))
         a = make_doc("Alpha beta. Gamma delta.", 0, doc_id="ra")
         b = make_doc("Gamma delta. Alpha beta.", 0, doc_id="rb")
-        assert np.array_equal(model.extractor.elm(a).as_array(), model.extractor.elm(b).as_array())
-        assert predict(model, a) == predict(model, b)
+        assert model.extractor.elm(a).values == model.extractor.elm(b).values
+        assert predict_scores(model, [a])[0] == predict_scores(model, [b])[0]
 
     def test_enhanced_depends_only_on_clean_tokens_and_features(self):
         corpus = planted_token_corpus(32, seed=9)
@@ -281,14 +280,14 @@ class TestPredictIsolation:
         a = make_doc("hello world.", 0, doc_id="ea")
         b = make_doc("hello  world.", 0, doc_id="eb")  # extra space cleans away
         assert a.clean_text == b.clean_text
-        assert np.array_equal(model.extractor.elm(a).as_array(), model.extractor.elm(b).as_array())
-        assert predict(model, a) == predict(model, b)
+        assert model.extractor.elm(a).values == model.extractor.elm(b).values
+        assert predict_scores(model, [a])[0] == predict_scores(model, [b])[0]
 
     def test_enhanced_prediction_in_unit_interval(self):
         corpus = planted_token_corpus(32, seed=10)
         model = train(list(corpus), quick_config("enhanced", epochs=1))
         for doc in list(corpus)[:8]:
-            assert 0.0 < predict(model, doc) < 1.0
+            assert 0.0 < predict_scores(model, [doc])[0] < 1.0
 
 
 class TestCheckpoint:
