@@ -37,6 +37,13 @@ class Document:
         document, so every task of a run reads the same tuple."""
         return tokenize(self.clean_text)
 
+    @cached_property
+    def bigrams(self) -> frozenset[tuple[str, str]]:
+        """The distinct pairs of adjacent lowercased tokens, made on first
+        use and kept like `tokens`."""
+        words = [t.lower() for t in self.tokens]
+        return frozenset(zip(words, words[1:]))
+
     @property
     def empty_after_cleaning(self) -> bool:
         return not self.tokens

@@ -4,13 +4,16 @@ Central features read clean_text (the model's view of the message content);
 peripheral features read raw_text, because capitalization and punctuation
 cues are destroyed by cleaning.
 
-Each `FeatureExtractor` computes a document's ten-feature row once and keeps
-it, keyed weakly by the document, for as long as the document lives; every
-(fold, variant) task of a run shares one extractor and so reads the same
-rows. An extractor with other lexicons keeps rows of its own.
+Each `FeatureExtractor` computes a document's ten-feature row and its
+subjectivity once and keeps them, keyed weakly by the document, for as long
+as the document lives; every (fold, variant) task of a run shares one
+extractor and so reads the same values. An extractor with other lexicons
+keeps values of its own. A document's bigram set depends on no lexicon and
+is kept by the document itself.
 """
 from __future__ import annotations
 
+import heapq
 import weakref
 from collections import Counter
 from dataclasses import dataclass
@@ -106,8 +109,9 @@ class FeatureExtractor:
     def __init__(self, sentiment: Lexicon | None = None, urgency: Lexicon | None = None):
         self.sentiment = sentiment if sentiment is not None else bundled_sentiment_lexicon()
         self.urgency = urgency if urgency is not None else bundled_urgency_lexicon()
-        # a row holds no reference to its document, so an entry goes with it
+        # a value holds no reference to its document, so an entry goes with it
         self._rows: weakref.WeakKeyDictionary[Document, ElmVector] = weakref.WeakKeyDictionary()
+        self._subjectivity: weakref.WeakKeyDictionary[Document, float] = weakref.WeakKeyDictionary()
 
     def central(self, doc: Document) -> CentralVector:
         """c1..c5 on clean_text; zero-token documents get all zeros."""
@@ -161,11 +165,13 @@ class FeatureExtractor:
 
     def subjectivity(self, doc: Document) -> float:
         """Fraction of clean-text tokens present in the sentiment lexicon,
-        regardless of sign."""
-        tokens = doc.tokens
-        if not tokens:
-            return 0.0
-        return sum(1 for t in tokens if t.lower() in self.sentiment.entries) / len(tokens)
+        regardless of sign; computed once per document, like `elm`."""
+        value = self._subjectivity.get(doc)
+        if value is None:
+            tokens = doc.tokens
+            hits = sum(1 for t in tokens if t.lower() in self.sentiment.entries)
+            value = self._subjectivity[doc] = hits / len(tokens) if tokens else 0.0
+        return value
 
 
 @dataclass(frozen=True)
@@ -220,9 +226,10 @@ class ExtendedFeaturizer:
             raise EmptyTrainingSetError("cannot fit bigram features on zero documents")
         doc_freq: Counter = Counter()
         for doc in docs:
-            doc_freq.update(set(_bigrams(doc)))
-        ranked = sorted(doc_freq.items(), key=lambda kv: (-kv[1], kv[0]))
-        top = tuple(bg for bg, _ in ranked[:top_n])
+            doc_freq.update(doc.bigrams)
+        # the first top_n of the (frequency desc, bigram) order, without sorting the rest
+        ranked = heapq.nsmallest(top_n, doc_freq.items(), key=lambda kv: (-kv[1], kv[0]))
+        top = tuple(bg for bg, _ in ranked)
         return cls(bigrams=top, extractor=extractor)
 
     @property
@@ -234,20 +241,10 @@ class ExtendedFeaturizer:
         return tuple(f"bigram:{a}_{b}" for a, b in self.bigrams) + ("subjectivity",)
 
     def vector(self, doc: Document) -> np.ndarray:
-        present = set(_bigrams(doc))
-        out = np.zeros(self.n_features, dtype=np.float64)
-        for i, bg in enumerate(self.bigrams):
-            if bg in present:
-                out[i] = 1.0
-        out[-1] = self.extractor.subjectivity(doc)
-        return out
+        present = doc.bigrams
+        return np.array([bg in present for bg in self.bigrams] + [self.extractor.subjectivity(doc)])
 
     def matrix(self, docs: Sequence[Document]) -> np.ndarray:
         """(n_docs, n_features) matrix in document order."""
         rows = [self.vector(d) for d in docs]
         return np.array(rows, dtype=np.float64).reshape(len(rows), self.n_features)
-
-
-def _bigrams(doc: Document) -> list[tuple[str, str]]:
-    tokens = [t.lower() for t in doc.tokens]
-    return list(zip(tokens, tokens[1:]))

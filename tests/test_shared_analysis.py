@@ -1,5 +1,6 @@
-"""What a run computes once per document: its clean-text tokens and, per
-feature extractor, its ten-feature row. Both live as long as the document."""
+"""What a run computes once per document: its clean-text tokens and bigram
+set and, per feature extractor, its ten-feature row and subjectivity. All
+live as long as the document."""
 import csv
 import gc
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 from elmdetect import textstats
 from elmdetect.corpus import load_dataset, stratified_folds
 from elmdetect.evaluation import cross_validate
-from elmdetect.features import FeatureExtractor
+from elmdetect.features import ExtendedFeaturizer, FeatureExtractor
 from elmdetect.textstats import Lexicon, tokenize
 from elmdetect.training import VARIANTS, TrainConfig
 
@@ -51,6 +52,33 @@ def test_cross_validate_tokenises_each_document_at_most_twice(monkeypatch):
     assert set(texts) <= {d.clean_text for d in corpus} | {d.raw_text for d in corpus}
 
 
+class CountingEntries(dict):
+    """Lexicon entries that count their membership tests."""
+
+    lookups = 0
+
+    def __contains__(self, word):
+        self.lookups += 1
+        return super().__contains__(word)
+
+
+def test_bigram_sets_and_subjectivity_are_made_once_per_document():
+    doc = make_doc("Stay HOME, stay safe!!", 1)
+    assert doc.bigrams == {("stay", "home"), ("home", "stay"), ("stay", "safe")}
+    assert doc.bigrams is doc.bigrams
+    corpus = planted_token_corpus(n=30, seed=4)
+    docs = list(corpus)
+    entries = CountingEntries(FeatureExtractor().sentiment.entries)
+    extractor = FeatureExtractor(sentiment=Lexicon("counting", entries))
+    plan = stratified_folds(corpus, 3, seed=4)
+    for fold in range(3):  # fit and score as the combined variant does in each fold
+        train_docs = [docs[i] for i in plan.train_indices(fold)]
+        extended = ExtendedFeaturizer.fit(train_docs, extractor)
+        extended.matrix(train_docs)
+        extended.matrix([docs[i] for i in plan.test_indices(fold)])
+    assert entries.lookups == sum(len(d.tokens) for d in docs)
+
+
 def test_rows_are_kept_per_lexicon_pair():
     docs = [make_doc("Good news today!", 0), make_doc("Bad news today?", 1)]
     bundled = FeatureExtractor()
@@ -68,10 +96,12 @@ def test_rows_are_freed_with_their_documents():
     extractor = FeatureExtractor()
     docs = [make_doc(f"report number {i} is out!") for i in range(5)]
     extractor.matrix(docs)
-    assert len(extractor._rows) == len(docs)
-    del docs
+    for doc in docs:
+        extractor.subjectivity(doc)
+    assert len(extractor._rows) == len(extractor._subjectivity) == len(docs)
+    del docs, doc
     gc.collect()
-    assert len(extractor._rows) == 0
+    assert len(extractor._rows) == len(extractor._subjectivity) == 0
 
 
 def test_each_load_of_the_same_file_tokenises_again(tmp_path, monkeypatch):
