@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -450,6 +451,9 @@ def cmd_verify(args) -> int:
     for variant, fold, stored in per_fold:
         rows = _read_csv(out / f"scores_{variant}_{fold}.csv")
         scores = [float(r["score"]) for r in rows]
+        if not all(map(math.isfinite, scores)):
+            problems.append(f"scores_{variant}_{fold}.csv: a score is not finite")
+            continue
         labels = [int(r["label"]) for r in rows]
         mset = metrics(confusion(scores, labels), roc_auc(scores, labels))
         for name in METRIC_NAMES:
@@ -473,6 +477,8 @@ def _run_config(args) -> RunConfig:
     for v in values["variants"]:
         if v not in VARIANTS:
             raise ElmDetectError(f"unknown variant {v!r}; choose from {','.join(VARIANTS)}")
+    if not (math.isfinite(args.learning_rate) and args.learning_rate > 0):
+        raise ElmDetectError(f"--learning-rate must be a finite number > 0, got {args.learning_rate}")
     return RunConfig(**values)
 
 

@@ -67,6 +67,10 @@ class SingleClassLabelsError(ElmDetectError):
     """ROC/AUC is undefined when only one class is present."""
 
 
+class NonFiniteScoreError(ElmDetectError):
+    """A score is NaN or infinite, as the scores of a diverged model are."""
+
+
 # stats
 class TooFewPairsError(ElmDetectError):
     """A paired test needs at least two pairs."""

@@ -15,6 +15,7 @@ from .corpus import DocumentSet, FoldPlan
 from .errors import (
     EmptyEvaluationError,
     LengthMismatchError,
+    NonFiniteScoreError,
     SingleClassLabelsError,
 )
 from .features import FeatureExtractor
@@ -109,8 +110,11 @@ def metrics(cm: ConfusionMatrix, auc_value: float) -> MetricSet:
 
 def roc_curve(scores: Sequence[float], labels: Sequence[int]) -> RocCurve:
     """Threshold sweep over the distinct scores, descending; tied scores
-    share one point."""
+    share one point. A NaN or infinite score is rejected: NaN equals no
+    cut, so the sweep could never pass it."""
     scores = np.asarray(scores, dtype=np.float64)
+    if not np.isfinite(scores).all():
+        raise NonFiniteScoreError(f"{np.count_nonzero(~np.isfinite(scores))} of {len(scores)} scores are not finite")
     labels = np.asarray(labels)
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
@@ -298,16 +302,13 @@ def _run_task(fold: int, config: TrainConfig, train_docs, test_docs, extractor: 
     try:
         model = train(train_docs, config, extractor=extractor)
         scores = predict_scores(model, test_docs)
+        result = evaluate_fold(
+            fold, config.variant, [d.id for d in test_docs], scores.tolist(), [d.label for d in test_docs]
+        )
     except Exception as exc:
         raise RuntimeError(f"fold {fold} variant {config.variant} failed: {exc}") from exc
     _audit_no_leakage(model.fit_doc_ids, train_docs, test_docs)
-    return evaluate_fold(
-        fold,
-        config.variant,
-        [d.id for d in test_docs],
-        scores.tolist(),
-        [d.label for d in test_docs],
-    )
+    return result
 
 
 def _audit_no_leakage(fit_ids, train_docs, test_docs) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -95,6 +96,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be a finite number > 0, got {self.learning_rate}")
 
 
 def bce_loss(preds: np.ndarray, labels: np.ndarray) -> float:

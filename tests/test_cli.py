@@ -1,7 +1,11 @@
 """Round trips through the `elmdetect` subcommands on a tiny corpus."""
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,18 @@ from elmdetect import cli
 from test_golden import write_corpus
 
 FAST_FLAGS = ["--k", "2", "--seed", "5", "--epochs", "1", "--max-seq-len", "16", "--variants", "base,features_only"]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_cli(*argv, timeout=120):
+    """`elmdetect <argv>` in a child process that is killed after `timeout`
+    seconds, so a command that hangs fails its test instead of stalling it."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "elmdetect.cli", *argv], capture_output=True, text=True, timeout=timeout, env=env
+    )
 
 
 def dataset_flags(directory):
@@ -166,3 +182,23 @@ def test_unknown_variant_exits_2(corpus_dir, tmp_path, capsys):
 def test_flag_defaults_are_the_run_config_defaults():
     args = cli.build_parser().parse_args(["run", "--true-csv", "t.csv", "--fake-csv", "f.csv"])
     assert cli._run_config(args) == cli.RunConfig(true_csv="t.csv", fake_csv="f.csv")
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf", "-0.05", "0"])
+def test_learning_rate_that_is_not_finite_and_positive_exits_2(corpus_dir, tmp_path, rate):
+    out = tmp_path / "out"
+    done = run_cli("run", *dataset_flags(corpus_dir), "--out", str(out), *FAST_FLAGS, "--learning-rate", rate)
+    assert done.returncode == 2
+    assert "--learning-rate must be a finite number > 0" in done.stderr
+    assert not out.exists()
+
+
+def test_verify_reports_a_score_that_is_not_finite(run_copy):
+    path = run_copy / "scores_base_0.csv"
+    stamp, header, first, *rest = path.read_text(encoding="utf-8").splitlines()
+    doc_id, _, label = first.split(",")
+    path.write_text("\n".join([stamp, header, f"{doc_id},nan,{label}", *rest]) + "\n", encoding="utf-8")
+    done = run_cli("verify", "--out", str(run_copy))
+    assert done.returncode == 2
+    assert "verify: scores_base_0.csv: a score is not finite" in done.stderr
+    assert "Traceback" not in done.stderr

@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from elmdetect.corpus import DocumentSet, stratified_folds
 from elmdetect.errors import (
     EmptyEvaluationError,
     LengthMismatchError,
+    NonFiniteScoreError,
     SingleClassLabelsError,
 )
 from elmdetect.evaluation import (
@@ -18,6 +22,7 @@ from elmdetect.evaluation import (
     roc_auc,
     roc_curve,
 )
+from elmdetect import evaluation
 from elmdetect.training import TrainConfig
 
 from oracles import mann_whitney_auc
@@ -77,6 +82,23 @@ class TestMetrics:
             metrics(ConfusionMatrix(0, 0, 0, 0), 0.5)
 
 
+@contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in the body after `seconds`, so that a loop that
+    never ends fails its test instead of stalling the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestRoc:
     def test_perfect_separation(self):
         curve = roc_curve([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0])
@@ -94,6 +116,11 @@ class TestRoc:
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassLabelsError):
             roc_curve([0.1, 0.9], [1, 1])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_score_rejected(self, bad):
+        with deadline(10), pytest.raises(NonFiniteScoreError, match="1 of 3 scores are not finite"):
+            roc_curve([0.2, bad, 0.7], [0, 1, 1])
 
     def test_curve_monotone_and_anchored(self):
         rng = np.random.default_rng(1)
@@ -230,6 +257,13 @@ class TestCrossValidate:
         smaller = DocumentSet(tuple(list(corpus)[:10]))
         with pytest.raises(ValueError):
             cross_validate(smaller, plan, [self.fast_config("base")])
+
+    def test_diverged_scores_fail_the_task_with_its_fold(self, monkeypatch):
+        corpus = planted_token_corpus(n=20, seed=1)
+        plan = stratified_folds(corpus, 2, seed=1)
+        monkeypatch.setattr(evaluation, "predict_scores", lambda model, docs: np.full(len(docs), np.nan))
+        with deadline(60), pytest.raises(RuntimeError, match="fold 0 variant base failed: .* not finite"):
+            cross_validate(corpus, plan, [self.fast_config("base")])
 
     def test_requires_at_least_one_variant(self):
         corpus = planted_token_corpus(n=20, seed=1)
