@@ -241,8 +241,7 @@ class ExtendedFeaturizer:
         return tuple(f"bigram:{a}_{b}" for a, b in self.bigrams) + ("subjectivity",)
 
     def vector(self, doc: Document) -> np.ndarray:
-        present = doc.bigrams
-        return np.array([bg in present for bg in self.bigrams] + [self.extractor.subjectivity(doc)])
+        return np.array([bg in doc.bigrams for bg in self.bigrams] + [self.extractor.subjectivity(doc)])
 
     def matrix(self, docs: Sequence[Document]) -> np.ndarray:
         """(n_docs, n_features) matrix in document order."""

@@ -1,9 +1,14 @@
 """Minimal tensor/layer engine: forward passes and exact analytic gradients.
 
-Layers operate on float64 numpy arrays with a leading batch dimension and
-cache whatever the backward pass needs. Gradients accumulate into per-layer
-``grads`` dicts (call ``zero_grads`` between steps); every backward returns
-the gradient w.r.t. the layer input. A single example is a batch of one.
+Layers take arrays with a leading batch dimension and cache whatever the
+backward pass needs. Parameters and their gradients are float64. The
+convolution, dropout and LSTM compute in the dtype of their input: they cast
+their parameters to it at forward, keep their caches in it, and add their
+gradients into the float64 ``grads`` dicts (call ``zero_grads`` between
+steps), so float32 input gives float32 compute over float64 master weights
+(Micikevicius et al., "Mixed Precision Training", arXiv:1710.03740). Every
+backward returns the gradient w.r.t. the layer input. A single example is a
+batch of one.
 
 The pipeline is a fixed chain (embedding, convolution, dropout, recurrence,
 concatenation, sigmoid head), so explicit per-layer backprop is used instead
@@ -44,8 +49,9 @@ def _glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-limit, limit, size=shape)
 
 
-def _one_block(*shapes: tuple[int, ...]) -> list[np.ndarray]:
-    """Empty arrays of the given shapes, laid end to end in one allocation.
+def _one_block(dtype, *shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """Empty arrays of the given shapes and dtype, laid end to end in one
+    allocation.
 
     A layer cache of several large arrays, freed after each backward, is
     partly handed back to the operating system, and the next batch faults
@@ -53,7 +59,7 @@ def _one_block(*shapes: tuple[int, ...]) -> list[np.ndarray]:
     reused by the allocator.
     """
     sizes = [math.prod(shape) for shape in shapes]
-    block = np.empty(sum(sizes))
+    block = np.empty(sum(sizes), dtype)
     starts = np.cumsum([0, *sizes])
     return [block[lo : lo + n].reshape(shape) for lo, n, shape in zip(starts, sizes, shapes)]
 
@@ -103,9 +109,12 @@ class EmbeddingTable(Layer):
         return self.params["weights"][ids]
 
     def backward(self, dout: np.ndarray) -> None:
-        ids = self._ids
+        # one float64 bincount per column over the batch's distinct ids sums
+        # the rows in the order np.add.at would, in under half its time
+        seen, slot = np.unique(self._ids, return_inverse=True)
+        rows = dout.reshape(-1, self.dim)
         grad = self.grads["weights"]
-        np.add.at(grad, ids.reshape(-1), dout.reshape(-1, self.dim))
+        grad[seen] += np.stack([np.bincount(slot.reshape(-1), col, seen.size) for col in rows.T], axis=1)
         grad[PAD_INDEX] = 0.0
         return None
 
@@ -150,8 +159,8 @@ class ConvLayer(Layer):
         windows = np.ascontiguousarray(windows.transpose(0, 1, 3, 2)).reshape(
             batch, length - h + 1, h * dim
         )
-        flat = self.params["filters"].reshape(self.n_filters, h * dim)
-        pre = windows @ flat.T + self.params["bias"]
+        flat = self.params["filters"].reshape(self.n_filters, h * dim).astype(emb.dtype, copy=False)
+        pre = windows @ flat.T + self.params["bias"].astype(emb.dtype, copy=False)
         self._windows = windows
         self._pre = pre
         return np.maximum(pre, 0.0)
@@ -161,12 +170,12 @@ class ConvLayer(Layer):
         windows, pre = self._windows, self._pre
         batch, out_len, _ = windows.shape
         dpre = dout * (pre > 0)
-        flat = self.params["filters"].reshape(self.n_filters, h * dim)
+        flat = self.params["filters"].reshape(self.n_filters, h * dim).astype(windows.dtype, copy=False)
         rows = dpre.reshape(-1, self.n_filters)
         self.grads["filters"] += (rows.T @ windows.reshape(-1, h * dim)).reshape(self.n_filters, h, dim)
         self.grads["bias"] += rows.sum(axis=0)
         dwin = (dpre @ flat).reshape(batch, out_len, h, dim)
-        demb = np.zeros((batch, out_len + h - 1, dim))
+        demb = np.zeros((batch, out_len + h - 1, dim), windows.dtype)
         for j in range(h):
             demb[:, j : j + out_len] += dwin[:, :, j, :]
         return demb
@@ -185,8 +194,8 @@ class DropoutLayer:
         if not train or self.rate == 0.0:
             self._mask = None
             return x
-        keep = 1.0 - self.rate
-        self._mask = (rng.random(x.shape) >= self.rate) / keep
+        # float64 draws whatever the dtype, so the random stream is the same
+        self._mask = np.divide(rng.random(x.shape) >= self.rate, 1.0 - self.rate, dtype=x.dtype)
         return x * self._mask
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
@@ -253,11 +262,13 @@ class LstmLayer(Layer):
         if last.shape != (batch,) or np.any((last < 0) | (last >= steps)):
             raise ValueError(f"last must hold one step in [0, {steps}) for each of {batch} rows")
         self._cache = None  # frees the last forward's arrays before this one allocates
-        hsz, scale, shift = self.hidden, self._scale, self._shift
+        dtype, hsz = seq.dtype, self.hidden
+        scale, shift = self._scale.astype(dtype), self._shift.astype(dtype)
         p = self.params
-        w = np.vstack([p["Wx"], p["b"], p["Wh"]]) * scale
+        w = np.vstack([p["Wx"], p["b"], p["Wh"]], dtype=dtype) * scale
         # xh[t] = [x_t, 1, h before step t]; the last row holds only the final h
-        xh, acts, cs = _one_block((steps + 1, batch, dim + 1 + hsz), (steps, batch, 4 * hsz), (steps + 1, batch, hsz))
+        shapes = (steps + 1, batch, dim + 1 + hsz), (steps, batch, 4 * hsz), (steps + 1, batch, hsz)
+        xh, acts, cs = _one_block(dtype, *shapes)
         xh[:steps, :, :dim] = seq.transpose(1, 0, 2)
         xh[:, :, dim] = 1.0
         xh[0, :, dim + 1 :] = cs[0] = 0.0
@@ -287,13 +298,14 @@ class LstmLayer(Layer):
         xh, acts, cs, last = self._cache
         self._cache = None
         steps, batch, _ = acts.shape
-        hsz, dim = self.hidden, self.in_dim
-        wh_t = np.ascontiguousarray(self.params["Wh"].T)
+        dtype, hsz, dim = acts.dtype, self.hidden, self.in_dim
+        wh_t = np.ascontiguousarray(self.params["Wh"].T, dtype)
+        is_tanh = self._is_tanh.astype(dtype)
         order = np.argsort(last, kind="stable")
         ends_at = np.split(order, np.searchsorted(last[order], np.arange(1, steps)))  # rows by last step
-        dh = np.zeros((batch, hsz))
-        dc = np.zeros((batch, hsz))
-        dact = np.empty((batch, 4 * hsz))  # gradient w.r.t. each gate's activation
+        dh = np.zeros((batch, hsz), dtype)
+        dc = np.zeros((batch, hsz), dtype)
+        dact = np.empty((batch, 4 * hsz), dtype)  # gradient w.r.t. each gate's activation
         di, df, dg, do = dact.reshape(batch, 4, hsz).transpose(1, 0, 2)
         gates = acts.reshape(steps, batch, 4, hsz).transpose(0, 2, 1, 3)
         for t in range(steps - 1, -1, -1):
@@ -311,7 +323,7 @@ class LstmLayer(Layer):
             # the gate gradient overwrites the activations: the derivative is
             # (1 - a) * a for a sigmoid gate and (1 - a) * (1 + a) for tanh
             deriv = 1.0 - a
-            a += self._is_tanh
+            a += is_tanh
             a *= deriv
             a *= dact
             if t:  # the state before the first step is a constant
@@ -321,7 +333,7 @@ class LstmLayer(Layer):
         self.grads["Wx"] += dw[:dim]
         self.grads["b"] += dw[dim]
         self.grads["Wh"] += dw[dim + 1 :]
-        return (dpre @ self.params["Wx"].T).reshape(steps, batch, dim).transpose(1, 0, 2)
+        return (dpre @ self.params["Wx"].T.astype(dtype, copy=False)).reshape(steps, batch, dim).transpose(1, 0, 2)
 
 
 class DenseLayer(Layer):

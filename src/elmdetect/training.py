@@ -223,10 +223,18 @@ class TextPipelineModel:
         the head reads each row's LSTM state after its last conv window made
         only of real tokens, so the result does not depend on how far the
         rows were padded.
+
+        A training step runs the conv, dropout and LSTM in float32, about
+        twice as fast, while the parameters, their gradients and Adam stay
+        float64. Scoring stays float64: in float32 a document's score would
+        depend on the rows it is batched with by about 1e-11, and a score
+        must not depend on the batching.
         """
         lengths = np.count_nonzero(ids != PAD_INDEX, axis=1)
         ids = ids[:, : max(KERNEL_SIZE, int(lengths.max()))]
         emb = self.embedding.forward(ids)
+        if train:
+            emb = emb.astype(np.float32)
         fmap = self.conv.forward(emb)
         fmap = self.dropout.forward(fmap, train=train, rng=rng)
         text = self.lstm.forward(fmap, last=np.maximum(lengths - KERNEL_SIZE, 0))

@@ -230,3 +230,19 @@ def oracle_lstm(params: dict, seq: np.ndarray, last: np.ndarray, dh_final: np.nd
         dh = dpre @ wh.T
         dc = dc * f
     return out, dseq, grads
+
+
+def oracle_conv(filters: np.ndarray, bias: np.ndarray, emb: np.ndarray, dout: np.ndarray):
+    """Valid 1-D convolution over the token axis with ReLU, summed one
+    kernel offset at a time. Returns the output, the gradient w.r.t. emb and
+    the parameter gradients, for the output gradient dout."""
+    _, kernel, _ = filters.shape
+    out_len = emb.shape[1] - kernel + 1
+    views = [emb[:, j : j + out_len] for j in range(kernel)]
+    pre = bias + sum(np.einsum("btd,fd->btf", v, filters[:, j]) for j, v in enumerate(views))
+    dpre = dout * (pre > 0)
+    demb = np.zeros(emb.shape)
+    for j in range(kernel):
+        demb[:, j : j + out_len] += np.einsum("btf,fd->btd", dpre, filters[:, j])
+    dfilters = np.stack([np.einsum("btf,btd->fd", dpre, v) for v in views], axis=1)
+    return np.maximum(pre, 0.0), demb, {"filters": dfilters, "bias": dpre.sum(axis=(0, 1))}

@@ -34,19 +34,19 @@ CSV_SHA256 = {
     "confusion_features_only.csv": "ed490752fd809b0b639398159c6513406587d4228c4fcc55d9edc153525941d0",
     "fold_assignments.csv": "a35f5fb721335a7c3706d4a71001d3ddabb3bdd68bffd1ba747fc8f6f06fe5e9",
     "folds.csv": "77003e0299307dc96df7242646f493b4549a2433ee6607bcfa06f27f72fb5689",
-    "roc_base.csv": "f6aba4e0435301856beafac3be050294197cf3da9a0c593afd1c96c2fe066010",
-    "roc_combined.csv": "bc0a5abb5999b4e4fa10989a9a7221ebcf54be811624cd79442f470422526da6",
-    "roc_enhanced.csv": "237fd6dc7cbc14ff4c525a5c653de4852b5368eac5ea0a50b0099d2a572aa964",
+    "roc_base.csv": "ee65c13c1b98e04592b9cc94d04e4cd5617bc64406a8b4d0b5c7822f47400c73",
+    "roc_combined.csv": "8828557e2c9f14ad5acb29cf30a745a3e71d408c31d0f083c1063df0c030ac59",
+    "roc_enhanced.csv": "fce9c18239eb5a393c96dc5692f0eacfb1b6a8cadf66a0deba7b0efe4a5f50a9",
     "roc_features_only.csv": "db4a44e85e09360bbb43afbb46c3a507653d1bbadfd173ba644e951558b6448e",
-    "scores_base_0.csv": "5cc59aea8bb9de7bc15fa3b2084c2fb1caeb72a224fa12f08ddaed969a857358",
-    "scores_base_1.csv": "f24e6e14ce076c103358ec9feeaad9499fe417133604718a8887f1589ad49360",
-    "scores_base_2.csv": "b6c68d09fe746c5dd2b54bbae0f42195c164d2902b0ad236682628df7911056b",
-    "scores_combined_0.csv": "9e0a4dfbe79943fa745549ee522578ffc8ec53daa21fbbeb5b41eb62e82f6ee7",
-    "scores_combined_1.csv": "51b41af452888816c2ad90876fcd8dcdea6d5d54a70d569752c74703878c7eea",
-    "scores_combined_2.csv": "aae32a06c9462939a0365c538dbd4237a26a14b4e42a46f57afe0d1bdf438a54",
-    "scores_enhanced_0.csv": "e1a5fe7ade44e240e379a6aba1901a815f9d8a5b3c9fd589018c577e726fd6b3",
-    "scores_enhanced_1.csv": "1175fc25185d316e9c7fa18c40fc26bd84c7eb547d8f1347a876da780be744d8",
-    "scores_enhanced_2.csv": "89321a2019df63c71c8882f017da53edde866be2dbdec1c4382eac0fb8b6f4f9",
+    "scores_base_0.csv": "c5be3c700e9a97a639ea48d18ba1524201ec3e0af203da7c397b10824b972324",
+    "scores_base_1.csv": "8f1ef9a71f5bd3988de550e841f93410a91cacdbe349a5e4ef6b182edf04ce75",
+    "scores_base_2.csv": "6c8246137043d7e51fbcc2e26eaa4be0038f0e8cc2f37808d49fec3586644740",
+    "scores_combined_0.csv": "0eabdaaa65f1713e9c3efa66633da5c0961cf8c1133b7ce2a786438c79846712",
+    "scores_combined_1.csv": "3009a0a8e2e580da6c468f40283f53ed926dc1b8c83f0d3f395378cac829a3ff",
+    "scores_combined_2.csv": "296e05fdc8292e9cbb8d2c783598e5a7bba36c1cbed9acb4e5af33dca2c532ab",
+    "scores_enhanced_0.csv": "70fac7b4d686ea05bdf05ce48da68bd8f0cf996092dd74e305e2deab7bf36c75",
+    "scores_enhanced_1.csv": "9722d9796b79266c8f9d4cece66230f0b75d358bae168ac4bc9e6e5b1ce60a82",
+    "scores_enhanced_2.csv": "7b2fa1c2cd6e5681b95b9303da41d5340e3d483c0927bb631fc278e88b334f93",
     "scores_features_only_0.csv": "a0e18854762504e7581e2aa5ce4225c17cbf040c12b3d37d5c6179b07a99eddc",
     "scores_features_only_1.csv": "859e3715bf0d5e9195233124341c2191615f25663c7e93718f16febab13805a6",
     "scores_features_only_2.csv": "f5f27f4b55c11012b2deabfe4719e6b2dc19dc748ce0b5fcd7199e35e6ba9929",

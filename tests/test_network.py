@@ -17,7 +17,22 @@ from elmdetect.network import (
     sigmoid,
 )
 
-from oracles import grads_close, numeric_grad, oracle_lstm
+from oracles import grads_close, numeric_grad, oracle_conv, oracle_lstm
+
+# Largest error of float32 input against the float64 oracle, relative to the
+# largest magnitude of the quantity: measured at most 1.4e-6 for the LSTM and
+# conv outputs, input gradients and parameter gradients over 20 seeds of
+# each case below.
+FLOAT32_REL_TOL = 1e-5
+
+
+def assert_matches_oracle(got, want, dtype, name=""):
+    """Within 1e-12 for float64 input; for float32 input, within
+    FLOAT32_REL_TOL of the largest magnitude of the float64 oracle's value."""
+    if dtype == np.float64:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=name)
+    else:
+        np.testing.assert_allclose(got, want, rtol=0, atol=FLOAT32_REL_TOL * np.abs(want).max(), err_msg=name)
 
 
 def projection_loss(forward, weights):
@@ -105,6 +120,22 @@ class TestConv:
             assert grads_close(demb, numeric_grad(loss, emb))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_conv_matches_the_offset_sum_oracle(dtype):
+    rng = np.random.default_rng(21)
+    layer = ConvLayer(n_filters=64, kernel_size=3, in_dim=100, rng=rng)
+    emb = rng.normal(size=(4, 20, 100))
+    dout = rng.normal(size=(4, 18, 64))
+    out = layer.forward(emb.astype(dtype))
+    demb = layer.backward(dout.astype(dtype))
+    assert out.dtype == demb.dtype == dtype
+    want_out, want_demb, want_grads = oracle_conv(layer.params["filters"], layer.params["bias"], emb, dout)
+    assert_matches_oracle(out, want_out, dtype)
+    assert_matches_oracle(demb, want_demb, dtype)
+    for name, grad in want_grads.items():
+        assert_matches_oracle(layer.grads[name], grad, dtype, name)
+
+
 def _smooth_conv_case(seed, margin=1e-3):
     """Random conv case whose pre-activations stay away from the ReLU kink."""
     for attempt in range(100):
@@ -173,6 +204,30 @@ def final_tanh_c(layer, seq):
     o = slice(3 * layer.hidden, 4 * layer.hidden)
     p = layer.params
     return h / sigmoid(seq[:, -1] @ p["Wx"][:, o] + h_prev @ p["Wh"][:, o] + p["b"][o])
+
+
+ORACLE_CASES = pytest.mark.parametrize(
+    "batch, steps, in_dim, hidden, last",
+    [(1, 1, 3, 4, [0]), (4, 7, 3, 5, [6, 0, 3, 3]), (32, 98, 64, 100, None)],
+    ids=["b1_t1", "rows_end_apart", "b32_t98"],
+)
+
+
+def check_lstm_against_the_oracle(batch, steps, in_dim, hidden, last, dtype):
+    """The layer fed `dtype` input against the float64 per-step oracle."""
+    rng = np.random.default_rng(steps)
+    layer = LstmLayer(in_dim, hidden, rng)
+    seq = rng.normal(size=(batch, steps, in_dim))
+    dh = rng.normal(size=(batch, hidden))
+    last = np.full(batch, steps - 1) if last is None else np.array(last)
+    out = layer.forward(seq.astype(dtype), last=last)
+    dseq = layer.backward(dh)
+    assert out.dtype == dseq.dtype == dtype
+    want_out, want_dseq, want_grads = oracle_lstm(layer.params, seq, last, dh)
+    assert_matches_oracle(out, want_out, dtype)
+    assert_matches_oracle(dseq, want_dseq, dtype)
+    for name, grad in want_grads.items():
+        assert_matches_oracle(layer.grads[name], grad, dtype, name)
 
 
 class TestLstm:
@@ -301,24 +356,13 @@ class TestLstm:
         for g, again in zip(grads, layer.grads.values()):
             assert np.array_equal(g, again)
 
-    @pytest.mark.parametrize(
-        "batch, steps, in_dim, hidden, last",
-        [(1, 1, 3, 4, [0]), (4, 7, 3, 5, [6, 0, 3, 3]), (32, 98, 64, 100, None)],
-        ids=["b1_t1", "rows_end_apart", "b32_t98"],
-    )
+    @ORACLE_CASES
     def test_matches_the_per_step_oracle(self, batch, steps, in_dim, hidden, last):
-        rng = np.random.default_rng(steps)
-        layer = LstmLayer(in_dim, hidden, rng)
-        seq = rng.normal(size=(batch, steps, in_dim))
-        dh = rng.normal(size=(batch, hidden))
-        last = np.full(batch, steps - 1) if last is None else np.array(last)
-        out = layer.forward(seq, last=last)
-        dseq = layer.backward(dh)
-        want_out, want_dseq, want_grads = oracle_lstm(layer.params, seq, last, dh)
-        np.testing.assert_allclose(out, want_out, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(dseq, want_dseq, rtol=1e-12, atol=1e-12)
-        for name, grad in want_grads.items():
-            np.testing.assert_allclose(layer.grads[name], grad, rtol=1e-12, atol=1e-12, err_msg=name)
+        check_lstm_against_the_oracle(batch, steps, in_dim, hidden, last, np.float64)
+
+    @ORACLE_CASES
+    def test_float32_input_matches_the_per_step_oracle(self, batch, steps, in_dim, hidden, last):
+        check_lstm_against_the_oracle(batch, steps, in_dim, hidden, last, np.float32)
 
     def test_second_backward_raises(self):
         rng = np.random.default_rng(5)
@@ -390,6 +434,35 @@ class TestDenseLayer:
         assert grads_close(layer.grads["W"], numeric_grad(loss, layer.params["W"]))
         assert grads_close(layer.grads["b"], numeric_grad(loss, layer.params["b"]))
         assert grads_close(dx, numeric_grad(loss, x))
+
+
+def test_float32_input_computes_in_float32_into_float64_gradients():
+    rng = np.random.default_rng(31)
+    conv, lstm, dropout = ConvLayer(4, 3, 5, rng=rng), LstmLayer(4, 6, rng), DropoutLayer(0.5)
+    emb = rng.normal(size=(2, 7, 5)).astype(np.float32)
+    fmap = conv.forward(emb)
+    dropped = dropout.forward(fmap, train=True, rng=rng)
+    h = lstm.forward(dropped, last=np.array([4, 2]))
+    assert fmap.dtype == dropped.dtype == h.dtype == np.float32
+    dfmap = dropout.backward(lstm.backward(np.ones((2, 6))))
+    demb = conv.backward(dfmap)
+    assert dfmap.dtype == demb.dtype == np.float32
+    for layer in (conv, lstm):
+        for name, p in layer.param_items():
+            assert p.dtype == layer.grads[name].dtype == np.float64, name
+            assert np.any(layer.grads[name] != 0.0), name
+
+
+def test_dropout_draws_the_same_stream_and_mask_in_either_dtype():
+    x = np.random.default_rng(0).normal(size=(3, 50))
+    masks = []
+    for dtype in (np.float64, np.float32):
+        layer, rng = DropoutLayer(0.3), np.random.default_rng(5)
+        layer.forward(x.astype(dtype), train=True, rng=rng)
+        masks.append(layer.backward(np.ones(x.shape, dtype)))
+        assert masks[-1].dtype == dtype
+        assert rng.random() == np.random.default_rng(5).random(x.size + 1)[-1]  # one float64 draw per entry
+    np.testing.assert_array_equal(masks[0] == 0, masks[1] == 0)
 
 
 def test_sigmoid_overflow_safe():
