@@ -232,6 +232,17 @@ def oracle_lstm(params: dict, seq: np.ndarray, last: np.ndarray, dh_final: np.nd
     return out, dseq, grads
 
 
+def oracle_embedding_grad(vocab_size: int, ids: np.ndarray, dout: np.ndarray) -> np.ndarray:
+    """Embedding-table gradient: each output row added in float64 to its
+    id's row one at a time with np.add.at, then the padding row (id 0)
+    zeroed."""
+    dim = dout.shape[-1]
+    grad = np.zeros((vocab_size, dim))
+    np.add.at(grad, ids.reshape(-1), dout.reshape(-1, dim).astype(np.float64))
+    grad[0] = 0.0
+    return grad
+
+
 def oracle_conv(filters: np.ndarray, bias: np.ndarray, emb: np.ndarray, dout: np.ndarray):
     """Valid 1-D convolution over the token axis with ReLU, summed one
     kernel offset at a time. Returns the output, the gradient w.r.t. emb and

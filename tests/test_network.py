@@ -17,7 +17,7 @@ from elmdetect.network import (
     sigmoid,
 )
 
-from oracles import grads_close, numeric_grad, oracle_conv, oracle_lstm
+from oracles import grads_close, numeric_grad, oracle_conv, oracle_embedding_grad, oracle_lstm
 
 # Largest error of float32 input against the float64 oracle, relative to the
 # largest magnitude of the quantity: measured at most 1.4e-6 for the LSTM and
@@ -82,6 +82,25 @@ class TestEmbedding:
         numeric = numeric_grad(loss, table.params["weights"])
         numeric[PAD_INDEX] = 0.0  # pad row is pinned
         assert grads_close(table.grads["weights"], numeric)
+
+    @pytest.mark.parametrize("batch, steps, vocab", [(1, 1, 5), (1, 9, 4), (3, 17, 6), (32, 100, 400), (2, 6, 1)])
+    def test_gradient_matches_the_add_at_oracle(self, batch, steps, vocab):
+        """float32 rows, as a training step feeds them, sum to the oracle's
+        bits; float64 rows agree within rounding. vocab 1 is all padding."""
+        rng = np.random.default_rng(batch * steps)
+        table = EmbeddingTable(vocab, 8, rng)
+        ids = rng.integers(0, vocab, (batch, steps))
+        ids[:, steps - steps // 3 :] = PAD_INDEX  # trailing padding, plus any drawn above
+        dout = rng.normal(size=(batch, steps, 8))
+        for dtype in (np.float32, np.float64):
+            table.forward(ids)
+            table.zero_grads()
+            table.backward(dout.astype(dtype))
+            want = oracle_embedding_grad(vocab, ids, dout.astype(dtype))
+            if dtype == np.float32:
+                assert np.array_equal(table.grads["weights"], want)
+            else:
+                np.testing.assert_allclose(table.grads["weights"], want, rtol=0, atol=1e-12)
 
 
 class TestConv:
