@@ -17,6 +17,9 @@ SOURCE_FAKE = "fake_news"
 
 # URL stripping runs on lowercased text, so the patterns are lowercase too.
 _URL_RE = re.compile(r"(?:https?://|www\.)\S*")
+# \w is str.isalnum() plus "_", and \s is str.isspace(), over all of Unicode
+_DROP_RE = re.compile(r"[^\w\s.!?]|_")
+_OTHER_SPACE_RE = re.compile(r"[^\S ]")
 _SPACE_RUN_RE = re.compile(r" {2,}")
 
 
@@ -102,14 +105,8 @@ def clean_text(raw: str) -> str:
 
 
 def _clean_once(text: str) -> str:
-    text = _URL_RE.sub("", text.lower())
-    kept = []
-    for ch in text:
-        if ch.isspace():
-            kept.append(" ")
-        elif ch.isalnum() or ch in ".!?":
-            kept.append(ch)
-    return _SPACE_RUN_RE.sub(" ", "".join(kept)).strip()
+    text = _DROP_RE.sub("", _URL_RE.sub("", text.lower()))
+    return _SPACE_RUN_RE.sub(" ", _OTHER_SPACE_RE.sub(" ", text)).strip()
 
 
 def load_dataset(true_path, fake_path) -> DocumentSet:

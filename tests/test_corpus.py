@@ -140,6 +140,19 @@ class TestCleanText:
             assert clean_text(s) == oracle_clean(s), s
 
     @given(st.text(max_size=200))
+    @settings(max_examples=1000, deadline=None)
+    def test_matches_the_oracle_on_any_text(self, s):
+        assert clean_text(s) == oracle_clean(s)
+
+    def test_matches_the_oracle_on_every_code_point(self):
+        """The regex classes agree with str.isalnum / str.isspace: every code
+        point below 0x30000, each between two letters so none is stripped
+        as an edge."""
+        for block in range(0, 0x30000, 0x1000):
+            s = "".join(f"a{chr(c)}b" for c in range(block, block + 0x1000))
+            assert clean_text(s) == oracle_clean(s), hex(block)
+
+    @given(st.text(max_size=200))
     @settings(max_examples=300, deadline=None)
     def test_idempotent_and_never_longer(self, s):
         once = clean_text(s)
