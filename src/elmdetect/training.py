@@ -336,13 +336,22 @@ def predict_scores(model: TrainedModel, docs: Sequence[Document]) -> np.ndarray:
 
 def _eval_forward(net, ids: np.ndarray | None, feats: np.ndarray | None, size: int) -> np.ndarray:
     """Eval-mode probabilities, `size` rows at a time, so the layer caches
-    stay bounded however many rows there are; each chunk is trimmed to its
-    own longest row."""
-    out = np.empty(len(ids if feats is None else feats))
-    for start in range(0, len(out), size):
-        out[start : start + size] = net.forward(
-            None if ids is None else ids[start : start + size],
-            None if feats is None else feats[start : start + size],
+    stay bounded however many rows there are.
+
+    Rows with token ids run in a stable order of their length, so each
+    chunk, trimmed to its own longest row, holds rows of about one length
+    and little padding (the sequence bucketing of Khomenko et al.,
+    arXiv:1708.05604); each chunk's probabilities go back to its rows'
+    input positions. Rows without ids run in input order.
+    """
+    n = len(ids if feats is None else feats)
+    order = np.arange(n) if ids is None else np.argsort(np.count_nonzero(ids != PAD_INDEX, axis=1), kind="stable")
+    out = np.empty(n)
+    for start in range(0, n, size):
+        rows = order[start : start + size]
+        out[rows] = net.forward(
+            None if ids is None else ids[rows],
+            None if feats is None else feats[rows],
             train=False,
         )
     return out

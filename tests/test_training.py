@@ -9,7 +9,7 @@ from elmdetect.errors import (
     ShapeMismatchError,
     SingleClassTrainingSetError,
 )
-from elmdetect.network import KERNEL_SIZE, LSTM_UNITS, PAD_INDEX
+from elmdetect.network import KERNEL_SIZE, LSTM_UNITS, PAD_INDEX, LstmLayer
 from elmdetect.textstats import tokenize
 from elmdetect.training import (
     AdamState,
@@ -232,6 +232,33 @@ class TestTrain:
         singles = np.array([predict_scores(model, [d])[0] for d in docs])
         np.testing.assert_allclose(halves, whole, rtol=0, atol=1e-12)
         np.testing.assert_allclose(singles, whole, rtol=0, atol=1e-12)
+
+    def test_scoring_runs_documents_in_length_order(self, monkeypatch):
+        """Alternating 3- and 60-token documents, 16 per chunk: sorted by
+        length, one chunk runs the LSTM for 1 step and the other for 58,
+        where chunks in input order would each run 58."""
+        model = train(list(planted_token_corpus(40, seed=17)), quick_config("base", epochs=1, max_seq_len=100))
+        rng = np.random.default_rng(18)
+        docs = [make_doc(" ".join(rng.choice(NEUTRAL_WORDS, (3, 60)[i % 2])), i % 2, f"d{i}") for i in range(32)]
+        steps = []
+        forward = LstmLayer.forward
+
+        def counting_forward(self, seq, last=None):
+            steps.append(seq.shape[1])
+            return forward(self, seq, last)
+
+        monkeypatch.setattr(LstmLayer, "forward", counting_forward)
+        predict_scores(model, docs)
+        assert sorted(steps) == [3 - KERNEL_SIZE + 1, 60 - KERNEL_SIZE + 1]
+
+    def test_scores_follow_their_documents_through_the_length_order(self):
+        corpus = list(planted_token_corpus(40, seed=19))
+        model = train(corpus, quick_config("enhanced", epochs=1, max_seq_len=100))
+        docs = [*corpus, make_doc("?!", 0, doc_id="empty"), make_doc("zorblat", 1, doc_id="short")]
+        assert len(docs) > 2 * model.config.batch_size
+        perm = np.random.default_rng(20).permutation(len(docs))
+        shuffled = predict_scores(model, [docs[i] for i in perm])
+        np.testing.assert_allclose(shuffled, predict_scores(model, docs)[perm], rtol=0, atol=1e-12)
 
     def test_scoring_memory_does_not_grow_with_the_corpus(self):
         """The network runs batch_size rows at a time, so scoring four times
