@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DimensionMismatchError,
@@ -126,9 +125,15 @@ class EmbeddingTable(Layer):
 class ConvLayer(Layer):
     """Valid 1-D convolution over the token axis, ReLU activation.
 
-    Forward unrolls the windows into rows ``(B * L_out, kernel * dim)`` and
-    multiplies them with all filters in one GEMM; backward gets the filter
-    gradient from one GEMM over the same rows.
+    Forward multiplies the embedding of every position by each tap's
+    filters, one GEMM ``(B * L, dim) @ (dim, F)`` per tap, and adds tap
+    ``j``'s output taken ``j`` positions later to the bias (the kn2row scheme
+    of Vasudevan et al., arXiv:1704.04428), so no window is copied. One GEMM
+    for all taps at once is no faster, and its ``(B, L, kernel * F)``
+    temporary raised the peak memory of a run. Backward writes the output
+    gradient into those shifted blocks of one zeroed ``(B, L, kernel * F)``
+    array and gets the filter gradient and the input gradient from one GEMM
+    each.
     """
 
     def __init__(
@@ -148,41 +153,44 @@ class ConvLayer(Layer):
             _glorot(rng, (n_filters, kernel_size, in_dim), kernel_size * in_dim, n_filters),
         )
         self._register("bias", np.zeros(n_filters))
-        self._windows: np.ndarray | None = None
+        self._emb: np.ndarray | None = None
         self._pre: np.ndarray | None = None
+
+    def _tap_matrix(self, dtype) -> np.ndarray:
+        """The filters as ``(dim, kernel * F)``: column ``j * F + f`` is tap
+        ``j`` of filter ``f``."""
+        return self.params["filters"].transpose(2, 1, 0).reshape(self.in_dim, -1).astype(dtype)
 
     def forward(self, emb: np.ndarray) -> np.ndarray:
         batch, length, dim = emb.shape
-        h = self.kernel_size
+        h, nf = self.kernel_size, self.n_filters
         if length < h:
             raise SequenceTooShortError(f"sequence length {length} < kernel size {h}")
         if dim != self.in_dim:
             raise DimensionMismatchError(f"expected embedding dim {self.in_dim}, got {dim}")
-        # (B, L-h+1, h, d) flattened per window for one matmul against all filters
-        windows = sliding_window_view(emb, h, axis=1)  # (B, Lout, d, h)
-        windows = np.ascontiguousarray(windows.transpose(0, 1, 3, 2)).reshape(
-            batch, length - h + 1, h * dim
-        )
-        flat = self.params["filters"].reshape(self.n_filters, h * dim).astype(emb.dtype, copy=False)
-        pre = windows @ flat.T + self.params["bias"].astype(emb.dtype, copy=False)
-        self._windows = windows
+        out_len = length - h + 1
+        flat, w = emb.reshape(-1, dim), self._tap_matrix(emb.dtype)
+        pre = np.empty((batch, out_len, nf), emb.dtype)
+        pre[...] = self.params["bias"]
+        for j in range(h):
+            pre += (flat @ w[:, j * nf : (j + 1) * nf]).reshape(batch, length, nf)[:, j : j + out_len]
+        self._emb = emb
         self._pre = pre
         return np.maximum(pre, 0.0)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        h, dim = self.kernel_size, self.in_dim
-        windows, pre = self._windows, self._pre
-        batch, out_len, _ = windows.shape
+        h, nf, dim = self.kernel_size, self.n_filters, self.in_dim
+        emb, pre = self._emb, self._pre
+        batch, length, _ = emb.shape
+        out_len = pre.shape[1]
         dpre = dout * (pre > 0)
-        flat = self.params["filters"].reshape(self.n_filters, h * dim).astype(windows.dtype, copy=False)
-        rows = dpre.reshape(-1, self.n_filters)
-        self.grads["filters"] += (rows.T @ windows.reshape(-1, h * dim)).reshape(self.n_filters, h, dim)
-        self.grads["bias"] += rows.sum(axis=0)
-        dwin = (dpre @ flat).reshape(batch, out_len, h, dim)
-        demb = np.zeros((batch, out_len + h - 1, dim), windows.dtype)
+        dtaps = np.zeros((batch, length, h * nf), emb.dtype)
         for j in range(h):
-            demb[:, j : j + out_len] += dwin[:, :, j, :]
-        return demb
+            dtaps[:, j : j + out_len, j * nf : (j + 1) * nf] = dpre
+        dtaps = dtaps.reshape(-1, h * nf)
+        self.grads["filters"] += (emb.reshape(-1, dim).T @ dtaps).reshape(dim, h, nf).transpose(2, 1, 0)
+        self.grads["bias"] += dpre.reshape(-1, nf).sum(axis=0)
+        return (dtaps @ self._tap_matrix(emb.dtype).T).reshape(batch, length, dim)
 
 
 class DropoutLayer:

@@ -34,19 +34,19 @@ CSV_SHA256 = {
     "confusion_features_only.csv": "ed490752fd809b0b639398159c6513406587d4228c4fcc55d9edc153525941d0",
     "fold_assignments.csv": "a35f5fb721335a7c3706d4a71001d3ddabb3bdd68bffd1ba747fc8f6f06fe5e9",
     "folds.csv": "77003e0299307dc96df7242646f493b4549a2433ee6607bcfa06f27f72fb5689",
-    "roc_base.csv": "ee65c13c1b98e04592b9cc94d04e4cd5617bc64406a8b4d0b5c7822f47400c73",
-    "roc_combined.csv": "8828557e2c9f14ad5acb29cf30a745a3e71d408c31d0f083c1063df0c030ac59",
-    "roc_enhanced.csv": "fce9c18239eb5a393c96dc5692f0eacfb1b6a8cadf66a0deba7b0efe4a5f50a9",
+    "roc_base.csv": "503c6fe3a8286e8796b2fb7df7534b9a2e6c7bd649af42391e420a4610c44c2a",
+    "roc_combined.csv": "e777e79e4341b373fac77c6d661731b9d017730b58dc778d81145e3794985411",
+    "roc_enhanced.csv": "5473c6386bf10de0e2df9f6a38a6930fa10396530c78d600b715c333b6927fd2",
     "roc_features_only.csv": "db4a44e85e09360bbb43afbb46c3a507653d1bbadfd173ba644e951558b6448e",
-    "scores_base_0.csv": "c5be3c700e9a97a639ea48d18ba1524201ec3e0af203da7c397b10824b972324",
-    "scores_base_1.csv": "8f1ef9a71f5bd3988de550e841f93410a91cacdbe349a5e4ef6b182edf04ce75",
-    "scores_base_2.csv": "6c8246137043d7e51fbcc2e26eaa4be0038f0e8cc2f37808d49fec3586644740",
-    "scores_combined_0.csv": "0eabdaaa65f1713e9c3efa66633da5c0961cf8c1133b7ce2a786438c79846712",
-    "scores_combined_1.csv": "3009a0a8e2e580da6c468f40283f53ed926dc1b8c83f0d3f395378cac829a3ff",
-    "scores_combined_2.csv": "296e05fdc8292e9cbb8d2c783598e5a7bba36c1cbed9acb4e5af33dca2c532ab",
-    "scores_enhanced_0.csv": "70fac7b4d686ea05bdf05ce48da68bd8f0cf996092dd74e305e2deab7bf36c75",
-    "scores_enhanced_1.csv": "9722d9796b79266c8f9d4cece66230f0b75d358bae168ac4bc9e6e5b1ce60a82",
-    "scores_enhanced_2.csv": "7b2fa1c2cd6e5681b95b9303da41d5340e3d483c0927bb631fc278e88b334f93",
+    "scores_base_0.csv": "7c2e3c788ef64294fd6497fc7dbe39aa067919131820ffd231c1d20e0fd83054",
+    "scores_base_1.csv": "24769b785eb26a6b3f7e19c0b4997cd74059b1b31de2c2cd9c5d5ea0b7ef3678",
+    "scores_base_2.csv": "84c854cf11bce8f73c1dea4a293ff6d7a7e22a83de45bf7b116247158ed4ef13",
+    "scores_combined_0.csv": "bc3e57a2a7e24181a5cc66935be23f6d9a2c8a30349fd22d95dbbae46bd3dfc4",
+    "scores_combined_1.csv": "3a79deba8d5741ff77bc2f65ddfa90c7e47f43c9e4991915ce74acdb63195132",
+    "scores_combined_2.csv": "39fb1bbe5448b4d77eb7eac6f5615a73dcbb78d500fcb03e7d3fc1a5adf61fea",
+    "scores_enhanced_0.csv": "589d8c2834fed2867409b21f20052a2355434c53e1dcebee750ecdf5294c12fa",
+    "scores_enhanced_1.csv": "7be4ed4382db3a501b0e0665bc32b4c5db240beb8713ab8568dbdab0aebb4e1e",
+    "scores_enhanced_2.csv": "650f2937540cb3b5804711d4b49f64d0c0ef79fc065cea9fc00145b67ee840b4",
     "scores_features_only_0.csv": "a0e18854762504e7581e2aa5ce4225c17cbf040c12b3d37d5c6179b07a99eddc",
     "scores_features_only_1.csv": "859e3715bf0d5e9195233124341c2191615f25663c7e93718f16febab13805a6",
     "scores_features_only_2.csv": "f5f27f4b55c11012b2deabfe4719e6b2dc19dc748ce0b5fcd7199e35e6ba9929",

@@ -128,8 +128,8 @@ class TestConv:
             layer.forward(np.ones((1, 2, 4)))
 
     def test_gradients_match_finite_differences(self):
-        for seed in range(3):
-            layer, emb, proj = _smooth_conv_case(seed)
+        for seed, kernel_size in [(0, 3), (1, 3), (2, 2), (3, 1)]:
+            layer, emb, proj = _smooth_conv_case(seed, kernel_size)
             loss = projection_loss(lambda: layer.forward(emb), proj)
             loss()
             layer.zero_grads()
@@ -155,15 +155,41 @@ def test_conv_matches_the_offset_sum_oracle(dtype):
         assert_matches_oracle(layer.grads[name], grad, dtype, name)
 
 
-def _smooth_conv_case(seed, margin=1e-3):
-    """Random conv case whose pre-activations stay away from the ReLU kink."""
+@pytest.mark.parametrize("kernel_size, length", [(1, 1), (1, 6), (2, 2), (2, 9), (3, 3), (3, 11)])
+def test_conv_of_each_kernel_size_matches_the_offset_sum_oracle(kernel_size, length):
+    rng = np.random.default_rng(kernel_size * 100 + length)
+    layer = ConvLayer(n_filters=8, kernel_size=kernel_size, in_dim=6, rng=rng)
+    layer.params["bias"][...] = rng.normal(size=8)
+    emb = rng.normal(size=(3, length, 6))
+    dout = rng.normal(size=(3, length - kernel_size + 1, 8))
+    out = layer.forward(emb)
+    demb = layer.backward(dout)
+    want_out, want_demb, want_grads = oracle_conv(layer.params["filters"], layer.params["bias"], emb, dout)
+    assert_matches_oracle(out, want_out, np.float64)
+    assert_matches_oracle(demb, want_demb, np.float64)
+    for name, grad in want_grads.items():
+        assert_matches_oracle(layer.grads[name], grad, np.float64, name)
+
+
+def test_conv_holds_no_array_larger_than_its_input_and_pre_activation():
+    rng = np.random.default_rng(22)
+    layer = ConvLayer(n_filters=64, kernel_size=3, in_dim=100, rng=rng)
+    emb = rng.normal(size=(4, 20, 100))
+    out = layer.forward(emb)
+    held = [value for value in vars(layer).values() if isinstance(value, np.ndarray) and value is not emb]
+    assert sum(a.nbytes for a in held) <= out.nbytes  # the pre-activation, shaped like the output
+
+
+def _smooth_conv_case(seed, kernel_size, margin=1e-3):
+    """Random B=3 conv case whose pre-activations stay away from the ReLU
+    kink."""
     for attempt in range(100):
         rng = np.random.default_rng((seed, attempt))
-        layer = ConvLayer(n_filters=4, kernel_size=3, in_dim=5, rng=rng)
-        emb = rng.normal(size=(2, 7, 5))
+        layer = ConvLayer(n_filters=4, kernel_size=kernel_size, in_dim=5, rng=rng)
+        emb = rng.normal(size=(3, 7, 5))
         layer.forward(emb)
         if np.abs(layer._pre).min() > margin:
-            proj = rng.normal(size=(2, 5, 4))
+            proj = rng.normal(size=(3, 8 - kernel_size, 4))
             return layer, emb, proj
     raise AssertionError("could not find a smooth conv case")
 
