@@ -116,9 +116,8 @@ class EmbeddingTable(Layer):
         first = np.searchsorted(sorted_ids, PAD_INDEX + 1)
         order, sorted_ids = order[first:], sorted_ids[first:]
         starts = np.flatnonzero(np.diff(sorted_ids, prepend=PAD_INDEX))
-        if starts.size:
-            rows = dout.reshape(-1, self.dim)[order].astype(np.float64, copy=False)
-            self.grads["weights"][sorted_ids[starts]] += np.add.reduceat(rows, starts, axis=0)
+        rows = dout.reshape(-1, self.dim)[order].astype(np.float64, copy=False)
+        self.grads["weights"][sorted_ids[starts]] += np.add.reduceat(rows, starts, axis=0)
         return None
 
 
