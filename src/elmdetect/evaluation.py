@@ -258,7 +258,7 @@ def _significance(base_acc: list[float], variant_acc: list[float]) -> dict:
     except ElmDetectError as exc:
         out["wilcoxon_error"] = str(exc)
     try:
-        t = paired_t_test(sample, direction="enhanced_greater")
+        t = paired_t_test(sample)
         out.update(t=t.t_statistic, df=t.degrees_of_freedom, p_t_one_sided=t.p_one_sided)
     except ElmDetectError as exc:
         out["t_test_error"] = str(exc)

@@ -92,8 +92,6 @@ class ElmVector:
 
     values: tuple[float, ...]
 
-    feature_names = FEATURE_NAMES
-
     def __post_init__(self):
         if len(self.values) != len(FEATURE_NAMES):
             raise ValueError(f"expected {len(FEATURE_NAMES)} values, got {len(self.values)}")
@@ -235,10 +233,6 @@ class ExtendedFeaturizer:
     @property
     def n_features(self) -> int:
         return len(self.bigrams) + 1
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(f"bigram:{a}_{b}" for a, b in self.bigrams) + ("subjectivity",)
 
     def vector(self, doc: Document) -> np.ndarray:
         return np.array([bg in doc.bigrams for bg in self.bigrams] + [self.extractor.subjectivity(doc)])

@@ -8,7 +8,9 @@ gradients into the float64 ``grads`` dicts (call ``zero_grads`` between
 steps), so float32 input gives float32 compute over float64 master weights
 (Micikevicius et al., "Mixed Precision Training", arXiv:1710.03740). Every
 backward returns the gradient w.r.t. the layer input. A single example is a
-batch of one.
+batch of one. When ``training`` builds the layers, their ``params`` and
+``grads`` dicts hold views into the model's one flat parameter buffer and
+one flat gradient buffer, so layers update those arrays only in place.
 
 The pipeline is a fixed chain (embedding, convolution, dropout, recurrence,
 concatenation, sigmoid head), so explicit per-layer backprop is used instead
@@ -79,9 +81,6 @@ class Layer:
     def zero_grads(self) -> None:
         for g in self.grads.values():
             g[...] = 0.0
-
-    def param_items(self) -> list[tuple[str, np.ndarray]]:
-        return list(self.params.items())
 
 
 class EmbeddingTable(Layer):
@@ -348,13 +347,12 @@ class LstmLayer(Layer):
 
 
 class DenseLayer(Layer):
-    """Fully connected layer with optional ReLU (used by the feature head)."""
+    """Fully connected layer with ReLU (the feature head's hidden layer)."""
 
-    def __init__(self, in_dim: int, out_dim: int, relu: bool = True, rng: np.random.Generator | None = None):
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator | None = None):
         super().__init__()
         rng = rng or np.random.default_rng(0)
         self.in_dim = in_dim
-        self.relu = relu
         self._register("W", _glorot(rng, (in_dim, out_dim), in_dim, out_dim))
         self._register("b", np.zeros(out_dim))
         self._x: np.ndarray | None = None
@@ -366,10 +364,10 @@ class DenseLayer(Layer):
         self._x = x
         pre = x @ self.params["W"] + self.params["b"]
         self._pre = pre
-        return np.maximum(pre, 0.0) if self.relu else pre
+        return np.maximum(pre, 0.0)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        dpre = dout * (self._pre > 0) if self.relu else dout
+        dpre = dout * (self._pre > 0)
         self.grads["W"] += self._x.T @ dpre
         self.grads["b"] += dpre.sum(axis=0)
         return dpre @ self.params["W"].T

@@ -23,8 +23,6 @@ from .errors import (
 
 EXACT_ENUMERATION_LIMIT = 25
 
-DIRECTIONS = ("enhanced_greater", "base_greater")
-
 
 @dataclass(frozen=True)
 class PairedSample:
@@ -55,23 +53,17 @@ class WilcoxonResult:
     n_effective: int
     p_value: float  # two-sided
     p_one_sided: float  # alternative: positive shift (enhanced > base)
-    alpha: float
     method: str  # "exact" or "normal_approximation"
-
-    @property
-    def significant(self) -> bool:
-        return self.p_value <= self.alpha
 
 
 @dataclass(frozen=True)
 class TTestResult:
     t_statistic: float
     degrees_of_freedom: int
-    p_one_sided: float
-    direction: str
+    p_one_sided: float  # alternative: mean difference > 0 (enhanced > base)
 
 
-def wilcoxon_signed_rank(sample: PairedSample, alpha: float = 0.05) -> WilcoxonResult:
+def wilcoxon_signed_rank(sample: PairedSample) -> WilcoxonResult:
     """Signed-rank test on paired differences enhanced - base."""
     if sample.k < 2:
         raise TooFewPairsError(f"need at least 2 pairs, got {sample.k}")
@@ -96,7 +88,6 @@ def wilcoxon_signed_rank(sample: PairedSample, alpha: float = 0.05) -> WilcoxonR
         n_effective=n,
         p_value=p_two,
         p_one_sided=p_one,
-        alpha=alpha,
         method=method,
     )
 
@@ -156,14 +147,8 @@ def _norm_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-def paired_t_test(sample: PairedSample, direction: str = "enhanced_greater") -> TTestResult:
-    """One-tailed paired t-test on differences enhanced - base.
-
-    direction 'enhanced_greater' tests mean difference > 0;
-    'base_greater' tests mean difference < 0.
-    """
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+def paired_t_test(sample: PairedSample) -> TTestResult:
+    """One-tailed paired t-test of mean difference enhanced - base > 0."""
     if sample.k < 2:
         raise TooFewPairsError(f"need at least 2 pairs, got {sample.k}")
     diffs = sample.differences()
@@ -175,9 +160,7 @@ def paired_t_test(sample: PairedSample, direction: str = "enhanced_greater") -> 
     sd = math.sqrt(ss / (n - 1))
     t = mean / (sd / math.sqrt(n))
     df = n - 1
-    cdf = t_cdf(t, df)
-    p = (1.0 - cdf) if direction == "enhanced_greater" else cdf
-    return TTestResult(t_statistic=t, degrees_of_freedom=df, p_one_sided=p, direction=direction)
+    return TTestResult(t_statistic=t, degrees_of_freedom=df, p_one_sided=1.0 - t_cdf(t, df))
 
 
 def t_cdf(t: float, df: int) -> float:

@@ -134,17 +134,17 @@ class EarlyStopper:
 
 
 class AdamState:
-    """First/second moment accumulators for one parameter list."""
+    """First/second moment accumulators for one flat parameter array."""
 
-    def __init__(self, params: Sequence[np.ndarray]):
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+    def __init__(self, params: np.ndarray):
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
         self.t = 0
 
 
 def adam_step(
-    params: Sequence[np.ndarray],
-    grads: Sequence[np.ndarray],
+    params: np.ndarray,
+    grads: np.ndarray,
     state: AdamState,
     lr: float,
     beta1: float = 0.9,
@@ -152,19 +152,30 @@ def adam_step(
     eps: float = 1e-8,
 ) -> AdamState:
     """One Adam update, in place: bias-corrected moments, then
-    theta <- theta - lr * m_hat / (sqrt(v_hat) + eps)."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ShapeMismatchError("params, grads, and state must have equal lengths")
+    theta <- theta - lr * m_hat / (sqrt(v_hat) + eps).
+
+    Every operation rounds as in `oracle_adam` (`tests/oracles.py`) but writes
+    into one of two temporaries: a new array per operation, each the size of
+    the whole model, was slower than the update one layer at a time.
+    """
+    if params.shape != grads.shape or params.shape != state.m.shape:
+        raise ShapeMismatchError(f"params {params.shape}, grads {grads.shape} and state {state.m.shape} differ")
     state.t += 1
     t = state.t
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if p.shape != g.shape:
-            raise ShapeMismatchError(f"param {i}: shape {p.shape} vs grad {g.shape}")
-        state.m[i] = beta1 * state.m[i] + (1.0 - beta1) * g
-        state.v[i] = beta2 * state.v[i] + (1.0 - beta2) * g * g
-        m_hat = state.m[i] / (1.0 - beta1**t)
-        v_hat = state.v[i] / (1.0 - beta2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    step = np.multiply(1.0 - beta1, grads)
+    state.m *= beta1
+    state.m += step
+    np.multiply(1.0 - beta2, grads, out=step)
+    step *= grads
+    state.v *= beta2
+    state.v += step
+    denom = np.divide(state.v, 1.0 - beta2**t)  # v_hat
+    np.sqrt(denom, out=denom)
+    denom += eps
+    np.divide(state.m, 1.0 - beta1**t, out=step)  # m_hat
+    step *= lr
+    step /= denom
+    params -= step
     return state
 
 
@@ -254,7 +265,7 @@ class FeatureHeadModel:
     dense ReLU -> sigmoid head."""
 
     def __init__(self, feature_dim: int, cfg: TrainConfig, rng: np.random.Generator):
-        self.hidden = DenseLayer(feature_dim, cfg.feature_hidden, relu=True, rng=rng)
+        self.hidden = DenseLayer(feature_dim, cfg.feature_hidden, rng=rng)
         self.head = DenseHead(cfg.feature_hidden, rng)
 
     def layers(self):
@@ -284,20 +295,10 @@ class TrainedModel:
     def variant(self) -> str:
         return self.config.variant
 
-    def params(self) -> list[np.ndarray]:
-        return [p for layer in self.model.layers() for _, p in layer.param_items()]
-
-    def grads(self) -> list[np.ndarray]:
-        return [layer.grads[name] for layer in self.model.layers() for name, _ in layer.param_items()]
-
-    def zero_grads(self) -> None:
-        for layer in self.model.layers():
-            layer.zero_grads()
-
     def param_items(self) -> list[tuple[str, np.ndarray]]:
         items = []
         for li, layer in enumerate(self.model.layers()):
-            for name, p in layer.param_items():
+            for name, p in layer.params.items():
                 items.append((f"{li}.{type(layer).__name__}.{name}", p))
         return items
 
@@ -305,11 +306,28 @@ class TrainedModel:
 def _build_net(config: TrainConfig, vocab: Vocabulary | None, scaler: FeatureScaler | None,
                rng: np.random.Generator):
     """The network for what was fitted: a text pipeline when there is a
-    vocabulary, widened by the scaled features when there is a scaler."""
+    vocabulary, widened by the scaled features when there is a scaler.
+
+    Its parameters are then moved into one flat float64 array, `net.params`,
+    and its gradients into another, `net.grads`, in `param_items` order;
+    each layer's `params[name]` and `grads[name]` become views into them.
+    """
     feature_dim = 0 if scaler is None else scaler.n_features
     if vocab is None:
-        return FeatureHeadModel(feature_dim, config, rng)
-    return TextPipelineModel(vocab.size, feature_dim, config, rng)
+        net = FeatureHeadModel(feature_dim, config, rng)
+    else:
+        net = TextPipelineModel(vocab.size, feature_dim, config, rng)
+    layers = net.layers()
+    net.params = np.concatenate([p.reshape(-1) for layer in layers for p in layer.params.values()])
+    net.grads = np.zeros_like(net.params)
+    start = 0
+    for layer in layers:
+        for name, p in layer.params.items():
+            end = start + p.size
+            layer.params[name] = net.params[start:end].reshape(p.shape)
+            layer.grads[name] = net.grads[start:end].reshape(p.shape)
+            start = end
+    return net
 
 
 def _encode_batch(model: TrainedModel, docs: Sequence[Document]) -> np.ndarray | None:
@@ -416,11 +434,11 @@ def train(
     feats_val = _feature_batch(model, val_docs)
     y_val = np.array([d.label for d in val_docs], dtype=np.float64)
 
-    params = model.params()
+    params, grads = net.params, net.grads
     adam = AdamState(params)
     n = len(train_docs)
     stopper = EarlyStopper(config.early_stop_patience)
-    best_params: list[np.ndarray] | None = None
+    best_params: np.ndarray | None = None
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
@@ -432,11 +450,11 @@ def train(
             y = y_train[idx]
             p = net.forward(batch_ids, batch_feats, train=True, rng=rng)
             loss_sum += bce_loss(p, y) * len(idx)
-            model.zero_grads()
+            grads.fill(0.0)
             net.backward_logit((p - y) / len(idx))
             adam_step(
                 params,
-                model.grads(),
+                grads,
                 adam,
                 config.learning_rate,
                 config.adam_beta1,
@@ -450,13 +468,12 @@ def train(
             print(f"epoch={epoch} train_loss={train_loss:.6f} val_loss={val_loss:.6f}")
         stop = stopper.update(epoch, val_loss)
         if stopper.improved:
-            best_params = [p.copy() for p in params]
+            best_params = params.copy()
         if stop:
             break
 
     if config.early_stop_patience > 0 and best_params is not None:
-        for p, best in zip(params, best_params):
-            p[...] = best
+        params[...] = best_params
         model.best_epoch = stopper.best_epoch
     else:
         model.best_epoch = len(model.history)

@@ -257,3 +257,15 @@ def oracle_conv(filters: np.ndarray, bias: np.ndarray, emb: np.ndarray, dout: np
         demb[:, j : j + out_len] += np.einsum("btf,fd->btd", dpre, filters[:, j])
     dfilters = np.stack([np.einsum("btf,btd->fd", dpre, v) for v in views], axis=1)
     return np.maximum(pre, 0.0), demb, {"filters": dfilters, "bias": dpre.sum(axis=(0, 1))}
+
+
+def oracle_adam(params: list, grads: list, m: list, v: list, t: int, lr: float,
+                beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+    """Adam step t (counted from 1) one array at a time: updates each of
+    params in place and replaces the moments m[i] and v[i] with new arrays."""
+    for i, (p, g) in enumerate(zip(params, grads)):
+        m[i] = beta1 * m[i] + (1.0 - beta1) * g
+        v[i] = beta2 * v[i] + (1.0 - beta2) * g * g
+        m_hat = m[i] / (1.0 - beta1**t)
+        v_hat = v[i] / (1.0 - beta2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)

@@ -278,7 +278,7 @@ def check_lstm_against_the_oracle(batch, steps, in_dim, hidden, last, dtype):
 class TestLstm:
     def test_stacked_parameter_shapes(self):
         layer = LstmLayer(3, 5)
-        assert [(n, p.shape) for n, p in layer.param_items()] == [
+        assert [(n, p.shape) for n, p in layer.params.items()] == [
             ("Wx", (3, 20)), ("Wh", (5, 20)), ("b", (20,))
         ]
         # forget bias 1.0, every other gate bias 0.0
@@ -286,7 +286,7 @@ class TestLstm:
 
     def test_zero_weights_fixed_point(self):
         layer = LstmLayer(2, 3)
-        for _, p in layer.param_items():
+        for p in layer.params.values():
             p[...] = 0.0
         seq = np.ones((1, 4, 2))
         h = layer.forward(seq)
@@ -295,7 +295,7 @@ class TestLstm:
 
     def test_hand_evaluated_single_step(self):
         layer = LstmLayer(1, 1)
-        for _, p in layer.param_items():
+        for p in layer.params.values():
             p[...] = 0.0
         layer.params["Wx"][0, GATE_COLUMN["i"]] = 1.0
         seq = np.array([[[1.0]]])
@@ -306,7 +306,7 @@ class TestLstm:
 
     def test_hand_evaluated_with_cell_input(self):
         layer = LstmLayer(1, 1)
-        for _, p in layer.param_items():
+        for p in layer.params.values():
             p[...] = 0.0
         layer.params["Wx"][0, GATE_COLUMN["i"]] = 1.0
         layer.params["Wx"][0, GATE_COLUMN["g"]] = 1.0
@@ -358,7 +358,7 @@ class TestLstm:
             loss()
             layer.zero_grads()
             dseq = layer.backward(proj)
-            for name, p in layer.param_items():
+            for name, p in layer.params.items():
                 assert grads_close(layer.grads[name], numeric_grad(loss, p)), name
             assert grads_close(dseq, numeric_grad(loss, seq))
 
@@ -372,7 +372,7 @@ class TestLstm:
             loss()
             layer.zero_grads()
             dseq = layer.backward(proj)
-            for name, p in layer.param_items():
+            for name, p in layer.params.items():
                 assert grads_close(layer.grads[name], numeric_grad(loss, p)), name
             assert grads_close(dseq, numeric_grad(loss, seq))
             for b, end in enumerate(last):
@@ -467,7 +467,7 @@ class TestDenseHead:
 class TestDenseLayer:
     def test_gradients(self):
         rng = np.random.default_rng(13)
-        layer = DenseLayer(4, 3, relu=True, rng=rng)
+        layer = DenseLayer(4, 3, rng=rng)
         x = rng.normal(size=(3, 4)) + 0.5
         layer.forward(x)
         assert np.abs(layer._pre).min() > 1e-3  # smooth case for this seed
@@ -493,7 +493,7 @@ def test_float32_input_computes_in_float32_into_float64_gradients():
     demb = conv.backward(dfmap)
     assert dfmap.dtype == demb.dtype == np.float32
     for layer in (conv, lstm):
-        for name, p in layer.param_items():
+        for name, p in layer.params.items():
             assert p.dtype == layer.grads[name].dtype == np.float64, name
             assert np.any(layer.grads[name] != 0.0), name
 

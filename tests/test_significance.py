@@ -186,19 +186,13 @@ class TestPairedTTest:
 
     def test_known_case_against_oracle(self):
         diffs = [2.0, 1.0, 3.0, 2.0, 2.0]
-        result = paired_t_test(sample_from_diffs(diffs), direction="enhanced_greater")
+        result = paired_t_test(sample_from_diffs(diffs))
         mean = 2.0
         sd = math.sqrt(sum((d - mean) ** 2 for d in diffs) / 4)
         t_expected = mean / (sd / math.sqrt(5))
         assert result.t_statistic == pytest.approx(t_expected, abs=1e-12)
         assert result.degrees_of_freedom == 4
         assert result.p_one_sided == pytest.approx(1.0 - mpmath_t_cdf(t_expected, 4), abs=1e-10)
-
-    def test_direction_antisymmetry(self):
-        diffs = [0.5, 0.1, -0.2, 0.7, 0.3]
-        p_fwd = paired_t_test(sample_from_diffs(diffs), "enhanced_greater").p_one_sided
-        p_rev = paired_t_test(sample_from_diffs(diffs), "base_greater").p_one_sided
-        assert p_fwd + p_rev == pytest.approx(1.0)
 
     def test_matches_scipy_one_sided(self):
         rng = np.random.default_rng(3)
@@ -207,7 +201,7 @@ class TestPairedTTest:
             base = rng.normal(size=n)
             enhanced = base + rng.normal(loc=0.2, size=n)
             sample = PairedSample(base=tuple(base), enhanced=tuple(enhanced))
-            mine = paired_t_test(sample, "enhanced_greater")
+            mine = paired_t_test(sample)
             ref = scipy.stats.ttest_rel(enhanced, base, alternative="greater")
             assert mine.p_one_sided == pytest.approx(ref.pvalue, abs=1e-10)
             assert mine.t_statistic == pytest.approx(ref.statistic, abs=1e-10)
@@ -215,7 +209,3 @@ class TestPairedTTest:
     def test_too_few_pairs(self):
         with pytest.raises(TooFewPairsError):
             paired_t_test(sample_from_diffs([1.0]))
-
-    def test_bad_direction(self):
-        with pytest.raises(ValueError):
-            paired_t_test(sample_from_diffs([1.0, 2.0]), direction="sideways")

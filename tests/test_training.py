@@ -15,6 +15,7 @@ from elmdetect.training import (
     AdamState,
     EarlyStopper,
     VARIANT_SPECS,
+    VARIANTS,
     TextPipelineModel,
     TrainConfig,
     Vocabulary,
@@ -26,6 +27,7 @@ from elmdetect.training import (
     train,
 )
 
+from oracles import oracle_adam
 from synthetic import NEUTRAL_WORDS, dual_signal_corpus, make_doc, planted_token_corpus
 
 
@@ -55,15 +57,14 @@ class TestBceLoss:
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
         p = np.array([1.0, -2.0])
-        state = AdamState([p])
-        adam_step([p], [np.zeros(2)], state, lr=0.001)
+        adam_step(p, np.zeros(2), AdamState(p), lr=0.001)
         assert p.tolist() == [1.0, -2.0]
 
     def test_single_step_hand_unrolled(self):
         # m_hat = v_hat = 1 after one step with g = 1
         p = np.array([0.0])
-        state = AdamState([p])
-        adam_step([p], [np.ones(1)], state, lr=0.001)
+        state = AdamState(p)
+        adam_step(p, np.ones(1), state, lr=0.001)
         expected = -0.001 * 1.0 / (math.sqrt(1.0) + 1e-8)
         assert p[0] == pytest.approx(expected, abs=1e-15)
         assert p[0] == pytest.approx(-0.000999999995, abs=1e-11)
@@ -71,18 +72,35 @@ class TestAdam:
 
     def test_constant_gradient_monotone_decrease(self):
         p = np.array([0.0])
-        state = AdamState([p])
+        state = AdamState(p)
         values = []
         for _ in range(5):
-            adam_step([p], [np.ones(1)], state, lr=0.001)
+            adam_step(p, np.ones(1), state, lr=0.001)
             values.append(p[0])
         assert values == sorted(values, reverse=True)
 
     def test_shape_mismatch(self):
         p = np.zeros(3)
-        state = AdamState([p])
         with pytest.raises(ShapeMismatchError):
-            adam_step([p], [np.zeros(2)], state, lr=0.001)
+            adam_step(p, np.zeros(2), AdamState(p), lr=0.001)
+        with pytest.raises(ShapeMismatchError):
+            adam_step(p, np.zeros(3), AdamState(np.zeros(2)), lr=0.001)
+
+    def test_flat_steps_match_the_per_array_oracle(self):
+        """Five flat steps over a whole network equal Adam run one layer
+        array at a time, bit for bit."""
+        model = train(list(planted_token_corpus(32, seed=5)), quick_config("enhanced", epochs=1))
+        net, rng = model.model, np.random.default_rng(6)
+        pieces = [p.copy() for _, p in model.param_items()]
+        m, v = [np.zeros_like(p) for p in pieces], [np.zeros_like(p) for p in pieces]
+        state = AdamState(net.params)
+        for t in range(1, 6):
+            net.grads[...] = rng.normal(size=net.grads.size)
+            grads = [g.copy() for layer in net.layers() for g in layer.grads.values()]
+            adam_step(net.params, net.grads, state, 0.01, 0.8, 0.99, 1e-6)
+            oracle_adam(pieces, grads, m, v, t, 0.01, 0.8, 0.99, 1e-6)
+        for (name, p), want in zip(model.param_items(), pieces):
+            assert np.array_equal(p, want), name
 
 
 class TestEarlyStopper:
@@ -170,10 +188,37 @@ class TestTrain:
         assert np.allclose(model.scaler.mins, raw.min(axis=0))
 
     def test_restored_params_hit_best_val_loss(self):
-        corpus = planted_token_corpus(48, seed=2)
-        model = train(list(corpus), quick_config(epochs=6, early_stop_patience=2))
-        vals = [v for _, v in model.history]
-        assert model.best_epoch == int(np.argmin(vals)) + 1
+        """Early stopping hands back the parameters of the best validation
+        epoch, not those of the last one: they score the validation rows to
+        exactly the loss recorded for that epoch."""
+        corpus = planted_token_corpus(48, seed=3)
+        for variant in ("base", "features_only", "enhanced"):
+            cfg = quick_config(variant, epochs=8, early_stop_patience=3, learning_rate=0.05)
+            model = train(list(corpus), cfg)
+            vals = [v for _, v in model.history]
+            assert model.best_epoch == int(np.argmin(vals)) + 1
+            assert model.best_epoch < len(model.history), variant  # the last epoch was not the best
+            fit_ids = set(model.fit_doc_ids)
+            val_docs = [d for d in corpus if d.id not in fit_ids]
+            y_val = np.array([d.label for d in val_docs], dtype=np.float64)
+            assert bce_loss(predict_scores(model, val_docs), y_val) == vals[model.best_epoch - 1], variant
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_layer_arrays_are_views_into_the_flat_buffers(self, variant, tmp_path):
+        corpus = planted_token_corpus(32, seed=4)
+        model = train(list(corpus), quick_config(variant, epochs=1))
+        save_model(model, tmp_path / "model.json")
+        for m in (model, load_model(tmp_path / "model.json")):
+            net = m.model
+            assert net.params.shape == net.grads.shape
+            sizes = 0
+            for layer in net.layers():
+                for name, p in layer.params.items():
+                    assert np.shares_memory(p, net.params), name
+                    assert np.shares_memory(layer.grads[name], net.grads), name
+                    sizes += p.size
+            assert sizes == net.params.size
+            assert np.array_equal(np.concatenate([p.reshape(-1) for _, p in m.param_items()]), net.params)
 
     def test_stopping_point_follows_patience_rule(self):
         corpus = planted_token_corpus(48, seed=3)
