@@ -62,11 +62,11 @@ class RunConfig:
     out_dir: str = "out"
     sentiment_lexicon: str | None = None
     urgency_lexicon: str | None = None
-    epochs: int = 10
-    patience: int = 2
-    max_seq_len: int = 100
-    batch_size: int = 32
-    learning_rate: float = 0.001
+    epochs: int = TrainConfig.epochs
+    patience: int = TrainConfig.early_stop_patience
+    max_seq_len: int = TrainConfig.max_seq_len
+    batch_size: int = TrainConfig.batch_size
+    learning_rate: float = TrainConfig.learning_rate
     emit_plots: bool = False
 
     def hashed_fields(self) -> dict:
@@ -471,15 +471,14 @@ def cmd_verify(args) -> int:
 
 
 def _run_config(args) -> RunConfig:
-    """The RunConfig of the parsed flags, whose destinations are its field names."""
+    """The RunConfig of the parsed flags, whose destinations are its field
+    names; a flag that a variant cannot train with raises ValueError here."""
     values = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
     values["variants"] = tuple(args.variants.split(","))
-    for v in values["variants"]:
-        if v not in VARIANTS:
-            raise ElmDetectError(f"unknown variant {v!r}; choose from {','.join(VARIANTS)}")
-    if not (math.isfinite(args.learning_rate) and args.learning_rate > 0):
-        raise ElmDetectError(f"--learning-rate must be a finite number > 0, got {args.learning_rate}")
-    return RunConfig(**values)
+    cfg = RunConfig(**values)
+    for v in cfg.variants:
+        cfg.train_config(v).validate()
+    return cfg
 
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:

@@ -38,7 +38,7 @@ class SequenceTooShortError(ElmDetectError):
 
 
 class EmptySequenceError(ElmDetectError):
-    """Max-pooling over a zero-length sequence."""
+    """An LSTM input with zero timesteps."""
 
 
 class DimensionMismatchError(ElmDetectError):

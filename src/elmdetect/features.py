@@ -121,8 +121,6 @@ class FeatureExtractor:
         syllables = sum(count_syllables(t) for t in tokens)
         grade = 0.39 * (words / sentences) + 11.8 * (syllables / words) - 15.59
         unique = len({t.lower() for t in tokens})
-        # Unknown words contribute polarity 0 regardless of the lexicon's
-        # configured default.
         polarity = sum(self.sentiment.entries.get(t.lower(), 0.0) for t in tokens) / words
         return CentralVector(
             flesch_kincaid_grade=grade,

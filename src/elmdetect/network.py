@@ -34,6 +34,8 @@ EMBEDDING_DIM = 100
 CONV_FILTERS = 64
 KERNEL_SIZE = 3
 LSTM_UNITS = 100
+DROPOUT_RATE = 0.5
+FEATURE_HIDDEN = 32  # units of the dense ReLU layer of a variant without a text path
 
 PAD_INDEX = 0
 OOV_INDEX = 1

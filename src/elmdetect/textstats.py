@@ -59,23 +59,16 @@ def count_syllables(word: str) -> int:
 
 @dataclass(frozen=True)
 class Lexicon:
-    """Case-insensitive word -> score mapping with a default for absent words."""
+    """Word -> score mapping, looked up by lowercased token."""
 
     name: str
     entries: Mapping[str, float]
-    default_score: float = 0.0
-
-    def score(self, word: str) -> float:
-        return self.entries.get(word.lower(), self.default_score)
-
-    def __contains__(self, word: str) -> bool:
-        return word.lower() in self.entries
 
     def __len__(self) -> int:
         return len(self.entries)
 
 
-def load_lexicon(path, name: str | None = None, default_score: float = 0.0) -> Lexicon:
+def load_lexicon(path, name: str | None = None) -> Lexicon:
     """Load a `word<TAB>score` lexicon file.
 
     The score is optional (defaults to 1.0), `#` starts a comment, keys are
@@ -104,7 +97,7 @@ def load_lexicon(path, name: str | None = None, default_score: float = 0.0) -> L
             if not word:
                 raise MalformedLineError(f"{path}:{lineno}: empty word")
             entries[word] = score
-    return Lexicon(name or str(path), entries, default_score)
+    return Lexicon(name or str(path), entries)
 
 
 @lru_cache(maxsize=None)

@@ -28,7 +28,9 @@ from .errors import (
 from .features import ExtendedFeaturizer, FeatureExtractor, FeatureScaler
 from .network import (
     CONV_FILTERS,
+    DROPOUT_RATE,
     EMBEDDING_DIM,
+    FEATURE_HIDDEN,
     KERNEL_SIZE,
     LSTM_UNITS,
     OOV_INDEX,
@@ -60,6 +62,8 @@ VARIANT_SPECS = {
 }
 VARIANTS = tuple(VARIANT_SPECS)
 
+VAL_FRACTION = 0.1  # of each class, carved off the fold-train rows for early stopping
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -74,24 +78,14 @@ class TrainConfig:
     epochs: int = 10
     batch_size: int = 32
     learning_rate: float = 0.001
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     early_stop_patience: int = 2  # <= 0 disables early stopping
-    val_fraction: float = 0.1
     seed: int = 0
     max_seq_len: int = 100
-    dropout_rate: float = 0.5
-    min_token_freq: int = 2
-    feature_hidden: int = 32
-    bigram_top_n: int = 50
     progress: bool = True
 
     def validate(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        if not 0.0 < self.val_fraction < 0.5:
-            raise ValueError(f"val_fraction must be in (0, 0.5), got {self.val_fraction}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -217,10 +211,10 @@ class TextPipelineModel:
     """The convolutional-recurrent text pipeline, optionally concatenated
     with a scaled feature vector before the sigmoid head."""
 
-    def __init__(self, vocab_size: int, feature_dim: int, cfg: TrainConfig, rng: np.random.Generator):
+    def __init__(self, vocab_size: int, feature_dim: int, rng: np.random.Generator):
         self.embedding = EmbeddingTable(vocab_size, EMBEDDING_DIM, rng)
         self.conv = ConvLayer(CONV_FILTERS, KERNEL_SIZE, EMBEDDING_DIM, rng)
-        self.dropout = DropoutLayer(cfg.dropout_rate)
+        self.dropout = DropoutLayer(DROPOUT_RATE)
         self.lstm = LstmLayer(CONV_FILTERS, LSTM_UNITS, rng)
         self.head = DenseHead(LSTM_UNITS + feature_dim, rng)
 
@@ -264,9 +258,9 @@ class FeatureHeadModel:
     """The network of a variant without a text path: scaled features ->
     dense ReLU -> sigmoid head."""
 
-    def __init__(self, feature_dim: int, cfg: TrainConfig, rng: np.random.Generator):
-        self.hidden = DenseLayer(feature_dim, cfg.feature_hidden, rng=rng)
-        self.head = DenseHead(cfg.feature_hidden, rng)
+    def __init__(self, feature_dim: int, rng: np.random.Generator):
+        self.hidden = DenseLayer(feature_dim, FEATURE_HIDDEN, rng=rng)
+        self.head = DenseHead(FEATURE_HIDDEN, rng)
 
     def layers(self):
         return [self.hidden, self.head]
@@ -303,8 +297,7 @@ class TrainedModel:
         return items
 
 
-def _build_net(config: TrainConfig, vocab: Vocabulary | None, scaler: FeatureScaler | None,
-               rng: np.random.Generator):
+def _build_net(vocab: Vocabulary | None, scaler: FeatureScaler | None, rng: np.random.Generator):
     """The network for what was fitted: a text pipeline when there is a
     vocabulary, widened by the scaled features when there is a scaler.
 
@@ -314,9 +307,9 @@ def _build_net(config: TrainConfig, vocab: Vocabulary | None, scaler: FeatureSca
     """
     feature_dim = 0 if scaler is None else scaler.n_features
     if vocab is None:
-        net = FeatureHeadModel(feature_dim, config, rng)
+        net = FeatureHeadModel(feature_dim, rng)
     else:
-        net = TextPipelineModel(vocab.size, feature_dim, config, rng)
+        net = TextPipelineModel(vocab.size, feature_dim, rng)
     layers = net.layers()
     net.params = np.concatenate([p.reshape(-1) for layer in layers for p in layer.params.values()])
     net.grads = np.zeros_like(net.params)
@@ -397,7 +390,7 @@ def train(
     extractor = extractor or FeatureExtractor()
 
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    train_docs, val_docs = _stratified_val_split(docs, config.val_fraction, rng)
+    train_docs, val_docs = _stratified_val_split(docs, rng)
 
     fit_ids = tuple(d.id for d in train_docs)
     fingerprint = hashlib.sha256("\n".join(fit_ids).encode("utf-8")).hexdigest()
@@ -405,15 +398,15 @@ def train(
     spec = VARIANT_SPECS[config.variant]
     vocab = scaler = extended = None
     if spec.text:
-        vocab = Vocabulary.build([d.tokens for d in train_docs], config.min_token_freq)
+        vocab = Vocabulary.build([d.tokens for d in train_docs])
     if spec.features:
         raw = extractor.matrix(train_docs)
         if spec.extended:
-            extended = ExtendedFeaturizer.fit(train_docs, extractor, config.bigram_top_n)
+            extended = ExtendedFeaturizer.fit(train_docs, extractor)
             raw = np.hstack([raw, extended.matrix(train_docs)])
         scaler = FeatureScaler.fit(raw)
 
-    net = _build_net(config, vocab, scaler, rng)
+    net = _build_net(vocab, scaler, rng)
     model = TrainedModel(
         model=net,
         vocab=vocab,
@@ -452,15 +445,7 @@ def train(
             loss_sum += bce_loss(p, y) * len(idx)
             grads.fill(0.0)
             net.backward_logit((p - y) / len(idx))
-            adam_step(
-                params,
-                grads,
-                adam,
-                config.learning_rate,
-                config.adam_beta1,
-                config.adam_beta2,
-                config.adam_eps,
-            )
+            adam_step(params, grads, adam, config.learning_rate)
         train_loss = loss_sum / n
         val_loss = bce_loss(_eval_forward(net, ids_val, feats_val, config.batch_size), y_val)
         model.history.append((train_loss, val_loss))
@@ -481,13 +466,13 @@ def train(
 
 
 def _stratified_val_split(
-    docs: list[Document], val_fraction: float, rng: np.random.Generator
+    docs: list[Document], rng: np.random.Generator
 ) -> tuple[list[Document], list[Document]]:
     val_idx: set[int] = set()
     for label in (0, 1):
         members = [i for i, d in enumerate(docs) if d.label == label]
         order = rng.permutation(len(members))
-        n_val = max(1, int(round(val_fraction * len(members))))
+        n_val = max(1, int(round(VAL_FRACTION * len(members))))
         n_val = min(n_val, len(members) - 1)  # keep at least one row in train
         val_idx.update(members[j] for j in order[:n_val])
     train = [d for i, d in enumerate(docs) if i not in val_idx]
@@ -497,7 +482,7 @@ def _stratified_val_split(
 
 # -- checkpoint container ------------------------------------------------------
 
-CHECKPOINT_VERSION = 3  # 3: the head reads each row at its last real step
+CHECKPOINT_VERSION = 4  # 4: the config holds no fixed-regime constants
 
 
 def config_digest(config: TrainConfig) -> str:
@@ -564,7 +549,7 @@ def load_model(path, extractor: FeatureExtractor | None = None) -> TrainedModel:
             extractor=extractor,
         )
     model = TrainedModel(
-        model=_build_net(config, vocab, scaler, np.random.default_rng(0)),
+        model=_build_net(vocab, scaler, np.random.default_rng(0)),
         vocab=vocab,
         scaler=scaler,
         extended=extended,

@@ -5,11 +5,13 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from elmdetect import cli
+from elmdetect.training import TrainConfig
 from test_golden import write_corpus
 
 FAST_FLAGS = ["--k", "2", "--seed", "5", "--epochs", "1", "--max-seq-len", "16", "--variants", "base,features_only"]
@@ -184,12 +186,31 @@ def test_flag_defaults_are_the_run_config_defaults():
     assert cli._run_config(args) == cli.RunConfig(true_csv="t.csv", fake_csv="f.csv")
 
 
-@pytest.mark.parametrize("rate", ["nan", "inf", "-0.05", "0"])
-def test_learning_rate_that_is_not_finite_and_positive_exits_2(corpus_dir, tmp_path, rate):
+def test_train_config_takes_every_field_but_progress_from_the_run_config():
+    """A TrainConfig field that RunConfig does not set is a setting no run can change."""
+    cfg = cli.RunConfig(true_csv="t.csv", fake_csv="f.csv", seed=7, epochs=3, patience=0, max_seq_len=20,
+                        batch_size=8, learning_rate=0.05)
+    made, default = cfg.train_config("features_only"), TrainConfig()
+    unset = [f.name for f in fields(TrainConfig) if getattr(made, f.name) == getattr(default, f.name)]
+    assert unset == ["progress"]
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        *(pytest.param("--learning-rate", rate, "learning_rate must be a finite number > 0", id=rate)
+          for rate in ("nan", "inf", "-0.05", "0")),
+        pytest.param("--epochs", "0", "epochs must be >= 1", id="epochs-0"),
+        pytest.param("--batch-size", "0", "batch_size must be >= 1", id="batch-size-0"),
+    ],
+)
+def test_learning_rate_that_is_not_finite_and_positive_exits_2(corpus_dir, tmp_path, flag, value, message):
+    """So does an epoch count or a batch size below 1: a flag no variant can
+    train with is an input error, reported before the dataset is read."""
     out = tmp_path / "out"
-    done = run_cli("run", *dataset_flags(corpus_dir), "--out", str(out), *FAST_FLAGS, "--learning-rate", rate)
+    done = run_cli("run", *dataset_flags(corpus_dir), "--out", str(out), *FAST_FLAGS, flag, value)
     assert done.returncode == 2
-    assert "--learning-rate must be a finite number > 0" in done.stderr
+    assert message in done.stderr
     assert not out.exists()
 
 

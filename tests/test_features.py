@@ -115,7 +115,7 @@ class TestCentralFeatures:
         assert abs(cv.vocabulary_richness - 1 / 3) < 1e-12
 
     def test_unknown_words_contribute_zero(self):
-        lex = Lexicon("t", {"good": 1.0}, default_score=0.5)
+        lex = Lexicon("t", {"good": 1.0})
         extractor = FeatureExtractor(sentiment=lex)
         cv = extractor.central(make_doc("good unknown"))
         assert abs(cv.sentiment_polarity - 0.5) < 1e-12  # (1.0 + 0) / 2

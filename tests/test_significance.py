@@ -36,7 +36,6 @@ class TestWilcoxon:
         assert result.n_effective == 10
         assert result.p_value == pytest.approx(0.001953125, abs=1e-15)
         assert result.p_one_sided == pytest.approx(1 / 1024, abs=1e-15)
-        assert result.method == "exact"
 
     def test_sign_flip_swaps_rank_sums_keeps_p(self):
         diffs = [0.3, -0.1, 0.25, 0.07, -0.02, 0.4, 0.11]
@@ -103,7 +102,7 @@ class TestWilcoxon:
     def test_matches_scipy_exact_on_tie_free_cases(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            n = int(rng.integers(4, 15))
+            n = int(rng.integers(4, 41))
             diffs = rng.normal(size=n)
             while len(np.unique(np.abs(diffs))) != n or np.any(diffs == 0):
                 diffs = rng.normal(size=n)
@@ -111,19 +110,10 @@ class TestWilcoxon:
             ref = scipy.stats.wilcoxon(diffs, alternative="two-sided", method="exact")
             assert mine.p_value == pytest.approx(ref.pvalue, abs=1e-12)
 
-    def test_normal_approximation_for_large_n(self):
-        rng = np.random.default_rng(1)
-        diffs = list(rng.normal(loc=0.3, size=40))
-        mine = wilcoxon_signed_rank(sample_from_diffs(diffs))
-        assert mine.method == "normal_approximation"
-        ref = scipy.stats.wilcoxon(diffs, alternative="two-sided", method="approx", correction=True)
-        assert mine.p_value == pytest.approx(ref.pvalue, rel=1e-6)
-
     def test_exact_with_ties_in_magnitudes(self):
         # tied |D| get average ranks; the doubled-rank enumeration stays exact
         diffs = [0.2, 0.2, -0.2, 0.5, 0.5]
         result = wilcoxon_signed_rank(sample_from_diffs(diffs))
-        assert result.method == "exact"
         assert result.w_plus + result.w_minus == pytest.approx(15.0)
         # brute force over all 2^5 sign assignments with the same ranks
         ranks = [2.0, 2.0, 2.0, 4.5, 4.5]

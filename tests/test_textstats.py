@@ -120,28 +120,23 @@ def test_tokens_of_clean_text_carry_no_terminators():
 class TestLexicon:
     def test_load_with_scores(self, tmp_path):
         path = tmp_path / "lex.tsv"
-        path.write_text("good\t0.7\nbad\t-0.7\n", encoding="utf-8")
+        path.write_text("GOOD\t0.7\nbad\t-0.7\n", encoding="utf-8")
         lex = load_lexicon(path)
         assert len(lex) == 2
-        assert lex.score("GOOD") == 0.7
+        assert lex.entries["good"] == 0.7
 
     def test_scoreless_words_default_to_one(self, tmp_path):
         path = tmp_path / "lex.tsv"
         path.write_text("urgent\nnow\n", encoding="utf-8")
         lex = load_lexicon(path)
         assert len(lex) == 2
-        assert lex.score("urgent") == 1.0
+        assert lex.entries["urgent"] == 1.0
 
     def test_comments_blank_lines_and_duplicates(self, tmp_path):
         path = tmp_path / "lex.tsv"
         path.write_text("# c\n\nword\t0.1\nword\t0.9\n", encoding="utf-8")
         lex = load_lexicon(path)
-        assert lex.score("word") == 0.9
-
-    def test_default_score_for_absent_words(self, tmp_path):
-        path = tmp_path / "lex.tsv"
-        path.write_text("x\t1.0\n", encoding="utf-8")
-        assert load_lexicon(path, default_score=0.25).score("absent") == 0.25
+        assert lex.entries["word"] == 0.9
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "lex.tsv"
@@ -159,9 +154,9 @@ class TestBundledLexicons:
         lex = bundled_sentiment_lexicon()
         assert len(lex) >= 1800
         assert all(-1.0 <= s <= 1.0 for s in lex.entries.values())
-        assert lex.score("good") > 0
-        assert lex.score("bad") < 0
-        assert lex.score("qwzzk") == 0.0
+        assert lex.entries["good"] > 0
+        assert lex.entries["bad"] < 0
+        assert "qwzzk" not in lex.entries
 
     def test_urgency_default_terms(self):
         lex = bundled_urgency_lexicon()

@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 
@@ -9,7 +10,7 @@ from elmdetect.errors import (
     ShapeMismatchError,
     SingleClassTrainingSetError,
 )
-from elmdetect.network import KERNEL_SIZE, LSTM_UNITS, PAD_INDEX, LstmLayer
+from elmdetect.network import DROPOUT_RATE, KERNEL_SIZE, LSTM_UNITS, PAD_INDEX, DropoutLayer, LstmLayer
 from elmdetect.textstats import tokenize
 from elmdetect.training import (
     AdamState,
@@ -338,7 +339,8 @@ class TestMixedPrecision:
         step run in float64 through the layers; measured at most 1.2e-6
         over 20 seeds."""
         rng = np.random.default_rng(3)
-        net = TextPipelineModel(60, 3, TrainConfig(dropout_rate=0.0), rng)
+        net = TextPipelineModel(60, 3, rng)
+        net.dropout = DropoutLayer(0.0)
         lengths = rng.integers(1, 30, size=16)
         ids = rng.integers(2, 60, size=(16, 40))
         ids[np.arange(40) >= lengths[:, None]] = PAD_INDEX
@@ -429,7 +431,9 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize(
         "version",
-        [1, 2],  # 1: per-gate LSTM parameters; 2: trained to read the state after the padding
+        # 1: per-gate LSTM parameters; 2: trained to read the state after the padding;
+        # 3: the config held the fixed Adam, dropout, vocabulary and validation-split settings
+        [1, 2, 3],
     )
     def test_older_checkpoint_version_rejected(self, version, tmp_path):
         import json
@@ -450,16 +454,13 @@ class TestTrainConfig:
         assert cfg.epochs == 10
         assert cfg.batch_size == 32
         assert cfg.learning_rate == 0.001
-        assert cfg.adam_beta1 == 0.9
-        assert cfg.adam_beta2 == 0.999
-        assert cfg.adam_eps == 1e-8
-        assert cfg.dropout_rate == 0.5
         assert cfg.max_seq_len == 100
+        adam = inspect.signature(adam_step).parameters
+        assert (adam["beta1"].default, adam["beta2"].default, adam["eps"].default) == (0.9, 0.999, 1e-8)
+        assert DROPOUT_RATE == 0.5
 
     def test_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(variant="bogus").validate()
-        with pytest.raises(ValueError):
-            TrainConfig(val_fraction=0.6).validate()
         with pytest.raises(ValueError):
             TrainConfig(epochs=0).validate()
