@@ -11,11 +11,8 @@ from .corpus import (
 )
 from .features import (
     FEATURE_NAMES,
-    CentralVector,
-    ElmVector,
     FeatureExtractor,
     FeatureScaler,
-    PeripheralVector,
 )
 from .evaluation import (
     ComparisonReport,
@@ -56,7 +53,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Document", "DocumentSet", "FoldPlan", "clean_text", "load_dataset", "stratified_folds",
-    "FEATURE_NAMES", "CentralVector", "PeripheralVector", "ElmVector", "FeatureExtractor", "FeatureScaler",
+    "FEATURE_NAMES", "FeatureExtractor", "FeatureScaler",
     "ConfusionMatrix", "MetricSet", "RocCurve", "ComparisonReport", "confusion", "metrics",
     "roc_curve", "auc", "cross_validate",
     "PairedSample", "WilcoxonResult", "TTestResult", "wilcoxon_signed_rank", "paired_t_test",

@@ -183,7 +183,7 @@ def cmd_features(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     stamp = _stamp(cfg.config_hash(), cfg.seed)
     rows = (
-        [doc.id, doc.label] + [repr(v) for v in extractor.elm(doc).values]
+        [doc.id, doc.label] + [repr(v) for v in extractor.elm(doc)]
         for doc in corpus
     )
     _write_csv(out / "features.csv", stamp, ["doc_id", "label", *FEATURE_NAMES], rows)
@@ -209,7 +209,7 @@ def cmd_run(args) -> int:
     _write_run_outputs(cfg, hashed, corpus, plan, report, out)
     _print_tables(report)
     if cfg.emit_plots:
-        _emit_plots(out)
+        cmd_plot(argparse.Namespace(out=str(out)))
     return EXIT_OK
 
 
@@ -530,11 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     return parser
-
-
-def _emit_plots(out: Path) -> None:
-    ns = argparse.Namespace(out=str(out))
-    cmd_plot(ns)
 
 
 def main(argv=None) -> int:

@@ -122,22 +122,12 @@ def roc_curve(scores: Sequence[float], labels: Sequence[int]) -> RocCurve:
         raise SingleClassLabelsError("ROC needs both classes present")
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    points = [(0.0, 0.0)]
-    thresholds = [np.inf]
-    tp = fp = 0
-    i = 0
-    n = len(scores)
-    while i < n:
-        cut = sorted_scores[i]
-        while i < n and sorted_scores[i] == cut:
-            if sorted_labels[i] == 1:
-                tp += 1
-            else:
-                fp += 1
-            i += 1
-        points.append((fp / n_neg, tp / n_pos))
-        thresholds.append(float(cut))
+    # the last row of each run of tied scores
+    ends = np.flatnonzero(np.append(sorted_scores[1:] != sorted_scores[:-1], True))
+    tp = np.cumsum(labels[order] == 1)[ends]
+    fp = ends + 1 - tp
+    points = [(0.0, 0.0), *zip((fp / n_neg).tolist(), (tp / n_pos).tolist())]
+    thresholds = [np.inf, *sorted_scores[ends].tolist()]
     if points[-1] != (1.0, 1.0):
         points.append((1.0, 1.0))
         thresholds.append(-np.inf)

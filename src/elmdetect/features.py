@@ -4,12 +4,15 @@ Central features read clean_text (the model's view of the message content);
 peripheral features read raw_text, because capitalization and punctuation
 cues are destroyed by cleaning.
 
-Each `FeatureExtractor` computes a document's ten-feature row and its
-subjectivity once and keeps them, keyed weakly by the document, for as long
-as the document lives; every (fold, variant) task of a run shares one
-extractor and so reads the same values. An extractor with other lexicons
-keeps values of its own. A document's bigram set depends on no lexicon and
-is kept by the document itself.
+A document's row is a tuple of ten floats in FEATURE_NAMES order: `central`
+gives the first five and `peripheral` the last five.
+
+Each `FeatureExtractor` computes a document's row and its subjectivity once
+and keeps them, keyed weakly by the document, for as long as the document
+lives; every (fold, variant) task of a run shares one extractor and so reads
+the same values. An extractor with other lexicons keeps values of its own.
+A document's bigram set depends on no lexicon and is kept by the document
+itself.
 """
 from __future__ import annotations
 
@@ -32,6 +35,7 @@ from .textstats import (
     tokenize,
 )
 
+# the first five are the central route, the last five the peripheral route
 FEATURE_NAMES = (
     "flesch_kincaid_grade",
     "vocabulary_richness",
@@ -46,117 +50,53 @@ FEATURE_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class CentralVector:
-    """Message-content measures scrutinized under high elaboration."""
-
-    flesch_kincaid_grade: float
-    vocabulary_richness: float
-    sentiment_polarity: float
-    text_length: int
-    avg_words_per_sentence: float
-
-    def values(self) -> tuple[float, ...]:
-        return (
-            self.flesch_kincaid_grade,
-            self.vocabulary_richness,
-            self.sentiment_polarity,
-            float(self.text_length),
-            self.avg_words_per_sentence,
-        )
-
-
-@dataclass(frozen=True)
-class PeripheralVector:
-    """Surface cues that sway acceptance without deep processing."""
-
-    exclamation_ratio: float
-    question_ratio: float
-    capitalization_ratio: float
-    all_caps_count: int
-    urgency_frequency: float
-
-    def values(self) -> tuple[float, ...]:
-        return (
-            self.exclamation_ratio,
-            self.question_ratio,
-            self.capitalization_ratio,
-            float(self.all_caps_count),
-            self.urgency_frequency,
-        )
-
-
-@dataclass(frozen=True)
-class ElmVector:
-    """The ten dual-route features, in the fixed FEATURE_NAMES order."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.values) != len(FEATURE_NAMES):
-            raise ValueError(f"expected {len(FEATURE_NAMES)} values, got {len(self.values)}")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 class FeatureExtractor:
-    """Computes feature vectors for documents with fixed lexicons, each
+    """Computes feature rows for documents with fixed lexicons, each
     document's `elm` row once."""
 
     def __init__(self, sentiment: Lexicon | None = None, urgency: Lexicon | None = None):
         self.sentiment = sentiment if sentiment is not None else bundled_sentiment_lexicon()
         self.urgency = urgency if urgency is not None else bundled_urgency_lexicon()
         # a value holds no reference to its document, so an entry goes with it
-        self._rows: weakref.WeakKeyDictionary[Document, ElmVector] = weakref.WeakKeyDictionary()
+        self._rows: weakref.WeakKeyDictionary[Document, tuple[float, ...]] = weakref.WeakKeyDictionary()
         self._subjectivity: weakref.WeakKeyDictionary[Document, float] = weakref.WeakKeyDictionary()
 
-    def central(self, doc: Document) -> CentralVector:
-        """c1..c5 on clean_text; zero-token documents get all zeros."""
+    def central(self, doc: Document) -> tuple[float, ...]:
+        """c1..c5, the message-content measures scrutinized under high
+        elaboration, on clean_text; zero-token documents get all zeros."""
         tokens = doc.tokens
         words = len(tokens)
         if words == 0:
-            return CentralVector(0.0, 0.0, 0.0, 0, 0.0)
+            return (0.0,) * 5
         sentences = len(split_sentences(doc.clean_text))
         syllables = sum(count_syllables(t) for t in tokens)
         grade = 0.39 * (words / sentences) + 11.8 * (syllables / words) - 15.59
         unique = len({t.lower() for t in tokens})
         polarity = sum(self.sentiment.entries.get(t.lower(), 0.0) for t in tokens) / words
-        return CentralVector(
-            flesch_kincaid_grade=grade,
-            vocabulary_richness=unique / words,
-            sentiment_polarity=polarity,
-            text_length=words,
-            avg_words_per_sentence=words / sentences,
-        )
+        return (grade, unique / words, polarity, float(words), words / sentences)
 
-    def peripheral(self, doc: Document) -> PeripheralVector:
-        """p1..p5 on raw_text; zero-token documents get all zeros."""
+    def peripheral(self, doc: Document) -> tuple[float, ...]:
+        """p1..p5, the surface cues that sway acceptance without deep
+        processing, on raw_text; zero-token documents get all zeros."""
         raw = doc.raw_text
         tokens = tokenize(raw)
         n = len(tokens)
         if n == 0:
-            return PeripheralVector(0.0, 0.0, 0.0, 0, 0.0)
+            return (0.0,) * 5
         capitalized = sum(1 for t in tokens if t[0].isupper())
-        all_caps = sum(1 for t in tokens if len(t) >= 2 and t.isalpha() and t.isupper())
+        all_caps = float(sum(1 for t in tokens if len(t) >= 2 and t.isalpha() and t.isupper()))
         urgent = sum(1 for t in tokens if t.lower() in self.urgency.entries)
-        return PeripheralVector(
-            exclamation_ratio=raw.count("!") / n,
-            question_ratio=raw.count("?") / n,
-            capitalization_ratio=capitalized / n,
-            all_caps_count=all_caps,
-            urgency_frequency=urgent / n,
-        )
+        return (raw.count("!") / n, raw.count("?") / n, capitalized / n, all_caps, urgent / n)
 
-    def elm(self, doc: Document) -> ElmVector:
+    def elm(self, doc: Document) -> tuple[float, ...]:
         row = self._rows.get(doc)
         if row is None:
-            row = self._rows[doc] = ElmVector(self.central(doc).values() + self.peripheral(doc).values())
+            row = self._rows[doc] = self.central(doc) + self.peripheral(doc)
         return row
 
     def matrix(self, docs: Sequence[Document]) -> np.ndarray:
         """(n_docs, 10) feature matrix in document order."""
-        rows = [self.elm(d).values for d in docs]
+        rows = [self.elm(d) for d in docs]
         return np.array(rows, dtype=np.float64).reshape(len(rows), len(FEATURE_NAMES))
 
     def subjectivity(self, doc: Document) -> float:

@@ -4,13 +4,14 @@ Layers take arrays with a leading batch dimension and cache whatever the
 backward pass needs. Parameters and their gradients are float64. The
 convolution, dropout and LSTM compute in the dtype of their input: they cast
 their parameters to it at forward, keep their caches in it, and add their
-gradients into the float64 ``grads`` dicts (call ``zero_grads`` between
-steps), so float32 input gives float32 compute over float64 master weights
-(Micikevicius et al., "Mixed Precision Training", arXiv:1710.03740). Every
-backward returns the gradient w.r.t. the layer input. A single example is a
-batch of one. When ``training`` builds the layers, their ``params`` and
-``grads`` dicts hold views into the model's one flat parameter buffer and
-one flat gradient buffer, so layers update those arrays only in place.
+gradients into the float64 ``grads`` dicts, so float32 input gives float32
+compute over float64 master weights (Micikevicius et al., "Mixed Precision
+Training", arXiv:1710.03740). Every backward returns the gradient w.r.t. the
+layer input. A single example is a batch of one. When ``training`` builds the
+layers, their ``params`` and ``grads`` dicts hold views into the model's one
+flat parameter buffer and one flat gradient buffer, so layers update those
+arrays only in place, and ``train`` zeroes every gradient with one ``fill``
+per step; ``zero_grads`` is for a layer used on its own.
 
 The pipeline is a fixed chain (embedding, convolution, dropout, recurrence,
 concatenation, sigmoid head), so explicit per-layer backprop is used instead

@@ -69,9 +69,10 @@ VAL_FRACTION = 0.1  # of each class, carved off the fold-train rows for early st
 class TrainConfig:
     """Hyperparameters of one training run.
 
-    ``max_seq_len`` caps how many tokens of a document the text path reads;
-    it does not set the work done, since each batch is trimmed to its
-    longest document and each row is read at its last real step.
+    ``max_seq_len``, at least one conv window, caps how many tokens of a
+    document the text path reads; it does not set the work done, since each
+    batch is trimmed to its longest document and each row is read at its
+    last real step.
     """
 
     variant: str = VARIANTS[0]
@@ -92,6 +93,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be a finite number > 0, got {self.learning_rate}")
+        if self.max_seq_len < KERNEL_SIZE:
+            raise ValueError(f"max_seq_len must be >= {KERNEL_SIZE}")
 
 
 def bce_loss(preds: np.ndarray, labels: np.ndarray) -> float:
@@ -283,18 +286,10 @@ class TrainedModel:
     history: list[tuple[float, float]]
     best_epoch: int
     fit_doc_ids: tuple[str, ...]
-    fit_fingerprint: str
 
     @property
     def variant(self) -> str:
         return self.config.variant
-
-    def param_items(self) -> list[tuple[str, np.ndarray]]:
-        items = []
-        for li, layer in enumerate(self.model.layers()):
-            for name, p in layer.params.items():
-                items.append((f"{li}.{type(layer).__name__}.{name}", p))
-        return items
 
 
 def _build_net(vocab: Vocabulary | None, scaler: FeatureScaler | None, rng: np.random.Generator):
@@ -302,8 +297,9 @@ def _build_net(vocab: Vocabulary | None, scaler: FeatureScaler | None, rng: np.r
     vocabulary, widened by the scaled features when there is a scaler.
 
     Its parameters are then moved into one flat float64 array, `net.params`,
-    and its gradients into another, `net.grads`, in `param_items` order;
-    each layer's `params[name]` and `grads[name]` become views into them.
+    and its gradients into another, `net.grads`, layer by layer in
+    `layers()` order; each layer's `params[name]` and `grads[name]` become
+    views into them.
     """
     feature_dim = 0 if scaler is None else scaler.n_features
     if vocab is None:
@@ -326,7 +322,7 @@ def _build_net(vocab: Vocabulary | None, scaler: FeatureScaler | None, rng: np.r
 def _encode_batch(model: TrainedModel, docs: Sequence[Document]) -> np.ndarray | None:
     if model.vocab is None:
         return None
-    max_len = max(model.config.max_seq_len, KERNEL_SIZE)
+    max_len = model.config.max_seq_len
     rows = [model.vocab.encode(d.tokens, max_len) for d in docs]
     return np.array(rows, dtype=np.int64).reshape(len(rows), max_len)
 
@@ -392,9 +388,6 @@ def train(
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     train_docs, val_docs = _stratified_val_split(docs, rng)
 
-    fit_ids = tuple(d.id for d in train_docs)
-    fingerprint = hashlib.sha256("\n".join(fit_ids).encode("utf-8")).hexdigest()
-
     spec = VARIANT_SPECS[config.variant]
     vocab = scaler = extended = None
     if spec.text:
@@ -416,8 +409,7 @@ def train(
         config=config,
         history=[],
         best_epoch=-1,
-        fit_doc_ids=fit_ids,
-        fit_fingerprint=fingerprint,
+        fit_doc_ids=tuple(d.id for d in train_docs),
     )
 
     ids_train = _encode_batch(model, train_docs)
@@ -482,7 +474,7 @@ def _stratified_val_split(
 
 # -- checkpoint container ------------------------------------------------------
 
-CHECKPOINT_VERSION = 4  # 4: the config holds no fixed-regime constants
+CHECKPOINT_VERSION = 5  # 5: the parameters are one flat array
 
 
 def config_digest(config: TrainConfig) -> str:
@@ -492,16 +484,8 @@ def config_digest(config: TrainConfig) -> str:
 
 
 def save_model(model: TrainedModel, path) -> None:
-    """Write a versioned JSON checkpoint; arrays round-trip bit-exactly."""
-    arrays = [
-        {
-            "name": name,
-            "shape": list(p.shape),
-            "dtype": "float64",
-            "data": base64.b64encode(np.ascontiguousarray(p, dtype="<f8").tobytes()).decode("ascii"),
-        }
-        for name, p in model.param_items()
-    ]
+    """Write a versioned JSON checkpoint; the flat parameter array
+    round-trips bit-exactly as base64 of little-endian float64."""
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(model.config),
@@ -518,8 +502,7 @@ def save_model(model: TrainedModel, path) -> None:
         "history": model.history,
         "best_epoch": model.best_epoch,
         "fit_doc_ids": list(model.fit_doc_ids),
-        "fit_fingerprint": model.fit_fingerprint,
-        "params": arrays,
+        "params": base64.b64encode(model.model.params.astype("<f8", copy=False).tobytes()).decode("ascii"),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
@@ -558,14 +541,11 @@ def load_model(path, extractor: FeatureExtractor | None = None) -> TrainedModel:
         history=[tuple(h) for h in payload["history"]],
         best_epoch=payload["best_epoch"],
         fit_doc_ids=tuple(payload["fit_doc_ids"]),
-        fit_fingerprint=payload["fit_fingerprint"],
     )
-    items = model.param_items()
-    if len(items) != len(payload["params"]):
-        raise ValueError("checkpoint parameter count mismatch")
-    for (name, p), entry in zip(items, payload["params"]):
-        if entry["name"] != name or list(p.shape) != entry["shape"]:
-            raise ValueError(f"checkpoint parameter mismatch at {entry['name']}")
-        data = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").reshape(p.shape)
-        p[...] = data
+    params = np.frombuffer(base64.b64decode(payload["params"]), dtype="<f8")
+    if params.size != model.model.params.size:
+        raise ValueError(
+            f"checkpoint holds {params.size} parameters, the model it describes has {model.model.params.size}"
+        )
+    model.model.params[...] = params
     return model

@@ -152,6 +152,38 @@ def mann_whitney_auc(scores, labels) -> float:
     return total / (len(pos) * len(neg))
 
 
+def oracle_roc_curve(scores, labels) -> tuple[tuple, tuple]:
+    """(points, thresholds) of the threshold sweep, one row at a time:
+    tied scores share one point, and a row whose label is not 1 counts as a
+    false positive."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    n_pos = int((labels == 1).sum())
+    n_neg = int((labels == 0).sum())
+    order = np.argsort(-scores, kind="stable")
+    sorted_scores = scores[order]
+    sorted_labels = labels[order]
+    points = [(0.0, 0.0)]
+    thresholds = [np.inf]
+    tp = fp = 0
+    i = 0
+    n = len(scores)
+    while i < n:
+        cut = sorted_scores[i]
+        while i < n and sorted_scores[i] == cut:
+            if sorted_labels[i] == 1:
+                tp += 1
+            else:
+                fp += 1
+            i += 1
+        points.append((fp / n_neg, tp / n_pos))
+        thresholds.append(float(cut))
+    if points[-1] != (1.0, 1.0):
+        points.append((1.0, 1.0))
+        thresholds.append(-np.inf)
+    return tuple(points), tuple(thresholds)
+
+
 def numeric_grad(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     """Central finite differences of scalar-valued f() w.r.t. x, in place."""
     grad = np.zeros_like(x)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from elmdetect import cli
+from elmdetect.network import KERNEL_SIZE
 from elmdetect.training import TrainConfig
 from test_golden import write_corpus
 
@@ -202,11 +203,14 @@ def test_train_config_takes_every_field_but_progress_from_the_run_config():
           for rate in ("nan", "inf", "-0.05", "0")),
         pytest.param("--epochs", "0", "epochs must be >= 1", id="epochs-0"),
         pytest.param("--batch-size", "0", "batch_size must be >= 1", id="batch-size-0"),
+        *(pytest.param("--max-seq-len", n, f"max_seq_len must be >= {KERNEL_SIZE}", id=f"max-seq-len-{n}")
+          for n in ("-5", "0", "2")),
     ],
 )
 def test_learning_rate_that_is_not_finite_and_positive_exits_2(corpus_dir, tmp_path, flag, value, message):
-    """So does an epoch count or a batch size below 1: a flag no variant can
-    train with is an input error, reported before the dataset is read."""
+    """So does an epoch count or a batch size below 1, or a max_seq_len below
+    the conv kernel: a flag no variant can train with is an input error,
+    reported before the dataset is read."""
     out = tmp_path / "out"
     done = run_cli("run", *dataset_flags(corpus_dir), "--out", str(out), *FAST_FLAGS, flag, value)
     assert done.returncode == 2

@@ -25,7 +25,7 @@ from elmdetect.evaluation import (
 from elmdetect import evaluation
 from elmdetect.training import TrainConfig
 
-from oracles import mann_whitney_auc
+from oracles import mann_whitney_auc, oracle_roc_curve
 from synthetic import planted_token_corpus
 
 
@@ -157,6 +157,20 @@ class TestRoc:
             got = roc_auc(scores.tolist(), labels.tolist())
             expected = mann_whitney_auc(scores.tolist(), labels.tolist())
             assert abs(got - expected) <= 1e-9
+
+    def test_matches_row_by_row_sweep_on_200_tied_instances(self):
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            n = int(rng.integers(2, 201))
+            labels = rng.integers(0, 2, size=n)
+            if labels.min() == labels.max():
+                labels[0] = 1 - labels[0]
+            scores = np.round(rng.random(n), int(rng.integers(1, 3)))
+            curve = roc_curve(scores, labels)
+            assert (curve.points, curve.thresholds) == oracle_roc_curve(scores, labels)
+            # Python floats, so the CSV reprs do not change
+            assert all(type(x) is float for point in curve.points for x in point)
+            assert all(type(x) is float for x in curve.thresholds)
 
     def test_rank_invariance_under_monotone_transform(self):
         rng = np.random.default_rng(7)

@@ -10,7 +10,7 @@ from elmdetect.errors import (
     ShapeMismatchError,
     SingleClassTrainingSetError,
 )
-from elmdetect.network import DROPOUT_RATE, KERNEL_SIZE, LSTM_UNITS, PAD_INDEX, DropoutLayer, LstmLayer
+from elmdetect.network import DROPOUT_RATE, EMBEDDING_DIM, KERNEL_SIZE, LSTM_UNITS, PAD_INDEX, DropoutLayer, LstmLayer
 from elmdetect.textstats import tokenize
 from elmdetect.training import (
     AdamState,
@@ -92,7 +92,7 @@ class TestAdam:
         array at a time, bit for bit."""
         model = train(list(planted_token_corpus(32, seed=5)), quick_config("enhanced", epochs=1))
         net, rng = model.model, np.random.default_rng(6)
-        pieces = [p.copy() for _, p in model.param_items()]
+        pieces = [p.copy() for layer in net.layers() for p in layer.params.values()]
         m, v = [np.zeros_like(p) for p in pieces], [np.zeros_like(p) for p in pieces]
         state = AdamState(net.params)
         for t in range(1, 6):
@@ -100,8 +100,7 @@ class TestAdam:
             grads = [g.copy() for layer in net.layers() for g in layer.grads.values()]
             adam_step(net.params, net.grads, state, 0.01, 0.8, 0.99, 1e-6)
             oracle_adam(pieces, grads, m, v, t, 0.01, 0.8, 0.99, 1e-6)
-        for (name, p), want in zip(model.param_items(), pieces):
-            assert np.array_equal(p, want), name
+        assert np.array_equal(net.params, np.concatenate([p.reshape(-1) for p in pieces]))
 
 
 class TestEarlyStopper:
@@ -219,7 +218,8 @@ class TestTrain:
                     assert np.shares_memory(layer.grads[name], net.grads), name
                     sizes += p.size
             assert sizes == net.params.size
-            assert np.array_equal(np.concatenate([p.reshape(-1) for _, p in m.param_items()]), net.params)
+            in_order = [p.reshape(-1) for layer in net.layers() for p in layer.params.values()]
+            assert np.array_equal(np.concatenate(in_order), net.params)
 
     def test_stopping_point_follows_patience_rule(self):
         corpus = planted_token_corpus(48, seed=3)
@@ -380,7 +380,7 @@ class TestPredictIsolation:
         model = train(list(corpus), quick_config("features_only", epochs=1))
         a = make_doc("Alpha beta. Gamma delta.", 0, doc_id="ra")
         b = make_doc("Gamma delta. Alpha beta.", 0, doc_id="rb")
-        assert model.extractor.elm(a).values == model.extractor.elm(b).values
+        assert model.extractor.elm(a) == model.extractor.elm(b)
         assert predict_scores(model, [a])[0] == predict_scores(model, [b])[0]
 
     def test_enhanced_depends_only_on_clean_tokens_and_features(self):
@@ -389,7 +389,7 @@ class TestPredictIsolation:
         a = make_doc("hello world.", 0, doc_id="ea")
         b = make_doc("hello  world.", 0, doc_id="eb")  # extra space cleans away
         assert a.clean_text == b.clean_text
-        assert model.extractor.elm(a).values == model.extractor.elm(b).values
+        assert model.extractor.elm(a) == model.extractor.elm(b)
         assert predict_scores(model, [a])[0] == predict_scores(model, [b])[0]
 
     def test_enhanced_prediction_in_unit_interval(self):
@@ -409,10 +409,8 @@ class TestCheckpoint:
         loaded = load_model(path)
         assert loaded.variant == model.variant
         assert loaded.history == model.history
-        for (na, pa), (nb, pb) in zip(model.param_items(), loaded.param_items()):
-            assert na == nb
-            assert pa.dtype == pb.dtype == np.float64
-            assert np.array_equal(pa, pb)  # bit-exact
+        assert loaded.model.params.dtype == np.float64
+        assert np.array_equal(model.model.params, loaded.model.params)  # bit-exact
         docs = list(corpus)[:6]
         assert np.array_equal(predict_scores(model, docs), predict_scores(loaded, docs))
 
@@ -432,8 +430,9 @@ class TestCheckpoint:
     @pytest.mark.parametrize(
         "version",
         # 1: per-gate LSTM parameters; 2: trained to read the state after the padding;
-        # 3: the config held the fixed Adam, dropout, vocabulary and validation-split settings
-        [1, 2, 3],
+        # 3: the config held the fixed Adam, dropout, vocabulary and validation-split settings;
+        # 4: the parameters were stored one named array per layer parameter
+        [1, 2, 3, 4],
     )
     def test_older_checkpoint_version_rejected(self, version, tmp_path):
         import json
@@ -445,6 +444,22 @@ class TestCheckpoint:
         payload["format_version"] = version
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=f"version {version}"):
+            load_model(path)
+
+    def test_parameter_count_that_does_not_fit_the_model_rejected(self, tmp_path):
+        """With one token fewer in the vocabulary the embedding has one row
+        fewer, so the file holds more parameters than the model it builds."""
+        import json
+
+        corpus = planted_token_corpus(32, seed=12)
+        path = tmp_path / "model.json"
+        model = train(list(corpus), quick_config(epochs=1))
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        del payload["vocab"][max(payload["vocab"], key=payload["vocab"].get)]
+        path.write_text(json.dumps(payload))
+        n = model.model.params.size
+        with pytest.raises(ValueError, match=f"holds {n} parameters, the model it describes has {n - EMBEDDING_DIM}"):
             load_model(path)
 
 
@@ -464,3 +479,6 @@ class TestTrainConfig:
             TrainConfig(variant="bogus").validate()
         with pytest.raises(ValueError):
             TrainConfig(epochs=0).validate()
+        with pytest.raises(ValueError, match=f"max_seq_len must be >= {KERNEL_SIZE}"):
+            TrainConfig(max_seq_len=KERNEL_SIZE - 1).validate()
+        TrainConfig(max_seq_len=KERNEL_SIZE).validate()
