@@ -51,7 +51,8 @@ class ShapeMismatchError(ElmDetectError):
 
 # trainer
 class SingleClassTrainingSetError(ElmDetectError):
-    """The training set contains only one class."""
+    """A class has fewer than two training documents: one to train on and
+    one to carve off for the validation split."""
 
 
 # evaluator

@@ -1,17 +1,20 @@
 """Minimal tensor/layer engine: forward passes and exact analytic gradients.
 
 Layers take arrays with a leading batch dimension and cache whatever the
-backward pass needs. Parameters and their gradients are float64. The
+backward pass needs. The convolution and the LSTM, whose caches grow with
+the sequence, cache only in a training forward (``train=True``, the
+default): an eval forward keeps nothing, and a backward after it raises
+``RuntimeError``. Parameters and their gradients are float64. The
 convolution, dropout and LSTM compute in the dtype of their input: they cast
 their parameters to it at forward, keep their caches in it, and add their
 gradients into the float64 ``grads`` dicts, so float32 input gives float32
 compute over float64 master weights (Micikevicius et al., "Mixed Precision
 Training", arXiv:1710.03740). Every backward returns the gradient w.r.t. the
-layer input. A single example is a batch of one. When ``training`` builds the
-layers, their ``params`` and ``grads`` dicts hold views into the model's one
-flat parameter buffer and one flat gradient buffer, so layers update those
-arrays only in place, and ``train`` zeroes every gradient with one ``fill``
-per step; ``zero_grads`` is for a layer used on its own.
+layer input. A single example is a batch of one. When ``training`` builds
+the layers, their ``params`` and ``grads`` dicts hold views into the model's
+one flat parameter buffer and one flat gradient buffer, so layers update
+those arrays only in place, and ``train`` zeroes every gradient with one
+``fill`` per step; ``zero_grads`` is for a layer used on its own.
 
 The pipeline is a fixed chain (embedding, convolution, dropout, recurrence,
 concatenation, sigmoid head), so explicit per-layer backprop is used instead
@@ -134,7 +137,8 @@ class ConvLayer(Layer):
     temporary raised the peak memory of a run. Backward writes the output
     gradient into those shifted blocks of one zeroed ``(B, L, kernel * F)``
     array and gets the filter gradient and the input gradient from one GEMM
-    each.
+    each. An eval forward (``train=False``) keeps neither the input nor the
+    pre-activation and applies the ReLU in place.
     """
 
     def __init__(
@@ -162,7 +166,7 @@ class ConvLayer(Layer):
         ``j`` of filter ``f``."""
         return self.params["filters"].transpose(2, 1, 0).reshape(self.in_dim, -1).astype(dtype)
 
-    def forward(self, emb: np.ndarray) -> np.ndarray:
+    def forward(self, emb: np.ndarray, train: bool = True) -> np.ndarray:
         batch, length, dim = emb.shape
         h, nf = self.kernel_size, self.n_filters
         if length < h:
@@ -170,16 +174,21 @@ class ConvLayer(Layer):
         if dim != self.in_dim:
             raise DimensionMismatchError(f"expected embedding dim {self.in_dim}, got {dim}")
         out_len = length - h + 1
+        self._emb = self._pre = None
         flat, w = emb.reshape(-1, dim), self._tap_matrix(emb.dtype)
         pre = np.empty((batch, out_len, nf), emb.dtype)
         pre[...] = self.params["bias"]
         for j in range(h):
             pre += (flat @ w[:, j * nf : (j + 1) * nf]).reshape(batch, length, nf)[:, j : j + out_len]
+        if not train:
+            return np.maximum(pre, 0.0, out=pre)
         self._emb = emb
         self._pre = pre
         return np.maximum(pre, 0.0)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
+        if self._pre is None:
+            raise RuntimeError("ConvLayer.backward needs a train-mode forward first")
         h, nf, dim = self.kernel_size, self.n_filters, self.in_dim
         emb, pre = self._emb, self._pre
         batch, length, _ = emb.shape
@@ -223,14 +232,20 @@ class LstmLayer(Layer):
 
     The four gates (input, forget, cell, output) are stacked, in that order,
     along the last axis of three parameters: ``Wx (in_dim, 4H)``,
-    ``Wh (H, 4H)`` and ``b (4H,)``. Forward projects the input of every step
-    with one GEMM before the loop, bias included (Appleyard et al. 2016,
-    arXiv:1604.01946); each step then does one recurrent GEMM and one
-    ``tanh`` over all four gates, since sigmoid(x) = 0.5 + 0.5 tanh(x/2) and
-    the i/f/o columns are halved first (exact in binary). The cache is
+    ``Wh (H, 4H)`` and ``b (4H,)``. A training forward projects the input
+    of every step with one GEMM before the loop, bias included (Appleyard et
+    al. 2016, arXiv:1604.01946); each step then does one recurrent GEMM and
+    one ``tanh`` over all four gates, since sigmoid(x) = 0.5 + 0.5 tanh(x/2)
+    and the i/f/o columns are halved first (exact in binary). The cache is
     time-major, ``(T, B, .)``, so a step reads and writes contiguous blocks.
     Each cached input row is ``[x_t, 1, h_(t-1)]``, the operand of both the
     input projection and the weight gradient.
+
+    ``forward(seq, last, train=False)`` runs the same loop but keeps no
+    history and no cache: it projects each step's input on its own and holds
+    one step's activations, two ``[x, 1, h]`` rows and two cell states,
+    whatever the length. For two rows or more the GEMM gives the same bits
+    per row either way, so eval and training forwards agree exactly.
 
     ``forward(seq, last)`` returns ``h`` of row ``b`` after step ``last[b]``;
     steps past it are padding, and neither reach the output nor receive
@@ -240,7 +255,8 @@ class LstmLayer(Layer):
     recurrent GEMM and the gate arithmetic and writes each step's gate
     gradient over that step's cached activations; after the loop one GEMM
     gives ``Wx``, ``b`` and ``Wh``'s gradients and one more the input's. It
-    consumes the cache: a second ``backward`` needs a new ``forward``.
+    consumes the cache: a second ``backward`` needs a new training
+    ``forward``.
     """
 
     def __init__(
@@ -265,7 +281,7 @@ class LstmLayer(Layer):
         self._is_tanh = np.repeat([0.0, 0.0, 1.0, 0.0], hidden)
         self._cache: tuple | None = None
 
-    def forward(self, seq: np.ndarray, last: np.ndarray | None = None) -> np.ndarray:
+    def forward(self, seq: np.ndarray, last: np.ndarray | None = None, train: bool = True) -> np.ndarray:
         batch, steps, dim = seq.shape
         if dim != self.in_dim:
             raise DimensionMismatchError(f"expected input dim {self.in_dim}, got {dim}")
@@ -279,43 +295,51 @@ class LstmLayer(Layer):
         scale, shift = self._scale.astype(dtype), self._shift.astype(dtype)
         p = self.params
         w = np.vstack([p["Wx"], p["b"], p["Wh"]], dtype=dtype) * scale
-        # xh[t] = [x_t, 1, h before step t]; the last row holds only the final h
-        shapes = (steps + 1, batch, dim + 1 + hsz), (steps, batch, 4 * hsz), (steps + 1, batch, hsz)
-        xh, acts, cs = _one_block(dtype, *shapes)
-        xh[:steps, :, :dim] = seq.transpose(1, 0, 2)
+        wx, wh = w[: dim + 1], w[dim + 1 :]
+        order = np.argsort(last, kind="stable")
+        ends_at = np.split(order, np.searchsorted(last[order], np.arange(1, steps)))  # rows by last step
+        # Training keeps every step for backward. Eval keeps one step of
+        # activations and the two rows of xh and cs that a step reads and
+        # writes, so step t uses row t % n and fills row (t + 1) % n.
+        kept = steps if train else 1
+        n = kept + 1
+        xh, acts, cs = _one_block(dtype, (n, batch, dim + 1 + hsz), (kept, batch, 4 * hsz), (n, batch, hsz))
         xh[:, :, dim] = 1.0
         xh[0, :, dim + 1 :] = cs[0] = 0.0
-        hs = xh[:, :, dim + 1 :]  # hs[t + 1] is h after step t
-        np.matmul(xh[:steps, :, : dim + 1].reshape(-1, dim + 1), w[: dim + 1], out=acts.reshape(-1, 4 * hsz))
-        wh = w[dim + 1 :]
-        gates = acts.reshape(steps, batch, 4, hsz).transpose(0, 2, 1, 3)  # gates[t] = i, f, g, o of step t
+        hs = xh[:, :, dim + 1 :]  # hs[(t + 1) % n] is h after step t
+        out = np.empty((batch, hsz), dtype)
         for t in range(steps):
-            a = acts[t]
+            now, nxt, a = t % n, (t + 1) % n, acts[t % kept]
+            if t % kept == 0:  # project the input of the next `kept` steps, bias included
+                xh[now : now + kept, :, :dim] = seq[:, t : t + kept].transpose(1, 0, 2)
+                np.matmul(xh[now : now + kept, :, : dim + 1].reshape(-1, dim + 1), wx, out=acts.reshape(-1, 4 * hsz))
             if t:  # h before the first step is 0
-                a += hs[t] @ wh
+                a += hs[now] @ wh
             np.tanh(a, out=a)
             a *= scale
             a += shift
-            i, f, g, o = gates[t]
-            np.multiply(f, cs[t], out=cs[t + 1])
-            cs[t + 1] += i * g
-            np.multiply(o, np.tanh(cs[t + 1]), out=hs[t + 1])
-        self._cache = (xh, acts, cs, last)
-        return hs[last + 1, np.arange(batch)]
+            i, f, g, o = a.reshape(batch, 4, hsz).transpose(1, 0, 2)
+            np.multiply(f, cs[now], out=cs[nxt])
+            cs[nxt] += i * g
+            np.multiply(o, np.tanh(cs[nxt]), out=hs[nxt])
+            rows = ends_at[t]
+            if rows.size:
+                out[rows] = hs[nxt, rows]
+        if train:
+            self._cache = (xh, acts, cs, ends_at)
+        return out
 
     def backward(self, dh_final: np.ndarray) -> np.ndarray:
         """Backprop of the gradient w.r.t. each row's returned state, which
         enters that row at its last real step."""
         if self._cache is None:
-            raise RuntimeError("LstmLayer.backward needs a forward first; backward consumes its cache")
-        xh, acts, cs, last = self._cache
+            raise RuntimeError("LstmLayer.backward needs a train-mode forward first; backward consumes its cache")
+        xh, acts, cs, ends_at = self._cache
         self._cache = None
         steps, batch, _ = acts.shape
         dtype, hsz, dim = acts.dtype, self.hidden, self.in_dim
         wh_t = np.ascontiguousarray(self.params["Wh"].T, dtype)
         is_tanh = self._is_tanh.astype(dtype)
-        order = np.argsort(last, kind="stable")
-        ends_at = np.split(order, np.searchsorted(last[order], np.arange(1, steps)))  # rows by last step
         dh = np.zeros((batch, hsz), dtype)
         dc = np.zeros((batch, hsz), dtype)
         dact = np.empty((batch, 4 * hsz), dtype)  # gradient w.r.t. each gate's activation

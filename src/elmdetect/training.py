@@ -243,9 +243,9 @@ class TextPipelineModel:
         emb = self.embedding.forward(ids)
         if train:
             emb = emb.astype(np.float32)
-        fmap = self.conv.forward(emb)
+        fmap = self.conv.forward(emb, train)
         fmap = self.dropout.forward(fmap, train=train, rng=rng)
-        text = self.lstm.forward(fmap, last=np.maximum(lengths - KERNEL_SIZE, 0))
+        text = self.lstm.forward(fmap, last=np.maximum(lengths - KERNEL_SIZE, 0), train=train)
         z = text if feats is None else np.concatenate([text, feats], axis=1)
         return self.head.forward(z)
 
@@ -342,8 +342,12 @@ def predict_scores(model: TrainedModel, docs: Sequence[Document]) -> np.ndarray:
 
 
 def _eval_forward(net, ids: np.ndarray | None, feats: np.ndarray | None, size: int) -> np.ndarray:
-    """Eval-mode probabilities, `size` rows at a time, so the layer caches
-    stay bounded however many rows there are.
+    """Eval-mode probabilities, `size` rows at a time.
+
+    An eval forward caches nothing, and the LSTM holds one step of state
+    whatever the length, so a chunk's largest arrays are its embeddings and
+    conv output; memory is bounded by `size` times the longest row, however
+    many rows there are.
 
     Rows with token ids run in a stable order of their length, so each
     chunk, trimmed to its own longest row, holds rows of about one length
@@ -380,9 +384,12 @@ def train(
     docs = list(docs)
     if not docs:
         raise EmptyTrainingSetError("training set is empty")
-    labels_all = {d.label for d in docs}
-    if len(labels_all) < 2:
-        raise SingleClassTrainingSetError(f"training set has only class {labels_all}")
+    counts = Counter(d.label for d in docs)
+    for label in (0, 1):
+        if counts[label] < 2:  # one row to train on and one to validate
+            raise SingleClassTrainingSetError(
+                f"training set has {counts[label]} documents of class {label}; each class needs at least 2"
+            )
     extractor = extractor or FeatureExtractor()
 
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))

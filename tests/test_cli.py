@@ -218,6 +218,16 @@ def test_learning_rate_that_is_not_finite_and_positive_exits_2(corpus_dir, tmp_p
     assert not out.exists()
 
 
+def test_run_with_one_training_document_of_a_class_exits_3(tmp_path, capsys):
+    """With two documents per class and k=2, each fold trains on one of each,
+    which leaves neither class a validation row."""
+    write_corpus(tmp_path, n=4, seed=1)
+    out = tmp_path / "out"
+    assert cli.main(["run", *dataset_flags(tmp_path), "--out", str(out), "--k", "2", "--variants", "base"]) == 3
+    assert "fold 0 variant base failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_reports_a_score_that_is_not_finite(run_copy):
     path = run_copy / "scores_base_0.csv"
     stamp, header, first, *rest = path.read_text(encoding="utf-8").splitlines()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,17 @@ def test_conv_holds_no_array_larger_than_its_input_and_pre_activation():
     out = layer.forward(emb)
     held = [value for value in vars(layer).values() if isinstance(value, np.ndarray) and value is not emb]
     assert sum(a.nbytes for a in held) <= out.nbytes  # the pre-activation, shaped like the output
+
+
+def test_conv_eval_forward_keeps_nothing_and_equals_the_training_forward():
+    rng = np.random.default_rng(23)
+    layer = ConvLayer(n_filters=64, kernel_size=3, in_dim=100, rng=rng)
+    emb = rng.normal(size=(4, 20, 100))
+    out = layer.forward(emb, train=False)
+    assert layer._emb is None and layer._pre is None
+    with pytest.raises(RuntimeError):
+        layer.backward(np.ones_like(out))
+    assert np.array_equal(out, layer.forward(emb))
 
 
 def _smooth_conv_case(seed, kernel_size, margin=1e-3):
@@ -416,6 +429,60 @@ class TestLstm:
         layer.backward(np.ones((2, 4)))
         with pytest.raises(RuntimeError):
             layer.backward(np.ones((2, 4)))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        "batch, steps, last",
+        [(2, 1, [0, 0]), (4, 7, [6, 0, 3, 3]), (5, 33, [32, 1, 17, 0, 32]), (32, 98, None)],
+        ids=["b2_t1", "b4_rows_end_apart", "b5_rows_end_apart", "b32_t98"],
+    )
+    def test_eval_forward_equals_the_training_forward(self, batch, steps, last, dtype):
+        """Bit for bit: with two rows or more, projecting each step's input
+        on its own gives the same bits as projecting every step at once."""
+        rng = np.random.default_rng(steps)
+        layer = LstmLayer(64, 100, rng)
+        seq = rng.normal(size=(batch, steps, 64)).astype(dtype)
+        last = None if last is None else np.array(last)
+        out = layer.forward(seq, last, train=False)
+        assert out.dtype == dtype
+        assert np.array_equal(out, layer.forward(seq, last))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("steps, last", [(1, 0), (2, 1), (9, 4), (98, 97)])
+    def test_one_row_eval_forward_agrees_with_the_training_forward(self, steps, last, dtype):
+        """A one-row step is a matrix-vector product, which may round
+        differently from the training forward's one GEMM over all steps."""
+        rng = np.random.default_rng(steps + 300)
+        layer = LstmLayer(64, 100, rng)
+        seq = rng.normal(size=(1, steps, 64)).astype(dtype)
+        want = layer.forward(seq, np.array([last]))
+        assert_matches_oracle(layer.forward(seq, np.array([last]), train=False), want, dtype)
+
+    def test_backward_after_an_eval_forward_raises(self):
+        rng = np.random.default_rng(6)
+        layer = LstmLayer(3, 4, rng)
+        layer.forward(rng.normal(size=(2, 5, 3)))
+        layer.forward(rng.normal(size=(2, 5, 3)), train=False)
+        with pytest.raises(RuntimeError):
+            layer.backward(np.ones((2, 4)))
+
+    def test_eval_forward_memory_does_not_grow_with_the_length(self):
+        """A 32-row float64 eval forward holds one step of state, so 200
+        steps peak as high as 20 (a training forward keeps all T steps:
+        about 4 MB at 20 steps and 34 MB at 200)."""
+        rng = np.random.default_rng(9)
+        layer = LstmLayer(64, 100, rng)
+        peaks = []
+        for steps in (20, 100, 200):
+            seq = rng.normal(size=(32, steps, 64))
+            tracemalloc.start()
+            try:
+                layer.forward(seq, train=False)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) - min(peaks) < 2**14, peaks
+        assert max(peaks) < 2 * 2**20, peaks
 
     @pytest.mark.parametrize("last", [[0, 5], [-1, 2], [1, 2, 3]])
     def test_last_out_of_range_rejected(self, last):

@@ -160,6 +160,16 @@ class TestTrain:
         with pytest.raises(SingleClassTrainingSetError):
             train(docs, quick_config())
 
+    def test_a_class_with_one_document_is_rejected(self):
+        """One document of a class leaves it no validation row, and the
+        validation loss would be the mean of no rows, NaN."""
+        docs = [make_doc(f"text {i}.", i % 2, doc_id=str(i)) for i in range(3)]
+        with pytest.raises(SingleClassTrainingSetError, match="1 documents of class 1"):
+            train(docs, quick_config())
+        docs.append(make_doc("text 3.", 1, doc_id="3"))
+        model = train(docs, quick_config(epochs=1))
+        assert all(math.isfinite(loss) for loss in model.history[0])
+
     def test_history_and_fingerprint(self):
         corpus = planted_token_corpus(32, seed=0)
         model = train(list(corpus), quick_config())
@@ -289,9 +299,9 @@ class TestTrain:
         steps = []
         forward = LstmLayer.forward
 
-        def counting_forward(self, seq, last=None):
+        def counting_forward(self, seq, last=None, train=True):
             steps.append(seq.shape[1])
-            return forward(self, seq, last)
+            return forward(self, seq, last, train)
 
         monkeypatch.setattr(LstmLayer, "forward", counting_forward)
         predict_scores(model, docs)
