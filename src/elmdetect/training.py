@@ -344,10 +344,10 @@ def predict_scores(model: TrainedModel, docs: Sequence[Document]) -> np.ndarray:
 def _eval_forward(net, ids: np.ndarray | None, feats: np.ndarray | None, size: int) -> np.ndarray:
     """Eval-mode probabilities, `size` rows at a time.
 
-    An eval forward caches nothing, and the LSTM holds one step of state
-    whatever the length, so a chunk's largest arrays are its embeddings and
-    conv output; memory is bounded by `size` times the longest row, however
-    many rows there are.
+    The conv and the LSTM keep nothing after an eval forward, and the LSTM
+    holds one step of state whatever the length, so a chunk's largest arrays
+    are its embeddings and conv output; memory is bounded by `size` times
+    the longest row, however many rows there are.
 
     Rows with token ids run in a stable order of their length, so each
     chunk, trimmed to its own longest row, holds rows of about one length
@@ -471,8 +471,7 @@ def _stratified_val_split(
     for label in (0, 1):
         members = [i for i, d in enumerate(docs) if d.label == label]
         order = rng.permutation(len(members))
-        n_val = max(1, int(round(VAL_FRACTION * len(members))))
-        n_val = min(n_val, len(members) - 1)  # keep at least one row in train
+        n_val = max(1, int(round(VAL_FRACTION * len(members))))  # leaves one row or more: train needs 2 per class
         val_idx.update(members[j] for j in order[:n_val])
     train = [d for i, d in enumerate(docs) if i not in val_idx]
     val = [d for i, d in enumerate(docs) if i in val_idx]
