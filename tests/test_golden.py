@@ -1,12 +1,13 @@
 """Golden pin of a small fixed-seed `elmdetect run`.
 
 Refactors must keep every artifact bit-identical: report.json (minus its
-timestamp) and every CSV of the run directory, stamps included. A change
-that alters the numerics on purpose re-records these digests and says so:
+timestamp) and every CSV and SVG of the run directory, stamps included. A
+change that alters the numerics on purpose re-records these digests and says
+so:
 
     PYTHONPATH=src python tests/test_golden.py
 
-prints the REPORT_SHA256 / CSV_SHA256 block of the current code.
+prints the REPORT_SHA256 / CSV_SHA256 / SVG_SHA256 block of the current code.
 """
 import contextlib
 import csv
@@ -23,7 +24,7 @@ from elmdetect import cli
 
 RUN_FLAGS = [
     "--k", "3", "--seed", "7", "--variants", "base,features_only,enhanced,combined",
-    "--epochs", "2", "--patience", "0", "--learning-rate", "0.05", "--max-seq-len", "16",
+    "--epochs", "2", "--patience", "0", "--learning-rate", "0.05", "--max-seq-len", "16", "--plots",
 ]
 
 REPORT_SHA256 = "184d58dea65c07a9c355fb4b06fda19c24c9b03f35f79fe2d6d1f24532aa93c3"
@@ -51,6 +52,10 @@ CSV_SHA256 = {
     "scores_features_only_1.csv": "859e3715bf0d5e9195233124341c2191615f25663c7e93718f16febab13805a6",
     "scores_features_only_2.csv": "f5f27f4b55c11012b2deabfe4719e6b2dc19dc748ce0b5fcd7199e35e6ba9929",
 }
+SVG_SHA256 = {
+    "improvement.svg": "05261f5e8eca98d780611c30df9fea592ac419fc604229cdce8dd1e5de6c589e",
+    "roc.svg": "f5d169b9f9bfae20802f2470dafe4fa912d9e02276b0c11ac54accaa484959c5",
+}
 
 
 def write_corpus(directory, n=60, seed=3):
@@ -66,8 +71,8 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_digests(directory: Path) -> tuple[str, dict[str, str]]:
-    """The report digest and the CSV digests of the pinned run, made in
+def run_digests(directory: Path) -> tuple[str, dict[str, str], dict[str, str]]:
+    """The report digest and the CSV and SVG digests of the pinned run, made in
     directory, which must be the working directory: relative dataset paths
     keep the config hash independent of where the run is made."""
     write_corpus(directory)
@@ -77,14 +82,16 @@ def run_digests(directory: Path) -> tuple[str, dict[str, str]]:
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     del report["generated_at"]
     csvs = {p.name: sha256(p.read_bytes()) for p in sorted(out.glob("*.csv"))}
-    return sha256(json.dumps(report, sort_keys=True).encode("utf-8")), csvs
+    svgs = {p.name: sha256(p.read_bytes()) for p in sorted(out.glob("*.svg"))}
+    return sha256(json.dumps(report, sort_keys=True).encode("utf-8")), csvs, svgs
 
 
 def test_run_artifacts_are_bit_identical(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    report, csvs = run_digests(tmp_path)
+    report, csvs, svgs = run_digests(tmp_path)
     assert report == REPORT_SHA256
     assert csvs == CSV_SHA256
+    assert svgs == SVG_SHA256
 
 
 if __name__ == "__main__":
@@ -92,11 +99,12 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         os.chdir(tmp)
         try:
-            report, csvs = run_digests(Path(tmp))
+            report, csvs, svgs = run_digests(Path(tmp))
         finally:
             os.chdir(cwd)
     print(f'REPORT_SHA256 = "{report}"')
-    print("CSV_SHA256 = {")
-    for name, digest in csvs.items():
-        print(f'    "{name}": "{digest}",')
-    print("}")
+    for block, digests in (("CSV_SHA256", csvs), ("SVG_SHA256", svgs)):
+        print(f"{block} = {{")
+        for name, digest in digests.items():
+            print(f'    "{name}": "{digest}",')
+        print("}")
