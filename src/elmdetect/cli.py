@@ -5,17 +5,23 @@ Every output file is stamped with the run's config hash, which covers the
 dataset files' contents, and with its global seed. All commands are
 deterministic given identical inputs and flags (report.json carries the only
 timestamp).
+
+`_render` is the only code that knows what a run directory holds. `run`
+writes what it returns; `verify` rebuilds the report from the dataset and the
+stored scores, renders it again and compares every file byte for byte; `plot`
+redraws the SVGs the same way.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .corpus import DocumentSet, FoldPlan, load_dataset, stratified_folds
@@ -24,10 +30,9 @@ from .evaluation import (
     FNIR_REFERENCE_RESULTS,
     METRIC_NAMES,
     ComparisonReport,
-    confusion,
+    build_report,
     cross_validate,
-    metrics,
-    roc_auc,
+    evaluate_fold,
     roc_curve,
 )
 from .features import FEATURE_NAMES, FeatureExtractor
@@ -43,8 +48,8 @@ REPORT_SCHEMA_VERSION = 1
 
 DATASET_FIELDS = ("true_csv", "fake_csv")
 
-# the stamped CSVs `run` writes, which `verify` checks; a re-run first deletes
-# the per-variant ones and the plots of an earlier run
+# the stamped CSVs `run` writes; a re-run first deletes the per-variant ones
+# and the plots of an earlier run
 VARIANT_CSV_PATTERNS = ("scores_*.csv", "roc_*.csv", "confusion_*.csv")
 RUN_CSV_PATTERNS = ("fold_assignments.csv", "folds.csv", *VARIANT_CSV_PATTERNS)
 PLOT_NAMES = ("roc.svg", "improvement.svg")
@@ -113,12 +118,17 @@ def _stamp(cfg_hash: str, seed: int) -> str:
     return f"# config_hash={cfg_hash} seed={seed}"
 
 
-def _write_csv(path: Path, stamp: str, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(stamp + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _csv_text(stamp: str, header: list[str], rows) -> str:
+    buf = io.StringIO()
+    buf.write(stamp + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _write(path: Path, text: str) -> None:
+    path.write_text(text, encoding="utf-8", newline="")
 
 
 def _read_stamp(path: Path) -> dict[str, str]:
@@ -138,13 +148,8 @@ def _read_stamp(path: Path) -> dict[str, str]:
 # -- subcommands ----------------------------------------------------------------
 
 
-def _write_fold_assignments(out: Path, stamp: str, corpus: DocumentSet, plan: FoldPlan) -> None:
-    _write_csv(
-        out / "fold_assignments.csv",
-        stamp,
-        ["doc_id", "fold"],
-        ((doc.id, fold) for doc, fold in zip(corpus, plan.assignments)),
-    )
+def _fold_assignments(stamp: str, corpus: DocumentSet, plan: FoldPlan) -> str:
+    return _csv_text(stamp, ["doc_id", "fold"], ((doc.id, fold) for doc, fold in zip(corpus, plan.assignments)))
 
 
 def cmd_ingest(args) -> int:
@@ -154,7 +159,7 @@ def cmd_ingest(args) -> int:
     plan = stratified_folds(corpus, cfg.k, cfg.seed)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_fold_assignments(out, _stamp(cfg_hash, cfg.seed), corpus, plan)
+    _write(out / "fold_assignments.csv", _fold_assignments(_stamp(cfg_hash, cfg.seed), corpus, plan))
     n_true, n_fake = corpus.class_counts
     fold_sizes = [plan.assignments.count(f) for f in range(cfg.k)]
     summary = {
@@ -186,7 +191,7 @@ def cmd_features(args) -> int:
         [doc.id, doc.label] + [repr(v) for v in extractor.elm(doc)]
         for doc in corpus
     )
-    _write_csv(out / "features.csv", stamp, ["doc_id", "label", *FEATURE_NAMES], rows)
+    _write(out / "features.csv", _csv_text(stamp, ["doc_id", "label", *FEATURE_NAMES], rows))
     print(f"wrote features for {len(corpus)} documents to {out / 'features.csv'}")
     return EXIT_OK
 
@@ -208,8 +213,6 @@ def cmd_run(args) -> int:
     _remove_stale_artifacts(out)
     _write_run_outputs(cfg, hashed, corpus, plan, report, out)
     _print_tables(report)
-    if cfg.emit_plots:
-        cmd_plot(argparse.Namespace(out=str(out)))
     return EXIT_OK
 
 
@@ -226,60 +229,52 @@ def _remove_stale_artifacts(out: Path) -> None:
 def _write_run_outputs(
     cfg: RunConfig, hashed: dict, corpus: DocumentSet, plan: FoldPlan, report: ComparisonReport, out: Path
 ) -> None:
+    generated_at = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
+    for name, text in _render(hashed, cfg.seed, corpus, plan, report, generated_at, cfg.emit_plots).items():
+        _write(out / name, text)
+
+
+def _render(
+    hashed: dict, seed: int, corpus: DocumentSet, plan: FoldPlan, report: ComparisonReport, generated_at: str,
+    plots: bool,
+) -> dict[str, str]:
+    """The text of every file of a run directory, by name: the CSVs,
+    report.json and, with plots, roc.svg and improvement.svg."""
     cfg_hash = _config_hash(hashed)
-    stamp = _stamp(cfg_hash, cfg.seed)
-    _write_fold_assignments(out, stamp, corpus, plan)
-    _write_csv(
-        out / "folds.csv",
-        stamp,
-        ["fold", "variant", "acc", "prec", "rec", "f1", "auc"],
-        (
-            [
-                r.fold_index,
-                r.variant,
-                repr(r.metric_set.accuracy),
-                repr(r.metric_set.precision),
-                repr(r.metric_set.recall),
-                repr(r.metric_set.f1),
-                repr(r.metric_set.roc_auc),
-            ]
-            for r in report.fold_results
+    stamp = _stamp(cfg_hash, seed)
+    files = {
+        "fold_assignments.csv": _fold_assignments(stamp, corpus, plan),
+        "folds.csv": _csv_text(
+            stamp,
+            ["fold", "variant", "acc", "prec", "rec", "f1", "auc"],
+            ([r.fold_index, r.variant, *map(repr, r.metric_set.as_dict().values())] for r in report.fold_results),
         ),
-    )
+    }
+    curves = {}
     for variant in report.variants:
         rows = [r for r in report.fold_results if r.variant == variant]
         for r in rows:
-            _write_csv(
-                out / f"scores_{variant}_{r.fold_index}.csv",
-                stamp,
-                ["doc_id", "score", "label"],
-                ((d, repr(s), y) for d, s, y in zip(r.doc_ids, r.scores, r.labels)),
+            files[f"scores_{variant}_{r.fold_index}.csv"] = _csv_text(
+                stamp, ["doc_id", "score", "label"], ((d, repr(s), y) for d, s, y in zip(r.doc_ids, r.scores, r.labels))
             )
-        _write_csv(
-            out / f"confusion_{variant}.csv",
-            stamp,
-            ["fold", "tp", "tn", "fp", "fn"],
-            (
-                [r.fold_index, r.confusion.tp, r.confusion.tn, r.confusion.fp, r.confusion.fn]
-                for r in rows
-            ),
+        files[f"confusion_{variant}.csv"] = _csv_text(
+            stamp, ["fold", "tp", "tn", "fp", "fn"], ([r.fold_index, *asdict(r.confusion).values()] for r in rows)
         )
         # pooled out-of-fold scores give one ROC per variant
-        scores = [s for r in rows for s in r.scores]
-        labels = [y for r in rows for y in r.labels]
-        curve = roc_curve(scores, labels)
-        _write_csv(
-            out / f"roc_{variant}.csv",
+        curve = roc_curve([s for r in rows for s in r.scores], [y for r in rows for y in r.labels])
+        files[f"roc_{variant}.csv"] = _csv_text(
             stamp,
             ["fpr", "tpr", "threshold"],
             ((repr(p[0]), repr(p[1]), repr(t)) for p, t in zip(curve.points, curve.thresholds)),
         )
+        fprs, tprs = zip(*curve.points)
+        curves[variant] = (fprs, tprs, report.mean_metrics[variant].roc_auc)
     payload = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "config_hash": cfg_hash,
-        "seed": cfg.seed,
+        "seed": seed,
         "k": report.k,
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
+        "generated_at": generated_at,
         "config": hashed,
         "variants": list(report.variants),
         "mean_metrics": {v: m.as_dict() for v, m in report.mean_metrics.items()},
@@ -290,23 +285,19 @@ def _write_run_outputs(
             v: FNIR_REFERENCE_RESULTS[v] for v in report.variants if v in FNIR_REFERENCE_RESULTS
         },
         "per_fold": [
-            {
-                "fold": r.fold_index,
-                "variant": r.variant,
-                "metrics": r.metric_set.as_dict(),
-                "confusion": {
-                    "tp": r.confusion.tp,
-                    "tn": r.confusion.tn,
-                    "fp": r.confusion.fp,
-                    "fn": r.confusion.fn,
-                },
-            }
+            {"fold": r.fold_index, "variant": r.variant, "metrics": r.metric_set.as_dict(),
+             "confusion": asdict(r.confusion)}
             for r in report.fold_results
         ],
     }
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    files["report.json"] = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if plots:
+        comment = f"<!-- config_hash={cfg_hash} seed={seed} -->\n"
+        # without base, or with base alone, every variant is drawn at zero
+        deltas = report.deltas or {v: dict.fromkeys(METRIC_NAMES, 0.0) for v in report.variants}
+        files["roc.svg"] = comment + render_roc_svg(curves)
+        files["improvement.svg"] = comment + render_improvement_svg(METRIC_NAMES, deltas)
+    return files
 
 
 def _print_tables(report: ComparisonReport) -> None:
@@ -343,54 +334,12 @@ def _print_tables(report: ComparisonReport) -> None:
 
 def cmd_plot(args) -> int:
     out = Path(args.out)
-    folds_path = out / "folds.csv"
-    if not folds_path.exists():
-        print(f"error: {folds_path} not found; run the 'run' command first", file=sys.stderr)
-        return EXIT_INPUT
-    stamp = _read_stamp(folds_path)
-    rows = _read_csv(folds_path)
-    if not rows or "variant" not in rows[0]:
-        print("error: folds.csv has no per-variant metrics (was it written by 'run'?)", file=sys.stderr)
-        return EXIT_INPUT
-    variants = sorted({r["variant"] for r in rows})
-    curves = {}
-    for variant in variants:
-        roc_path = out / f"roc_{variant}.csv"
-        if not roc_path.exists():
-            print(f"error: {roc_path} not found", file=sys.stderr)
-            return EXIT_INPUT
-        points = _read_csv(roc_path)
-        if not points:
-            print(f"error: {roc_path} is empty", file=sys.stderr)
-            return EXIT_INPUT
-        fprs = [float(p["fpr"]) for p in points]
-        tprs = [float(p["tpr"]) for p in points]
-        aucs = [float(r["auc"]) for r in rows if r["variant"] == variant]
-        curves[variant] = (fprs, tprs, sum(aucs) / len(aucs))
-    comment = f"<!-- config_hash={stamp.get('config_hash', '?')} seed={stamp.get('seed', '?')} -->\n"
-    (out / "roc.svg").write_text(comment + render_roc_svg(curves), encoding="utf-8")
-    means = {
-        v: {m: _mean([float(r[c]) for r in rows if r["variant"] == v]) for m, c in
-            zip(METRIC_NAMES, ("acc", "prec", "rec", "f1", "auc"))}
-        for v in variants
-    }
-    if "base" in means and len(variants) > 1:
-        deltas = {
-            v: {m: means[v][m] - means["base"][m] for m in METRIC_NAMES}
-            for v in variants
-            if v != "base"
-        }
-    else:
-        deltas = {v: {m: 0.0 for m in METRIC_NAMES} for v in variants}
-    (out / "improvement.svg").write_text(
-        comment + render_improvement_svg(METRIC_NAMES, deltas), encoding="utf-8"
-    )
+    _, hashed, cfg, generated_at = _read_report(out / "report.json")
+    files = _render(hashed, cfg.seed, *_rederive(out, cfg), generated_at, plots=True)
+    for name in PLOT_NAMES:
+        _write(out / name, files[name])
     print(f"wrote {out / 'roc.svg'} and {out / 'improvement.svg'}")
     return EXIT_OK
-
-
-def _mean(xs: list[float]) -> float:
-    return sum(xs) / len(xs)
 
 
 def _read_csv(path: Path) -> list[dict[str, str]]:
@@ -399,38 +348,66 @@ def _read_csv(path: Path) -> list[dict[str, str]]:
     return list(csv.DictReader(lines))
 
 
-def _read_report(path: Path) -> tuple[str, dict, RunConfig, list[tuple[str, int, dict]]]:
+def _read_report(path: Path) -> tuple[str, dict, RunConfig, str]:
     """The stored config hash, the embedded hashed fields, the RunConfig
-    they hold and the (variant, fold, metrics) of every per-fold entry;
-    ValueError says what is malformed."""
+    they hold and the report's timestamp; ValueError says what is
+    malformed."""
+    if not path.exists():
+        raise FileNotFoundError(f"{path} not found; run the 'run' command first")
     try:
         report = json.loads(path.read_text(encoding="utf-8"))
-        per_fold = [
-            (e["variant"], e["fold"], {name: float(e["metrics"][name]) for name in METRIC_NAMES})
-            for e in report["per_fold"]
-        ]
         hashed = report["config"]
         config = {name: value for name, value in hashed.items() if name != "dataset_sha256"}
         digests = hashed["dataset_sha256"]
         if not isinstance(digests, dict) or sorted(digests) != sorted(DATASET_FIELDS):
             raise ValueError(f"dataset_sha256 must name {', '.join(DATASET_FIELDS)}")
-        return report["config_hash"], hashed, RunConfig(**config), per_fold
+        return report["config_hash"], hashed, RunConfig(**config), report["generated_at"]
     except KeyError as exc:
-        raise ValueError(f"missing key {exc}") from None
-    except (TypeError, AttributeError) as exc:
-        raise ValueError(str(exc)) from None
+        raise ValueError(f"report.json is malformed: missing key {exc}") from None
+    except (TypeError, AttributeError, ValueError) as exc:
+        raise ValueError(f"report.json is malformed: {exc}") from None
+
+
+def _rederive(out: Path, cfg: RunConfig) -> tuple[DocumentSet, FoldPlan, ComparisonReport]:
+    """The dataset, the fold plan and the report of the run in out, rebuilt
+    from the dataset and the stored scores as `cross_validate` built them.
+    ValueError names a scores file that cannot be read, that does not hold
+    its fold's test documents and labels in order, or whose scores are not
+    finite numbers."""
+    corpus = load_dataset(cfg.true_csv, cfg.fake_csv)
+    plan = stratified_folds(corpus, cfg.k, cfg.seed)
+    results = []
+    for fold in range(plan.k):
+        test_docs = [corpus[i] for i in plan.test_indices(fold)]
+        expected = ([d.id for d in test_docs], [str(d.label) for d in test_docs])
+        for variant in cfg.variants:
+            name = f"scores_{variant}_{fold}.csv"
+            try:
+                rows = _read_csv(out / name)
+            except (OSError, UnicodeDecodeError, csv.Error) as exc:
+                raise ValueError(f"{name}: cannot be read: {exc}") from None
+            try:
+                doc_ids, labels, scores = ([r[c] for r in rows] for c in ("doc_id", "label", "score"))
+            except KeyError as exc:
+                raise ValueError(f"{name}: the header has no {exc} column") from None
+            if (doc_ids, labels) != expected:
+                raise ValueError(f"{name}: its doc ids and labels are not fold {fold}'s test documents")
+            try:
+                scores = [float(s) for s in scores]
+            except (TypeError, ValueError):
+                raise ValueError(f"{name}: a score is not a number") from None
+            if not all(map(math.isfinite, scores)):
+                raise ValueError(f"{name}: a score is not finite")
+            results.append(evaluate_fold(fold, variant, doc_ids, scores, [d.label for d in test_docs]))
+    return corpus, plan, build_report(results, plan.k)
 
 
 def cmd_verify(args) -> int:
     out = Path(args.out)
-    report_path = out / "report.json"
-    if not report_path.exists():
-        print(f"error: {report_path} not found", file=sys.stderr)
-        return EXIT_INPUT
     try:
-        stored_hash, hashed, cfg, per_fold = _read_report(report_path)
+        stored_hash, hashed, cfg, generated_at = _read_report(out / "report.json")
     except ValueError as exc:
-        print(f"verify: report.json is malformed: {exc}", file=sys.stderr)
+        print(f"verify: {exc}", file=sys.stderr)
         return EXIT_INPUT
     problems = []
     if _config_hash(hashed) != stored_hash:
@@ -444,21 +421,26 @@ def cmd_verify(args) -> int:
             continue
         if digest != hashed["dataset_sha256"][name]:
             problems.append(f"dataset {path} has changed since the run (its sha256 differs from report.json)")
-    for path in sorted(path for pattern in RUN_CSV_PATTERNS for path in out.glob(pattern)):
+    stamped = sorted(path for pattern in RUN_CSV_PATTERNS for path in out.glob(pattern))
+    for path in stamped:
         if _read_stamp(path).get("config_hash") != stored_hash:
             problems.append(f"{path.name}: config hash stamp mismatch")
-    # metrics must be recomputable from the persisted per-document scores
-    for variant, fold, stored in per_fold:
-        rows = _read_csv(out / f"scores_{variant}_{fold}.csv")
-        scores = [float(r["score"]) for r in rows]
-        if not all(map(math.isfinite, scores)):
-            problems.append(f"scores_{variant}_{fold}.csv: a score is not finite")
-            continue
-        labels = [int(r["label"]) for r in rows]
-        mset = metrics(confusion(scores, labels), roc_auc(scores, labels))
-        for name in METRIC_NAMES:
-            if abs(getattr(mset, name) - stored[name]) > 1e-9:
-                problems.append(f"fold {fold} {variant}: stored {name} does not match scores")
+    # every file must be what the dataset and the stored scores render to
+    if not problems:
+        plots = any((out / name).exists() for name in PLOT_NAMES)
+        try:
+            files = _render(hashed, cfg.seed, *_rederive(out, cfg), generated_at, plots)
+        except ValueError as exc:
+            problems.append(str(exc))
+        else:
+            problems += [f"{path.name}: not written by this run" for path in stamped if path.name not in files]
+            for name, text in files.items():
+                path = out / name
+                if not path.exists():
+                    if name not in PLOT_NAMES:
+                        problems.append(f"{name}: not found")
+                elif path.read_bytes() != text.encode("utf-8"):
+                    problems.append(f"{name} does not match the run re-derived from the dataset and the scores")
     if problems:
         for p in problems:
             print(f"verify: {p}", file=sys.stderr)
@@ -521,11 +503,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plots", dest="emit_plots", action="store_true", help="also emit roc.svg / improvement.svg")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("plot", help="render SVG plots from a completed run directory")
+    p = sub.add_parser("plot", help="redraw roc.svg and improvement.svg of a run from its dataset and scores")
     p.add_argument("--out", default="out", help="run directory to read and write")
     p.set_defaults(func=cmd_plot)
 
-    p = sub.add_parser("verify", help="check run artifacts for hash and metric consistency")
+    p = sub.add_parser(
+        "verify", help="re-derive every file of a run from its dataset and scores and compare them byte for byte"
+    )
     p.add_argument("--out", default="out", help="run directory to verify")
     p.set_defaults(func=cmd_verify)
 

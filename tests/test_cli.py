@@ -2,6 +2,7 @@
 import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -97,7 +98,8 @@ def test_verify_detects_an_edited_score(run_copy, capsys):
     table[1][1] = repr(0.0 if score >= 0.5 else 1.0)  # flips one prediction, so accuracy moves
     path.write_text("\n".join([stamp, *(",".join(r) for r in table)]) + "\n", encoding="utf-8")
     assert cli.main(["verify", "--out", str(run_copy)]) == 2
-    assert "fold 0 base: stored accuracy does not match scores" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "verify: folds.csv does not match the run re-derived from the dataset and the scores" in err
 
 
 @pytest.mark.parametrize(
@@ -107,12 +109,9 @@ def test_verify_detects_an_edited_score(run_copy, capsys):
         lambda r: r.pop("config_hash"),
         lambda r: r["config"].pop("true_csv"),
         lambda r: r["config"].update(jobs=2),
-        lambda r: r["per_fold"][0]["metrics"].pop("f1"),
-        lambda r: r["per_fold"][0]["metrics"].update(f1="high"),
         lambda r: r.update(config=[1, 2]),
     ],
-    ids=["no_config", "no_hash", "no_config_field", "unknown_config_field", "no_fold_metric", "fold_metric_not_number",
-         "config_not_object"],
+    ids=["no_config", "no_hash", "no_config_field", "unknown_config_field", "config_not_object"],
 )
 def test_verify_reports_a_malformed_report(run_copy, capsys, damage):
     path = run_copy / "report.json"
@@ -123,6 +122,101 @@ def test_verify_reports_a_malformed_report(run_copy, capsys, damage):
     err = capsys.readouterr().err
     assert err.startswith("verify: report.json is malformed: ")
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def run3_dir(corpus_dir, tmp_path_factory):
+    """A k=3 `run --plots` directory of base and features_only."""
+    out = tmp_path_factory.mktemp("run3") / "out"
+    flags = [*FAST_FLAGS, "--k", "3", "--plots"]
+    assert cli.main(["run", *dataset_flags(corpus_dir), "--out", str(out), *flags]) == 0
+    assert cli.main(["verify", "--out", str(out)]) == 0
+    return out
+
+
+def dump_report(report) -> str:
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def apply_edit(path, change) -> None:
+    """change edits report.json as a dict, or a CSV as a table of rows whose
+    row 0 is the header; everything else keeps its bytes."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".json":
+        report = json.loads(text)
+        assert dump_report(report) == text
+        change(report)
+        path.write_text(dump_report(report), encoding="utf-8")
+    else:
+        stamp, *lines = text.splitlines()
+        table = list(csv.reader(lines))
+        change(table)
+        path.write_text("\n".join([stamp, *(",".join(r) for r in table)]) + "\n", encoding="utf-8")
+
+
+def set_cell(row, column, value):
+    def change(table):
+        table[row][column] = value(table[row][column])
+    return change
+
+
+def bump(value) -> str:
+    return repr(float(value) + 0.125)
+
+
+@pytest.mark.parametrize(
+    "name, change",
+    [
+        pytest.param("confusion_base.csv", set_cell(1, 1, lambda v: str(int(v) + 1)), id="confusion_count"),
+        pytest.param("roc_base.csv", set_cell(2, 0, bump), id="roc_point"),
+        pytest.param("folds.csv", set_cell(1, 2, bump), id="fold_accuracy"),
+        pytest.param("fold_assignments.csv", set_cell(1, 1, lambda v: str((int(v) + 1) % 3)), id="moved_document"),
+        pytest.param("report.json", lambda r: r["mean_metrics"]["base"].update(accuracy=0.9), id="mean_metrics"),
+        pytest.param("report.json", lambda r: r["deltas"]["features_only"].update(f1=0.5), id="deltas"),
+        pytest.param("report.json", lambda r: r["significance"]["features_only"].update(p_exact_two_sided=0.01),
+                     id="significance_p"),
+        pytest.param("report.json", lambda r: r["fold_accuracies"]["base"].__setitem__(0, 0.9), id="fold_accuracies"),
+        pytest.param("report.json", lambda r: r["per_fold"][0]["confusion"].update(tp=99), id="fold_confusion"),
+        pytest.param("report.json", lambda r: r["per_fold"][0]["metrics"].pop("f1"), id="no_fold_metric"),
+        pytest.param("report.json", lambda r: r["per_fold"][0]["metrics"].update(f1="high"),
+                     id="fold_metric_not_number"),
+        pytest.param("scores_base_0.csv", set_cell(1, 0, lambda v: v + "x"), id="renamed_doc_id"),
+        pytest.param("scores_base_0.csv", lambda t: t.pop(), id="dropped_score_row"),
+        pytest.param("scores_base_0.csv", set_cell(0, 1, lambda v: "points"), id="renamed_score_header"),
+    ],
+)
+def test_verify_detects_a_single_edit(run3_dir, tmp_path, capsys, name, change):
+    out = tmp_path / "out"
+    shutil.copytree(run3_dir, out)
+    apply_edit(out / name, change)
+    assert cli.main(["verify", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"verify: {name}" in err
+    assert "Traceback" not in err
+
+
+def test_verify_names_a_missing_file_and_a_file_the_run_did_not_write(run3_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(run3_dir, out)
+    (out / "confusion_base.csv").unlink()
+    shutil.copy(out / "scores_base_0.csv", out / "scores_base_3.csv")  # stamped, but k is 3
+    assert cli.main(["verify", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "verify: confusion_base.csv: not found" in err
+    assert "verify: scores_base_3.csv: not written by this run" in err
+
+
+def test_run_without_base_plots_zero_improvement(corpus_dir, tmp_path):
+    out = tmp_path / "out"
+    flags = [*FAST_FLAGS, "--variants", "features_only,enhanced", "--plots"]
+    assert cli.main(["run", *dataset_flags(corpus_dir), "--out", str(out), *flags]) == 0
+    assert cli.main(["verify", "--out", str(out)]) == 0
+    svg = (out / "improvement.svg").read_text(encoding="utf-8")
+    zero_y = re.search(r'<line x1="\d+" y1="([\d.]+)" x2="\d+" y2="\1" stroke="#999999"', svg).group(1)
+    lines = re.findall(r'<polyline [^>]*points="([^"]*)"', svg)
+    assert len(lines) == 2
+    for points in lines:
+        assert {point.split(",")[1] for point in points.split()} == {zero_y}
 
 
 def test_verify_detects_a_changed_or_missing_dataset(tmp_path, capsys):
