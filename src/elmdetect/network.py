@@ -10,11 +10,14 @@ their parameters to it at forward, keep their caches in it, and add their
 gradients into the float64 ``grads`` dicts, so float32 input gives float32
 compute over float64 master weights (Micikevicius et al., "Mixed Precision
 Training", arXiv:1710.03740). Every backward returns the gradient w.r.t. the
-layer input. A single example is a batch of one. When ``training`` builds
-the layers, their ``params`` and ``grads`` dicts hold views into the model's
-one flat parameter buffer and one flat gradient buffer, so layers update
-those arrays only in place, and ``train`` zeroes every gradient with one
-``fill`` per step; ``zero_grads`` is for a layer used on its own.
+layer input. A single example is a batch of one. Each layer stores its
+weights in the layout its GEMMs read, so no forward or backward restacks
+them: the convolution one ``(dim, kernel * F)`` tap matrix, the LSTM one
+``(in_dim + 1 + H, 4H)`` matrix whose rows match its ``[x, 1, h]`` inputs.
+When ``training`` builds the layers, their ``params`` and ``grads`` dicts
+hold views into the model's one flat parameter buffer and one flat gradient
+buffer, so layers update those arrays only in place, and ``train`` zeroes
+every gradient with one ``fill`` per step.
 
 The pipeline is a fixed chain (embedding, convolution, dropout, recurrence,
 concatenation, sigmoid head), so explicit per-layer backprop is used instead
@@ -79,14 +82,10 @@ class Layer:
         self.grads: dict[str, np.ndarray] = {}
 
     def _register(self, name: str, value: np.ndarray) -> np.ndarray:
-        value = np.asarray(value, dtype=np.float64)
+        value = np.ascontiguousarray(value, dtype=np.float64)
         self.params[name] = value
         self.grads[name] = np.zeros_like(value)
         return value
-
-    def zero_grads(self) -> None:
-        for g in self.grads.values():
-            g[...] = 0.0
 
 
 class EmbeddingTable(Layer):
@@ -129,8 +128,10 @@ class EmbeddingTable(Layer):
 class ConvLayer(Layer):
     """Valid 1-D convolution over the token axis, ReLU activation.
 
-    Forward multiplies the embedding of every position by each tap's
-    filters, one GEMM ``(B * L, dim) @ (dim, F)`` per tap, and adds tap
+    The filters are stored as one tap matrix ``taps (dim, kernel * F)``:
+    column ``j * F + f`` is tap ``j`` of filter ``f``. Forward multiplies the
+    embedding of every position by each tap's block of ``F`` columns, one
+    GEMM ``(B * L, dim) @ (dim, F)`` per tap, and adds tap
     ``j``'s output taken ``j`` positions later to the bias (the kn2row scheme
     of Vasudevan et al., arXiv:1704.04428), so no window is copied. One GEMM
     for all taps at once is no faster, and its ``(B, L, kernel * F)``
@@ -153,18 +154,11 @@ class ConvLayer(Layer):
         self.n_filters = n_filters
         self.kernel_size = kernel_size
         self.in_dim = in_dim
-        self._register(
-            "filters",
-            _glorot(rng, (n_filters, kernel_size, in_dim), kernel_size * in_dim, n_filters),
-        )
+        filters = _glorot(rng, (n_filters, kernel_size, in_dim), kernel_size * in_dim, n_filters)
+        self._register("taps", filters.transpose(2, 1, 0).reshape(in_dim, -1))
         self._register("bias", np.zeros(n_filters))
         self._emb: np.ndarray | None = None
         self._pre: np.ndarray | None = None
-
-    def _tap_matrix(self, dtype) -> np.ndarray:
-        """The filters as ``(dim, kernel * F)``: column ``j * F + f`` is tap
-        ``j`` of filter ``f``."""
-        return self.params["filters"].transpose(2, 1, 0).reshape(self.in_dim, -1).astype(dtype)
 
     def forward(self, emb: np.ndarray, train: bool = True) -> np.ndarray:
         batch, length, dim = emb.shape
@@ -175,7 +169,7 @@ class ConvLayer(Layer):
             raise DimensionMismatchError(f"expected embedding dim {self.in_dim}, got {dim}")
         out_len = length - h + 1
         self._emb = self._pre = None
-        flat, w = emb.reshape(-1, dim), self._tap_matrix(emb.dtype)
+        flat, w = emb.reshape(-1, dim), self.params["taps"].astype(emb.dtype, copy=False)
         pre = np.empty((batch, out_len, nf), emb.dtype)
         pre[...] = self.params["bias"]
         for j in range(h):
@@ -198,9 +192,9 @@ class ConvLayer(Layer):
         for j in range(h):
             dtaps[:, j : j + out_len, j * nf : (j + 1) * nf] = dpre
         dtaps = dtaps.reshape(-1, h * nf)
-        self.grads["filters"] += (emb.reshape(-1, dim).T @ dtaps).reshape(dim, h, nf).transpose(2, 1, 0)
+        self.grads["taps"] += emb.reshape(-1, dim).T @ dtaps
         self.grads["bias"] += dpre.reshape(-1, nf).sum(axis=0)
-        return (dtaps @ self._tap_matrix(emb.dtype).T).reshape(batch, length, dim)
+        return (dtaps @ self.params["taps"].astype(emb.dtype, copy=False).T).reshape(batch, length, dim)
 
 
 class DropoutLayer:
@@ -231,15 +225,17 @@ class LstmLayer(Layer):
     step.
 
     The four gates (input, forget, cell, output) are stacked, in that order,
-    along the last axis of three parameters: ``Wx (in_dim, 4H)``,
-    ``Wh (H, 4H)`` and ``b (4H,)``. A training forward projects the input
-    of every step with one GEMM before the loop, bias included (Appleyard et
-    al. 2016, arXiv:1604.01946); each step then does one recurrent GEMM and
-    one ``tanh`` over all four gates, since sigmoid(x) = 0.5 + 0.5 tanh(x/2)
-    and the i/f/o columns are halved first (exact in binary). The cache is
-    time-major, ``(T, B, .)``, so a step reads and writes contiguous blocks.
-    Each cached input row is ``[x_t, 1, h_(t-1)]``, the operand of both the
-    input projection and the weight gradient.
+    along the last axis of one parameter ``W (in_dim + 1 + H, 4H)``, whose
+    rows are ``[Wx; b; Wh]``: the input weights, the bias and the recurrent
+    weights. A training forward projects the input of every step with one
+    GEMM of the rows ``[x_t, 1]`` by ``W[: in_dim + 1]``, bias included
+    (Appleyard et al. 2016, arXiv:1604.01946); each step then does one
+    recurrent GEMM by ``W[in_dim + 1 :]`` and one ``tanh`` over all four
+    gates, since sigmoid(x) = 0.5 + 0.5 tanh(x/2) and the i/f/o columns are
+    halved first (exact in binary). The cache is time-major, ``(T, B, .)``,
+    so a step reads and writes contiguous blocks. Each cached input row is
+    ``[x_t, 1, h_(t-1)]``, the operand of both the input projection and the
+    gradient of ``W``.
 
     ``forward(seq, last, train=False)`` runs the same loop but keeps no
     history and no cache: it projects each step's input on its own and holds
@@ -254,9 +250,8 @@ class LstmLayer(Layer):
     Backward is full backprop through time. Its loop keeps only the
     recurrent GEMM and the gate arithmetic and writes each step's gate
     gradient over that step's cached activations; after the loop one GEMM
-    gives ``Wx``, ``b`` and ``Wh``'s gradients and one more the input's. It
-    consumes the cache: a second ``backward`` needs a new training
-    ``forward``.
+    gives ``W``'s gradient and one more the input's. It consumes the cache:
+    a second ``backward`` needs a new training ``forward``.
     """
 
     def __init__(
@@ -270,11 +265,11 @@ class LstmLayer(Layer):
         self.in_dim = in_dim
         self.hidden = hidden
         # one gate block at a time, in gate order
-        self._register("Wx", np.hstack([_glorot(rng, (in_dim, hidden), in_dim, hidden) for _ in range(4)]))
-        self._register("Wh", np.hstack([_glorot(rng, (hidden, hidden), hidden, hidden) for _ in range(4)]))
+        wx = np.hstack([_glorot(rng, (in_dim, hidden), in_dim, hidden) for _ in range(4)])
+        wh = np.hstack([_glorot(rng, (hidden, hidden), hidden, hidden) for _ in range(4)])
         b = np.zeros(4 * hidden)
         b[hidden : 2 * hidden] = 1.0  # forget bias 1.0 keeps early cell memory open on short sequences
-        self._register("b", b)
+        self._register("W", np.vstack([wx, b, wh]))
         # tanh of the scaled pre-activation, times scale, plus shift, is each gate
         self._scale = np.repeat([0.5, 0.5, 1.0, 0.5], hidden)
         self._shift = np.repeat([0.5, 0.5, 0.0, 0.5], hidden)
@@ -293,11 +288,10 @@ class LstmLayer(Layer):
         self._cache = None  # frees the last forward's arrays before this one allocates
         dtype, hsz = seq.dtype, self.hidden
         scale, shift = self._scale.astype(dtype), self._shift.astype(dtype)
-        p = self.params
-        w = np.vstack([p["Wx"], p["b"], p["Wh"]], dtype=dtype) * scale
+        w = np.multiply(self.params["W"], scale, dtype=dtype)
         wx, wh = w[: dim + 1], w[dim + 1 :]
         order = np.argsort(last, kind="stable")
-        ends_at = np.split(order, np.searchsorted(last[order], np.arange(1, steps)))  # rows by last step
+        ends = np.searchsorted(last[order], np.arange(steps + 1))  # order[ends[t] : ends[t + 1]] end at step t
         # Training keeps every step for backward. Eval keeps one step of
         # activations and the two rows of xh and cs that a step reads and
         # writes, so step t uses row t % n and fills row (t + 1) % n.
@@ -322,11 +316,11 @@ class LstmLayer(Layer):
             np.multiply(f, cs[now], out=cs[nxt])
             cs[nxt] += i * g
             np.multiply(o, np.tanh(cs[nxt]), out=hs[nxt])
-            rows = ends_at[t]
+            rows = order[ends[t] : ends[t + 1]]
             if rows.size:
                 out[rows] = hs[nxt, rows]
         if train:
-            self._cache = (xh, acts, cs, ends_at)
+            self._cache = (xh, acts, cs, order, ends)
         return out
 
     def backward(self, dh_final: np.ndarray) -> np.ndarray:
@@ -334,11 +328,11 @@ class LstmLayer(Layer):
         enters that row at its last real step."""
         if self._cache is None:
             raise RuntimeError("LstmLayer.backward needs a train-mode forward first; backward consumes its cache")
-        xh, acts, cs, ends_at = self._cache
+        xh, acts, cs, order, ends = self._cache
         self._cache = None
         steps, batch, _ = acts.shape
-        dtype, hsz, dim = acts.dtype, self.hidden, self.in_dim
-        wh_t = np.ascontiguousarray(self.params["Wh"].T, dtype)
+        dtype, hsz, dim, w = acts.dtype, self.hidden, self.in_dim, self.params["W"]
+        wh_t = np.ascontiguousarray(w[dim + 1 :].T, dtype)
         is_tanh = self._is_tanh.astype(dtype)
         dh = np.zeros((batch, hsz), dtype)
         dc = np.zeros((batch, hsz), dtype)
@@ -346,7 +340,7 @@ class LstmLayer(Layer):
         di, df, dg, do = dact.reshape(batch, 4, hsz).transpose(1, 0, 2)
         gates = acts.reshape(steps, batch, 4, hsz).transpose(0, 2, 1, 3)
         for t in range(steps - 1, -1, -1):
-            rows = ends_at[t]
+            rows = order[ends[t] : ends[t + 1]]
             if rows.size:
                 dh[rows] += dh_final[rows]
             a, tanh_c = acts[t], np.tanh(cs[t + 1])  # recomputed: less memory than a cached copy
@@ -366,11 +360,8 @@ class LstmLayer(Layer):
             if t:  # the state before the first step is a constant
                 dh = a @ wh_t
         dpre = acts.reshape(-1, 4 * hsz)
-        dw = xh[:steps].reshape(-1, dim + 1 + hsz).T @ dpre
-        self.grads["Wx"] += dw[:dim]
-        self.grads["b"] += dw[dim]
-        self.grads["Wh"] += dw[dim + 1 :]
-        return (dpre @ self.params["Wx"].T.astype(dtype, copy=False)).reshape(steps, batch, dim).transpose(1, 0, 2)
+        self.grads["W"] += xh[:steps].reshape(-1, dim + 1 + hsz).T @ dpre
+        return (dpre @ w[:dim].T.astype(dtype, copy=False)).reshape(steps, batch, dim).transpose(1, 0, 2)
 
 
 class DenseLayer(Layer):

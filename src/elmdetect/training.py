@@ -480,7 +480,7 @@ def _stratified_val_split(
 
 # -- checkpoint container ------------------------------------------------------
 
-CHECKPOINT_VERSION = 5  # 5: the parameters are one flat array
+CHECKPOINT_VERSION = 6  # 6: the LSTM and conv weights are stored in the layout their GEMMs read
 
 
 def config_digest(config: TrainConfig) -> str:

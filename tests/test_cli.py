@@ -206,6 +206,17 @@ def test_verify_names_a_missing_file_and_a_file_the_run_did_not_write(run3_dir, 
     assert "verify: scores_base_3.csv: not written by this run" in err
 
 
+def test_verify_names_a_csv_whose_stamp_line_was_edited(run3_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(run3_dir, out)
+    path = out / "scores_base_0.csv"
+    stamp, rest = path.read_text(encoding="utf-8").split("\n", 1)
+    path.write_text(stamp.replace("config_hash=", "config_hash=0") + "\n" + rest, encoding="utf-8")
+    assert cli.main(["verify", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "verify: scores_base_0.csv does not match the run re-derived" in err
+
+
 def test_run_without_base_plots_zero_improvement(corpus_dir, tmp_path):
     out = tmp_path / "out"
     flags = [*FAST_FLAGS, "--variants", "features_only,enhanced", "--plots"]

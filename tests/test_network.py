@@ -42,6 +42,11 @@ def projection_loss(forward, weights):
     return lambda: float((forward() * weights).sum())
 
 
+def zero_grads(layer):
+    for g in layer.grads.values():
+        g[...] = 0.0
+
+
 class TestEmbedding:
     def test_pad_rows_are_zero(self):
         table = EmbeddingTable(5, 4)
@@ -65,7 +70,7 @@ class TestEmbedding:
         table = EmbeddingTable(6, 3, np.random.default_rng(0))
         ids = np.array([[2, 3, 2, 2]])
         table.forward(ids)
-        table.zero_grads()
+        zero_grads(table)
         table.backward(np.ones((1, 4, 3)))
         grad = table.grads["weights"]
         assert np.all(grad[2] == 3.0)
@@ -79,7 +84,7 @@ class TestEmbedding:
         proj = rng.normal(size=(1, 5, 4))
         loss = projection_loss(lambda: table.forward(ids), proj)
         loss()
-        table.zero_grads()
+        zero_grads(table)
         table.backward(proj)
         numeric = numeric_grad(loss, table.params["weights"])
         numeric[PAD_INDEX] = 0.0  # pad row is pinned
@@ -96,7 +101,7 @@ class TestEmbedding:
         dout = rng.normal(size=(batch, steps, 8))
         for dtype in (np.float32, np.float64):
             table.forward(ids)
-            table.zero_grads()
+            zero_grads(table)
             table.backward(dout.astype(dtype))
             want = oracle_embedding_grad(vocab, ids, dout.astype(dtype))
             if dtype == np.float32:
@@ -108,7 +113,7 @@ class TestEmbedding:
 class TestConv:
     def test_identity_filter_with_relu(self):
         layer = ConvLayer(n_filters=1, kernel_size=1, in_dim=1)
-        layer.params["filters"][...] = 1.0
+        layer.params["taps"][...] = 1.0
         layer.params["bias"][...] = 0.0
         out = layer.forward(np.array([[[2.0], [-3.0], [5.0]]]))
         assert out.shape == (1, 3, 1)
@@ -116,7 +121,7 @@ class TestConv:
 
     def test_zero_filters_zero_output(self):
         layer = ConvLayer(n_filters=2, kernel_size=3, in_dim=4)
-        layer.params["filters"][...] = 0.0
+        layer.params["taps"][...] = 0.0
         out = layer.forward(np.ones((1, 5, 4)))
         assert np.all(out == 0.0)
 
@@ -134,11 +139,20 @@ class TestConv:
             layer, emb, proj = _smooth_conv_case(seed, kernel_size)
             loss = projection_loss(lambda: layer.forward(emb), proj)
             loss()
-            layer.zero_grads()
+            zero_grads(layer)
             demb = layer.backward(proj)
-            assert grads_close(layer.grads["filters"], numeric_grad(loss, layer.params["filters"]))
+            assert grads_close(layer.grads["taps"], numeric_grad(loss, layer.params["taps"]))
             assert grads_close(layer.grads["bias"], numeric_grad(loss, layer.params["bias"]))
             assert grads_close(demb, numeric_grad(loss, emb))
+
+
+def conv_oracle(layer, emb, dout):
+    """`oracle_conv` of the layer's taps read as ``(F, kernel, dim)``
+    filters, with the filter gradient returned as a taps gradient."""
+    dim, kernel, nf = layer.in_dim, layer.kernel_size, layer.n_filters
+    filters = layer.params["taps"].reshape(dim, kernel, nf).transpose(2, 1, 0)
+    out, demb, grads = oracle_conv(filters, layer.params["bias"], emb, dout)
+    return out, demb, {"taps": grads["filters"].transpose(2, 1, 0).reshape(dim, -1), "bias": grads["bias"]}
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -150,7 +164,7 @@ def test_conv_matches_the_offset_sum_oracle(dtype):
     out = layer.forward(emb.astype(dtype))
     demb = layer.backward(dout.astype(dtype))
     assert out.dtype == demb.dtype == dtype
-    want_out, want_demb, want_grads = oracle_conv(layer.params["filters"], layer.params["bias"], emb, dout)
+    want_out, want_demb, want_grads = conv_oracle(layer, emb, dout)
     assert_matches_oracle(out, want_out, dtype)
     assert_matches_oracle(demb, want_demb, dtype)
     for name, grad in want_grads.items():
@@ -166,7 +180,7 @@ def test_conv_of_each_kernel_size_matches_the_offset_sum_oracle(kernel_size, len
     dout = rng.normal(size=(3, length - kernel_size + 1, 8))
     out = layer.forward(emb)
     demb = layer.backward(dout)
-    want_out, want_demb, want_grads = oracle_conv(layer.params["filters"], layer.params["bias"], emb, dout)
+    want_out, want_demb, want_grads = conv_oracle(layer, emb, dout)
     assert_matches_oracle(out, want_out, np.float64)
     assert_matches_oracle(demb, want_demb, np.float64)
     for name, grad in want_grads.items():
@@ -250,8 +264,15 @@ class TestDropout:
         assert np.array_equal(grad, out)
 
 
-# column of each gate's block in the stacked Wx / Wh / b of a 1-unit LSTM
+# column of each gate's block in the stacked W of a 1-unit LSTM
 GATE_COLUMN = {"i": 0, "f": 1, "g": 2, "o": 3}
+
+
+def lstm_views(layer, w):
+    """The input weights, bias and recurrent weights in the rows of the
+    layer's stacked ``W`` (or of its gradient)."""
+    dim = layer.in_dim
+    return {"Wx": w[:dim], "b": w[dim], "Wh": w[dim + 1 :]}
 
 
 def final_tanh_c(layer, seq):
@@ -260,7 +281,7 @@ def final_tanh_c(layer, seq):
     h = layer.forward(seq)
     h_prev = layer.forward(seq[:, :-1]) if seq.shape[1] > 1 else np.zeros_like(h)
     o = slice(3 * layer.hidden, 4 * layer.hidden)
-    p = layer.params
+    p = lstm_views(layer, layer.params["W"])
     return h / sigmoid(seq[:, -1] @ p["Wx"][:, o] + h_prev @ p["Wh"][:, o] + p["b"][o])
 
 
@@ -281,21 +302,20 @@ def check_lstm_against_the_oracle(batch, steps, in_dim, hidden, last, dtype):
     out = layer.forward(seq.astype(dtype), last=last)
     dseq = layer.backward(dh)
     assert out.dtype == dseq.dtype == dtype
-    want_out, want_dseq, want_grads = oracle_lstm(layer.params, seq, last, dh)
+    want_out, want_dseq, want_grads = oracle_lstm(lstm_views(layer, layer.params["W"]), seq, last, dh)
     assert_matches_oracle(out, want_out, dtype)
     assert_matches_oracle(dseq, want_dseq, dtype)
+    grads = lstm_views(layer, layer.grads["W"])
     for name, grad in want_grads.items():
-        assert_matches_oracle(layer.grads[name], grad, dtype, name)
+        assert_matches_oracle(grads[name], grad, dtype, name)
 
 
 class TestLstm:
     def test_stacked_parameter_shapes(self):
         layer = LstmLayer(3, 5)
-        assert [(n, p.shape) for n, p in layer.params.items()] == [
-            ("Wx", (3, 20)), ("Wh", (5, 20)), ("b", (20,))
-        ]
-        # forget bias 1.0, every other gate bias 0.0
-        assert layer.params["b"].tolist() == [0.0] * 5 + [1.0] * 5 + [0.0] * 10
+        assert [(n, p.shape) for n, p in layer.params.items()] == [("W", (3 + 1 + 5, 20))]
+        # row in_dim is the bias: forget bias 1.0, every other gate bias 0.0
+        assert layer.params["W"][3].tolist() == [0.0] * 5 + [1.0] * 5 + [0.0] * 10
 
     def test_zero_weights_fixed_point(self):
         layer = LstmLayer(2, 3)
@@ -310,7 +330,7 @@ class TestLstm:
         layer = LstmLayer(1, 1)
         for p in layer.params.values():
             p[...] = 0.0
-        layer.params["Wx"][0, GATE_COLUMN["i"]] = 1.0
+        layer.params["W"][0, GATE_COLUMN["i"]] = 1.0
         seq = np.array([[[1.0]]])
         h = layer.forward(seq)
         # i = sigmoid(1) ~ 0.7311, g = tanh(0) = 0 -> c = 0, h = 0
@@ -321,8 +341,8 @@ class TestLstm:
         layer = LstmLayer(1, 1)
         for p in layer.params.values():
             p[...] = 0.0
-        layer.params["Wx"][0, GATE_COLUMN["i"]] = 1.0
-        layer.params["Wx"][0, GATE_COLUMN["g"]] = 1.0
+        layer.params["W"][0, GATE_COLUMN["i"]] = 1.0
+        layer.params["W"][0, GATE_COLUMN["g"]] = 1.0
         seq = np.array([[[1.0]]])
         h = layer.forward(seq)
         i = 1 / (1 + np.exp(-1.0))
@@ -343,7 +363,7 @@ class TestLstm:
         rng = np.random.default_rng(4)
         layer = LstmLayer(2, 3, rng)
         seq = rng.normal(size=(2, 6, 2))
-        p, hsz = layer.params, layer.hidden
+        p, hsz = lstm_views(layer, layer.params["W"]), layer.hidden
         h = c = np.zeros((2, hsz))
         for t in range(seq.shape[1]):
             pre = seq[:, t] @ p["Wx"] + h @ p["Wh"] + p["b"]
@@ -369,7 +389,7 @@ class TestLstm:
             proj = rng.normal(size=(2, 4))
             loss = projection_loss(lambda: layer.forward(seq), proj)
             loss()
-            layer.zero_grads()
+            zero_grads(layer)
             dseq = layer.backward(proj)
             for name, p in layer.params.items():
                 assert grads_close(layer.grads[name], numeric_grad(loss, p)), name
@@ -383,7 +403,7 @@ class TestLstm:
             proj = rng.normal(size=(3, 4))
             loss = projection_loss(lambda: layer.forward(seq, last=np.array(last)), proj)
             loss()
-            layer.zero_grads()
+            zero_grads(layer)
             dseq = layer.backward(proj)
             for name, p in layer.params.items():
                 assert grads_close(layer.grads[name], numeric_grad(loss, p)), name
@@ -408,7 +428,7 @@ class TestLstm:
         h = layer.forward(seq)
         dseq = layer.backward(proj)
         grads = [g.copy() for g in layer.grads.values()]
-        layer.zero_grads()
+        zero_grads(layer)
         assert np.array_equal(h, layer.forward(seq, last=np.array([4, 4, 4])))
         assert np.array_equal(dseq, layer.backward(proj))
         for g, again in zip(grads, layer.grads.values()):
@@ -467,9 +487,10 @@ class TestLstm:
             layer.backward(np.ones((2, 4)))
 
     def test_eval_forward_memory_does_not_grow_with_the_length(self):
-        """A 32-row float64 eval forward holds one step of state, so 200
-        steps peak as high as 20 (a training forward keeps all T steps:
-        about 4 MB at 20 steps and 34 MB at 200)."""
+        """A 32-row float64 eval forward holds one step of state and one
+        scaled copy of W, so 200 steps peak as high as 20, under 1 MiB (a
+        training forward keeps all T steps: about 4 MB at 20 steps and 34 MB
+        at 200)."""
         rng = np.random.default_rng(9)
         layer = LstmLayer(64, 100, rng)
         peaks = []
@@ -482,7 +503,7 @@ class TestLstm:
             finally:
                 tracemalloc.stop()
         assert max(peaks) - min(peaks) < 2**14, peaks
-        assert max(peaks) < 2 * 2**20, peaks
+        assert max(peaks) < 2**20, peaks
 
     @pytest.mark.parametrize("last", [[0, 5], [-1, 2], [1, 2, 3]])
     def test_last_out_of_range_rejected(self, last):
@@ -524,7 +545,7 @@ class TestDenseHead:
         proj = rng.normal(size=(3,))
         loss = projection_loss(lambda: head.forward(z), proj)
         loss()
-        head.zero_grads()
+        zero_grads(head)
         dz = head.backward(proj)
         assert grads_close(head.grads["w"], numeric_grad(loss, head.params["w"]))
         assert grads_close(head.grads["b"], numeric_grad(loss, head.params["b"]))
@@ -541,7 +562,7 @@ class TestDenseLayer:
         proj = rng.normal(size=(3, 3))
         loss = projection_loss(lambda: layer.forward(x), proj)
         loss()
-        layer.zero_grads()
+        zero_grads(layer)
         dx = layer.backward(proj)
         assert grads_close(layer.grads["W"], numeric_grad(loss, layer.params["W"]))
         assert grads_close(layer.grads["b"], numeric_grad(loss, layer.params["b"]))
@@ -590,7 +611,7 @@ def test_forward_backward_deterministic():
         layer = LstmLayer(3, 4, rng)
         seq = rng.normal(size=(2, 6, 3))
         out = layer.forward(seq)
-        layer.zero_grads()
+        zero_grads(layer)
         layer.backward(np.ones((2, 4)))
         return out.copy(), {k: v.copy() for k, v in layer.grads.items()}
 

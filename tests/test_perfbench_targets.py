@@ -1,24 +1,32 @@
-"""Every function and method the benchmark's span tracer wraps must exist.
+"""Every function and method the benchmark's span tracer wraps must exist,
+and the benchmark's layer timings must run.
 
 `perfbench/spans.py` skips a target it cannot find with a note, so a renamed
 function would only drop the per-layer metric built on it; this test makes
-the rename fail instead.
+the rename fail instead. `perfbench/kernels.py` calls the LSTM and conv
+layers directly, so a layer change that breaks those calls fails here
+before it fails a traced benchmark run.
 """
 import importlib
 import importlib.util
 import inspect
+import math
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def span_targets():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.TARGETS
+    return load_perfbench("spans").TARGETS
 
 
 @pytest.mark.parametrize(
@@ -34,3 +42,10 @@ def test_span_target_exists(module_name, attr):
         assert callable(getattr(owner, member))
     else:
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr} not found"
+
+
+def test_every_kernel_timing_is_finite_and_positive():
+    metrics = load_perfbench("kernels").time_kernels(0)
+    assert metrics
+    for name, value in metrics.items():
+        assert math.isfinite(value) and value > 0, (name, value)

@@ -331,8 +331,10 @@ class TestTrain:
             finally:
                 tracemalloc.stop()
 
-        peak_bytes(64)  # one-off allocations land in this first call
-        assert peak_bytes(256) < 1.5 * peak_bytes(64)
+        # one-off allocations, and the token and feature rows each document
+        # keeps cached, land in this first call over every document
+        peak_bytes(256)
+        assert peak_bytes(256) < 1.2 * peak_bytes(64)
 
     def test_base_learns_at_the_default_max_seq_len(self):
         """Posts of 8-18 tokens padded to 100: the head must read each row
@@ -359,7 +361,8 @@ class TestMixedPrecision:
         net.backward_logit((p - y) / 16)
         mixed = [{name: g.copy() for name, g in layer.grads.items()} for layer in net.layers()]
         for layer in net.layers():
-            layer.zero_grads()
+            for g in layer.grads.values():
+                g[...] = 0.0
         emb = net.embedding.forward(ids[:, : max(KERNEL_SIZE, lengths.max())])
         text = net.lstm.forward(net.conv.forward(emb), last=np.maximum(lengths - KERNEL_SIZE, 0))
         p64 = net.head.forward(np.concatenate([text, feats], axis=1))
@@ -441,8 +444,9 @@ class TestCheckpoint:
         "version",
         # 1: per-gate LSTM parameters; 2: trained to read the state after the padding;
         # 3: the config held the fixed Adam, dropout, vocabulary and validation-split settings;
-        # 4: the parameters were stored one named array per layer parameter
-        [1, 2, 3, 4],
+        # 4: the parameters were stored one named array per layer parameter;
+        # 5: the flat array held the LSTM's Wx, Wh and b and the conv's (F, kernel, dim) filters
+        [1, 2, 3, 4, 5],
     )
     def test_older_checkpoint_version_rejected(self, version, tmp_path):
         import json
