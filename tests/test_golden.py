@@ -1,13 +1,15 @@
-"""Golden pin of a small fixed-seed `elmdetect run`.
+"""Golden pin of a small fixed-seed `elmdetect run` and of `elmdetect
+features` on the same corpus.
 
 Refactors must keep every artifact bit-identical: report.json (minus its
-timestamp) and every CSV and SVG of the run directory, stamps included. A
-change that alters the numerics on purpose re-records these digests and says
-so:
+timestamp), every CSV and SVG of the run directory and features.csv, stamps
+included. A change that alters the numerics on purpose re-records these
+digests and says so:
 
     PYTHONPATH=src python tests/test_golden.py
 
-prints the REPORT_SHA256 / CSV_SHA256 / SVG_SHA256 block of the current code.
+prints the REPORT_SHA256 / CSV_SHA256 / SVG_SHA256 / FEATURES_SHA256 block of
+the current code.
 """
 import contextlib
 import csv
@@ -26,6 +28,7 @@ RUN_FLAGS = [
     "--k", "3", "--seed", "7", "--variants", "base,features_only,enhanced,combined",
     "--epochs", "2", "--patience", "0", "--learning-rate", "0.05", "--max-seq-len", "16", "--plots",
 ]
+FEATURE_FLAGS = ["--seed", "7"]
 
 REPORT_SHA256 = "184d58dea65c07a9c355fb4b06fda19c24c9b03f35f79fe2d6d1f24532aa93c3"
 CSV_SHA256 = {
@@ -56,6 +59,7 @@ SVG_SHA256 = {
     "improvement.svg": "05261f5e8eca98d780611c30df9fea592ac419fc604229cdce8dd1e5de6c589e",
     "roc.svg": "f5d169b9f9bfae20802f2470dafe4fa912d9e02276b0c11ac54accaa484959c5",
 }
+FEATURES_SHA256 = "d62b90bc05ecabfba7757fd934dfb25299aee8552499b7a58db5a37b6653976f"
 
 
 def write_corpus(directory, n=60, seed=3):
@@ -86,6 +90,15 @@ def run_digests(directory: Path) -> tuple[str, dict[str, str], dict[str, str]]:
     return sha256(json.dumps(report, sort_keys=True).encode("utf-8")), csvs, svgs
 
 
+def features_digest(directory: Path) -> str:
+    """The digest of features.csv of the pinned corpus, written in directory,
+    which must be the working directory, as for `run_digests`."""
+    write_corpus(directory)
+    rc = cli.main(["features", "--true-csv", "true.csv", "--fake-csv", "fake.csv", "--out", "feat", *FEATURE_FLAGS])
+    assert rc == 0
+    return sha256((directory / "feat" / "features.csv").read_bytes())
+
+
 def test_run_artifacts_are_bit_identical(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     report, csvs, svgs = run_digests(tmp_path)
@@ -94,12 +107,18 @@ def test_run_artifacts_are_bit_identical(tmp_path, monkeypatch, capsys):
     assert svgs == SVG_SHA256
 
 
+def test_feature_matrix_is_bit_identical(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert features_digest(tmp_path) == FEATURES_SHA256
+
+
 if __name__ == "__main__":
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         os.chdir(tmp)
         try:
             report, csvs, svgs = run_digests(Path(tmp))
+            features = features_digest(Path(tmp))
         finally:
             os.chdir(cwd)
     print(f'REPORT_SHA256 = "{report}"')
@@ -108,3 +127,4 @@ if __name__ == "__main__":
         for name, digest in digests.items():
             print(f'    "{name}": "{digest}",')
         print("}")
+    print(f'FEATURES_SHA256 = "{features}"')
