@@ -13,6 +13,15 @@ lives; every (fold, variant) task of a run shares one extractor and so reads
 the same values. An extractor with other lexicons keeps values of its own.
 A document's bigram set depends on no lexicon and is kept by the document
 itself.
+
+A row is built from per-word entries, so each distinct word is analysed
+once per extractor, however often it recurs: for each clean-text token its
+syllable count, sentiment score, sentiment-lexicon membership and lowercase
+form, and for each raw-text token whether it is capitalised, all capitals
+and an urgency word. The entries live as long as the extractor, and there
+is one per distinct token it has seen. Every sum of a row still adds the
+same per-token values in token order, so rows are bit-identical to
+analysing each token on its own.
 """
 from __future__ import annotations
 
@@ -60,6 +69,27 @@ class FeatureExtractor:
         # a value holds no reference to its document, so an entry goes with it
         self._rows: weakref.WeakKeyDictionary[Document, tuple[float, ...]] = weakref.WeakKeyDictionary()
         self._subjectivity: weakref.WeakKeyDictionary[Document, float] = weakref.WeakKeyDictionary()
+        # clean token -> (syllables, sentiment score, in the sentiment lexicon, lowercase form)
+        self._clean_words: dict[str, tuple[int, float, bool, str]] = {}
+        # raw token -> (capitalised, all capitals, an urgency word)
+        self._raw_words: dict[str, tuple[bool, bool, bool]] = {}
+
+    def _clean_entries(self, tokens: Sequence[str]) -> list[tuple[int, float, bool, str]]:
+        """The entry of each clean token, in token order."""
+        words = self._clean_words
+        sentiment = self.sentiment.entries
+        for t in set(tokens).difference(words):
+            low = t.lower()
+            words[t] = (count_syllables(t), sentiment.get(low, 0.0), low in sentiment, low)
+        return list(map(words.__getitem__, tokens))
+
+    def _raw_entries(self, tokens: Sequence[str]) -> list[tuple[bool, bool, bool]]:
+        """The entry of each raw token, in token order."""
+        words = self._raw_words
+        urgency = self.urgency.entries
+        for t in set(tokens).difference(words):
+            words[t] = (t[0].isupper(), len(t) >= 2 and t.isalpha() and t.isupper(), t.lower() in urgency)
+        return list(map(words.__getitem__, tokens))
 
     def central(self, doc: Document) -> tuple[float, ...]:
         """c1..c5, the message-content measures scrutinized under high
@@ -69,11 +99,10 @@ class FeatureExtractor:
         if words == 0:
             return (0.0,) * 5
         sentences = len(split_sentences(doc.clean_text))
-        syllables = sum(count_syllables(t) for t in tokens)
-        grade = 0.39 * (words / sentences) + 11.8 * (syllables / words) - 15.59
-        unique = len({t.lower() for t in tokens})
-        polarity = sum(self.sentiment.entries.get(t.lower(), 0.0) for t in tokens) / words
-        return (grade, unique / words, polarity, float(words), words / sentences)
+        syllables, scores, _, lowered = zip(*self._clean_entries(tokens))
+        grade = 0.39 * (words / sentences) + 11.8 * (sum(syllables) / words) - 15.59
+        polarity = sum(scores) / words
+        return (grade, len(set(lowered)) / words, polarity, float(words), words / sentences)
 
     def peripheral(self, doc: Document) -> tuple[float, ...]:
         """p1..p5, the surface cues that sway acceptance without deep
@@ -83,10 +112,8 @@ class FeatureExtractor:
         n = len(tokens)
         if n == 0:
             return (0.0,) * 5
-        capitalized = sum(1 for t in tokens if t[0].isupper())
-        all_caps = float(sum(1 for t in tokens if len(t) >= 2 and t.isalpha() and t.isupper()))
-        urgent = sum(1 for t in tokens if t.lower() in self.urgency.entries)
-        return (raw.count("!") / n, raw.count("?") / n, capitalized / n, all_caps, urgent / n)
+        capitalized, all_caps, urgent = map(sum, zip(*self._raw_entries(tokens)))
+        return (raw.count("!") / n, raw.count("?") / n, capitalized / n, float(all_caps), urgent / n)
 
     def elm(self, doc: Document) -> tuple[float, ...]:
         row = self._rows.get(doc)
@@ -105,7 +132,7 @@ class FeatureExtractor:
         value = self._subjectivity.get(doc)
         if value is None:
             tokens = doc.tokens
-            hits = sum(1 for t in tokens if t.lower() in self.sentiment.entries)
+            hits = sum(entry[2] for entry in self._clean_entries(tokens))
             value = self._subjectivity[doc] = hits / len(tokens) if tokens else 0.0
         return value
 

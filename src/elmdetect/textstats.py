@@ -3,8 +3,10 @@
 Everything here is a pure function of its input and keeps no cache keyed by
 text, so running the same text twice does the work twice. What a run
 computes once is held by the objects it concerns: `Document.tokens` keeps a
-document's clean-text tokens, and each `FeatureExtractor` keeps its rows,
-both for as long as the document lives.
+document's clean-text tokens for as long as the document lives, and each
+`FeatureExtractor` keeps its documents' rows and, per distinct word it has
+seen, what those rows need of the word (its syllables, its lexicon scores,
+its casing), for as long as the extractor lives.
 """
 from __future__ import annotations
 
@@ -18,7 +20,10 @@ from .errors import MalformedLineError
 
 # A token is a maximal run of letters, digits, or apostrophes ("don't" stays
 # one token). Underscore is excluded on purpose: it is a special character.
-_TOKEN_RE = re.compile(r"(?:[^\W_]|')+", re.UNICODE)
+# \w is a letter, a digit or "_", so on text without "_" the single class
+# finds the same tokens as the alternation, at about twice its speed.
+_TOKEN_RE = re.compile(r"(?:[^\W_]|')+")
+_WORD_RE = re.compile(r"[\w']+")
 
 # A sentence boundary is the end of a run of terminators, so "Wait... what?!"
 # splits into exactly two segments.
@@ -29,7 +34,7 @@ _VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
 
 def tokenize(text: str) -> tuple[str, ...]:
     """Split text into tokens, preserving casing; callers lowercase as needed."""
-    return tuple(_TOKEN_RE.findall(text))
+    return tuple((_TOKEN_RE if "_" in text else _WORD_RE).findall(text))
 
 
 def split_sentences(text: str) -> list[str]:

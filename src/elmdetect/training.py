@@ -199,15 +199,19 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.token_to_id) + 2
 
-    def encode(self, tokens: Sequence[str], max_len: int) -> np.ndarray:
-        """The first max_len token ids, padded at the end to max_len.
+    def encode(self, token_lists: Sequence[Sequence[str]], max_len: int) -> np.ndarray:
+        """The (n, max_len) id matrix of n token sequences: row i holds the
+        ids of the first max_len tokens of sequence i, padded at the end.
 
         Padding only ever follows the real tokens; the text pipeline counts
         them from there and never computes past a batch's longest row.
         """
-        ids = [self.token_to_id.get(t, OOV_INDEX) for t in tokens[:max_len]]
-        ids.extend([PAD_INDEX] * (max_len - len(ids)))
-        return np.array(ids, dtype=np.int64)
+        get = self.token_to_id.get
+        ids = [get(t, OOV_INDEX) for tokens in token_lists for t in tokens[:max_len]]
+        lengths = np.array([min(len(tokens), max_len) for tokens in token_lists], dtype=np.int64)
+        out = np.full((len(token_lists), max_len), PAD_INDEX, dtype=np.int64)
+        out[np.arange(max_len) < lengths[:, None]] = ids
+        return out
 
 
 class TextPipelineModel:
@@ -322,9 +326,7 @@ def _build_net(vocab: Vocabulary | None, scaler: FeatureScaler | None, rng: np.r
 def _encode_batch(model: TrainedModel, docs: Sequence[Document]) -> np.ndarray | None:
     if model.vocab is None:
         return None
-    max_len = model.config.max_seq_len
-    rows = [model.vocab.encode(d.tokens, max_len) for d in docs]
-    return np.array(rows, dtype=np.int64).reshape(len(rows), max_len)
+    return model.vocab.encode([d.tokens for d in docs], model.config.max_seq_len)
 
 
 def _feature_batch(model: TrainedModel, docs: Sequence[Document]) -> np.ndarray | None:

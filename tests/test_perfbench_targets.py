@@ -49,3 +49,41 @@ def test_every_kernel_timing_is_finite_and_positive():
     assert metrics
     for name, value in metrics.items():
         assert math.isfinite(value) and value > 0, (name, value)
+
+
+# span names of the scoring path that one predict_scores call must reach
+SCORING_SPANS = (
+    "textstats.tokenize",
+    "features.matrix",
+    "training.encode",
+    "network.embedding.fwd",
+    "network.conv.fwd",
+    "network.lstm.fwd",
+    "network.head",
+)
+
+
+def test_predict_scores_reaches_every_scoring_path_target():
+    """A refactor that goes around a traced function fails here, instead of
+    leaving the benchmark's metric on it at 0."""
+    from synthetic import dual_signal_corpus
+
+    from elmdetect import training
+
+    fit = list(dual_signal_corpus(n=24, seed=1))
+    model = training.train(fit, training.TrainConfig(variant="enhanced", epochs=1, max_seq_len=16, progress=False))
+    # documents the model has not seen, so their tokens and rows are made in the call
+    docs = list(dual_signal_corpus(n=12, seed=2))
+    tracer = load_perfbench("spans").Tracer()
+    tracer.install()
+    try:
+        # looked up after install, as the benchmark does, so that the tracer sees it
+        scores = training.predict_scores(model, docs)
+    finally:
+        tracer.uninstall()
+    assert scores.shape == (len(docs),)
+    assert not tracer.notes
+    assert tracer.calls["training.predict"] == 1
+    missing = [name for name in SCORING_SPANS if tracer.calls[name] == 0]
+    assert not missing, f"predict_scores did not reach {missing}"
+    assert tracer.calls["textstats.tokenize"] == 2 * len(docs)

@@ -76,7 +76,8 @@ def test_bigram_sets_and_subjectivity_are_made_once_per_document():
         extended = ExtendedFeaturizer.fit(train_docs, extractor)
         extended.matrix(train_docs)
         extended.matrix([docs[i] for i in plan.test_indices(fold)])
-    assert entries.lookups == sum(len(d.tokens) for d in docs)
+    # one membership test per distinct word, not one per token or per fold
+    assert entries.lookups == len({t for d in docs for t in d.tokens}) < sum(len(d.tokens) for d in docs)
 
 
 def test_rows_are_kept_per_lexicon_pair():
@@ -92,8 +93,44 @@ def test_rows_are_kept_per_lexicon_pair():
     np.testing.assert_array_equal(bundled.matrix(docs), before)
 
 
-def test_rows_are_freed_with_their_documents():
+WARM_WORDS = ("Now", "NOW", "now", "don't", "Don't", "DON'T", "good", "Good", "bad", "URGENT", "act", "Act", "today")
+
+
+def warm_extractor(n=200) -> FeatureExtractor:
+    """An extractor that has analysed n documents built from WARM_WORDS in
+    every casing, their rows and subjectivity included."""
     extractor = FeatureExtractor()
+    rng = np.random.default_rng(11)
+    docs = [
+        make_doc(" ".join(rng.choice(WARM_WORDS, size=int(rng.integers(1, 12)))) + rng.choice([".", "!!", "?", ""]))
+        for _ in range(n)
+    ]
+    extractor.matrix(docs)
+    for doc in docs:
+        extractor.subjectivity(doc)
+    return extractor
+
+
+def test_a_warm_extractor_gives_a_fresh_ones_rows_bit_for_bit():
+    warm = warm_extractor()
+    docs = [
+        make_doc("NOW is the time. Act now, don't wait!!", 1),
+        make_doc("now Now NOW... good? Don't!", 1),
+        make_doc("Bad news today: DON'T act", 0),
+        make_doc("Nothing here repeats a warm word", 0),
+        make_doc("!!!", 0),
+    ]
+    fresh = FeatureExtractor()
+    rows = fresh.matrix(docs)
+    assert rows.shape == (len(docs), 10)
+    np.testing.assert_array_equal(warm.matrix(docs), rows)
+    assert [warm.subjectivity(d) for d in docs] == [fresh.subjectivity(d) for d in docs]
+    # the words of the new documents were analysed before, by another document
+    assert {t for d in docs for t in d.tokens} & set(warm._clean_words)
+
+
+def test_rows_are_freed_with_their_documents():
+    extractor = warm_extractor()
     docs = [make_doc(f"report number {i} is out!") for i in range(5)]
     extractor.matrix(docs)
     for doc in docs:

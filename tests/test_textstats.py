@@ -31,15 +31,20 @@ class TestTokenize:
 
     def test_underscore_splits(self):
         assert list(tokenize("a_b")) == ["a", "b"]
+        assert list(tokenize("__x__y'z_ _")) == ["x", "y'z"]
 
-    @given(st.text(alphabet=st.sampled_from("ab c.!?'129 -XY"), max_size=60))
-    @settings(max_examples=200, deadline=None)
+    def test_letters_and_digits_outside_ascii_are_token_characters(self):
+        assert list(tokenize("Café straße İstanbul ǅ ٣٤ vs. x")) == ["Café", "straße", "İstanbul", "ǅ", "٣٤", "vs", "x"]
+
+    # "_" takes tokenize's other branch; the rest are letters and digits outside ASCII
+    @given(st.text(alphabet=st.sampled_from("ab c.!?'129 -XY_éßİǅ٣"), max_size=60))
+    @settings(max_examples=300, deadline=None)
     def test_matches_character_scan(self, s):
         assert list(tokenize(s)) == oracle_tokens(s)
 
     @given(
-        st.text(alphabet=st.sampled_from("abc XY12.'!"), max_size=30),
-        st.text(alphabet=st.sampled_from("abc XY12.'!"), max_size=30),
+        st.text(alphabet=st.sampled_from("abc XY12.'!_éßİǅ٣"), max_size=30),
+        st.text(alphabet=st.sampled_from("abc XY12.'!_éßİǅ٣"), max_size=30),
     )
     @settings(max_examples=200, deadline=None)
     def test_token_count_additive_over_space_join(self, a, b):

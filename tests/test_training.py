@@ -130,9 +130,11 @@ class TestVocabulary:
 
     def test_encode_pads_truncates_and_maps_oov(self):
         vocab = Vocabulary.build([["a", "a", "b", "b"]], min_freq=2)
-        ids = vocab.encode(["a", "zzz", "b"], max_len=5)
-        assert ids.tolist() == [vocab.token_to_id["a"], 1, vocab.token_to_id["b"], 0, 0]
-        assert vocab.encode(["a"] * 10, max_len=4).tolist() == [vocab.token_to_id["a"]] * 4
+        a, b = vocab.token_to_id["a"], vocab.token_to_id["b"]
+        ids = vocab.encode([["a", "zzz", "b"], ["a"] * 10, [], ("b",)], max_len=4)
+        assert ids.dtype == np.int64
+        assert ids.tolist() == [[a, 1, b, 0], [a] * 4, [0] * 4, [b, 0, 0, 0]]
+        assert vocab.encode([], max_len=4).shape == (0, 4)
 
     def test_deterministic_ordering(self):
         lists = [["b", "a", "b", "a", "c", "c"]]
