@@ -374,7 +374,10 @@ def _rederive(out: Path, cfg: RunConfig) -> tuple[DocumentSet, FoldPlan, Compari
     ValueError names a scores file that cannot be read, that does not hold
     its fold's test documents and labels in order, or whose scores are not
     finite numbers."""
-    corpus = load_dataset(cfg.true_csv, cfg.fake_csv)
+    try:
+        corpus = load_dataset(cfg.true_csv, cfg.fake_csv)
+    except OSError as exc:
+        raise ValueError(f"{exc}{_resolved_note(cfg.true_csv, cfg.fake_csv)}") from None
     plan = stratified_folds(corpus, cfg.k, cfg.seed)
     results = []
     for fold in range(plan.k):
@@ -402,6 +405,14 @@ def _rederive(out: Path, cfg: RunConfig) -> tuple[DocumentSet, FoldPlan, Compari
     return corpus, plan, build_report(results, plan.k)
 
 
+def _resolved_note(*paths: str) -> str:
+    """Where a relative dataset path of a run was looked for, and why there;
+    empty when every path is absolute."""
+    if all(Path(p).is_absolute() for p in paths):
+        return ""
+    return f" (relative to {Path.cwd()}: 'run' stores dataset paths as they were given to it)"
+
+
 def cmd_verify(args) -> int:
     out = Path(args.out)
     try:
@@ -417,7 +428,7 @@ def cmd_verify(args) -> int:
         try:
             digest = _file_sha256(path)
         except OSError as exc:
-            problems.append(f"dataset {path} cannot be read: {exc.strerror}")
+            problems.append(f"dataset {path} cannot be read: {exc.strerror}{_resolved_note(path)}")
             continue
         if digest != hashed["dataset_sha256"][name]:
             problems.append(f"dataset {path} has changed since the run (its sha256 differs from report.json)")

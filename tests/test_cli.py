@@ -246,6 +246,25 @@ def test_verify_detects_a_changed_or_missing_dataset(tmp_path, capsys):
     assert f"dataset {tmp_path / 'fake.csv'} cannot be read" in capsys.readouterr().err
 
 
+def test_verify_and_plot_elsewhere_name_where_relative_dataset_paths_were_looked_for(tmp_path, monkeypatch, capsys):
+    made_in = tmp_path / "made_in"
+    made_in.mkdir()
+    write_corpus(made_in, n=24, seed=1)
+    monkeypatch.chdir(made_in)
+    argv = ["run", "--true-csv", "true.csv", "--fake-csv", "fake.csv", "--out", "out", *FAST_FLAGS, "--plots"]
+    assert cli.main(argv) == 0
+    assert cli.main(["verify", "--out", "out"]) == 0
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    note = f"(relative to {tmp_path}: 'run' stores dataset paths as they were given to it)"
+    assert cli.main(["verify", "--out", "made_in/out"]) == 2
+    err = capsys.readouterr().err
+    assert f"dataset true.csv cannot be read: No such file or directory {note}" in err
+    assert f"dataset fake.csv cannot be read: No such file or directory {note}" in err
+    assert cli.main(["plot", "--out", "made_in/out"]) == 2
+    assert f"dataset file not found: true.csv {note}" in capsys.readouterr().err
+
+
 def test_rerun_with_fewer_variants_removes_their_artifacts(corpus_dir, run_copy):
     notes = run_copy / "scores_notes.csv"
     notes.write_text("doc_id,note\n", encoding="utf-8")  # no elmdetect stamp: not ours to delete
