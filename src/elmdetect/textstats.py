@@ -3,10 +3,10 @@
 Everything here is a pure function of its input and keeps no cache keyed by
 text, so running the same text twice does the work twice. What a run
 computes once is held by the objects it concerns: `Document.tokens` keeps a
-document's clean-text tokens for as long as the document lives, and each
-`FeatureExtractor` keeps its documents' rows and, per distinct word it has
-seen, what those rows need of the word (its syllables, its lexicon scores,
-its casing), for as long as the extractor lives.
+document's clean-text tokens and each `FeatureExtractor` its rows, both for
+as long as the document lives, and the extractor keeps what those rows need
+of each distinct word it has seen (its syllables, its lexicon scores, its
+casing) for as long as the extractor lives.
 """
 from __future__ import annotations
 

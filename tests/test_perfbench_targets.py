@@ -14,6 +14,9 @@ import math
 from pathlib import Path
 
 import pytest
+from synthetic import dual_signal_corpus
+
+from elmdetect import training
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -66,10 +69,6 @@ SCORING_SPANS = (
 def test_predict_scores_reaches_every_scoring_path_target():
     """A refactor that goes around a traced function fails here, instead of
     leaving the benchmark's metric on it at 0."""
-    from synthetic import dual_signal_corpus
-
-    from elmdetect import training
-
     fit = list(dual_signal_corpus(n=24, seed=1))
     model = training.train(fit, training.TrainConfig(variant="enhanced", epochs=1, max_seq_len=16, progress=False))
     # documents the model has not seen, so their tokens and rows are made in the call

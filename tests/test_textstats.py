@@ -33,9 +33,6 @@ class TestTokenize:
         assert list(tokenize("a_b")) == ["a", "b"]
         assert list(tokenize("__x__y'z_ _")) == ["x", "y'z"]
 
-    def test_letters_and_digits_outside_ascii_are_token_characters(self):
-        assert list(tokenize("Café straße İstanbul ǅ ٣٤ vs. x")) == ["Café", "straße", "İstanbul", "ǅ", "٣٤", "vs", "x"]
-
     # "_" takes tokenize's other branch; the rest are letters and digits outside ASCII
     @given(st.text(alphabet=st.sampled_from("ab c.!?'129 -XY_éßİǅ٣"), max_size=60))
     @settings(max_examples=300, deadline=None)
