@@ -20,7 +20,7 @@ from .errors import MalformedLineError
 
 # A token is a maximal run of letters, digits, or apostrophes ("don't" stays
 # one token). Underscore is excluded on purpose: it is a special character.
-# \w is a letter, a digit or "_", so on text without "_" the single class
+# \w is a letter, a digit or "_", so once "_" is a separator the single class
 # finds the same tokens as the alternation, at about twice its speed.
 _TOKEN_RE = re.compile(r"(?:[^\W_]|')+")
 _WORD_RE = re.compile(r"[\w']+")
@@ -34,7 +34,7 @@ _VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
 
 def tokenize(text: str) -> tuple[str, ...]:
     """Split text into tokens, preserving casing; callers lowercase as needed."""
-    return tuple((_TOKEN_RE if "_" in text else _WORD_RE).findall(text))
+    return tuple(_WORD_RE.findall(text.replace("_", " ")))
 
 
 def split_sentences(text: str) -> list[str]:

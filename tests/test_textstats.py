@@ -33,7 +33,7 @@ class TestTokenize:
         assert list(tokenize("a_b")) == ["a", "b"]
         assert list(tokenize("__x__y'z_ _")) == ["x", "y'z"]
 
-    # "_" takes tokenize's other branch; the rest are letters and digits outside ASCII
+    # "_" separates tokens; the rest are letters and digits outside ASCII
     @given(st.text(alphabet=st.sampled_from("ab c.!?'129 -XY_éßİǅ٣"), max_size=60))
     @settings(max_examples=300, deadline=None)
     def test_matches_character_scan(self, s):
