@@ -4,6 +4,7 @@ live as long as the document."""
 import csv
 import gc
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -70,12 +71,24 @@ def test_bigram_sets_and_subjectivity_are_made_once_per_document():
     docs = list(corpus)
     entries = CountingEntries(FeatureExtractor().sentiment.entries)
     extractor = FeatureExtractor(sentiment=Lexicon("counting", entries))
+    read_by: Counter = Counter()  # id of a document's tokens -> calls that read their entries
+    clean_entries = extractor._clean_entries
+
+    def counting_clean_entries(tokens):
+        read_by[id(tokens)] += 1
+        return clean_entries(tokens)
+
+    extractor._clean_entries = counting_clean_entries
     plan = stratified_folds(corpus, 3, seed=4)
     for fold in range(3):  # fit and score as the combined variant does in each fold
         train_docs = [docs[i] for i in plan.train_indices(fold)]
+        test_docs = [docs[i] for i in plan.test_indices(fold)]
         extended = ExtendedFeaturizer.fit(train_docs, extractor)
-        extended.matrix(train_docs)
-        extended.matrix([docs[i] for i in plan.test_indices(fold)])
+        for part in (train_docs, test_docs):
+            extractor.matrix(part)
+            extended.matrix(part)
+    # each document is read twice, once for its row and once for its subjectivity, over all folds
+    assert read_by == Counter({id(d.tokens): 2 for d in docs})
     # one membership test per distinct word, not one per token or per fold
     assert entries.lookups == len({t for d in docs for t in d.tokens}) < sum(len(d.tokens) for d in docs)
 
