@@ -374,10 +374,10 @@ def _rederive(out: Path, cfg: RunConfig) -> tuple[DocumentSet, FoldPlan, Compari
     ValueError names a scores file that cannot be read, that does not hold
     its fold's test documents and labels in order, or whose scores are not
     finite numbers."""
-    try:
-        corpus = load_dataset(cfg.true_csv, cfg.fake_csv)
-    except OSError as exc:
-        raise ValueError(f"{exc}{_resolved_note(cfg.true_csv, cfg.fake_csv)}") from None
+    for path in (cfg.true_csv, cfg.fake_csv):  # in the order load_dataset reads them
+        if not Path(path).exists():
+            raise ValueError(f"dataset file not found: {path}{_resolved_note(path)}")
+    corpus = load_dataset(cfg.true_csv, cfg.fake_csv)
     plan = stratified_folds(corpus, cfg.k, cfg.seed)
     results = []
     for fold in range(plan.k):
@@ -405,10 +405,10 @@ def _rederive(out: Path, cfg: RunConfig) -> tuple[DocumentSet, FoldPlan, Compari
     return corpus, plan, build_report(results, plan.k)
 
 
-def _resolved_note(*paths: str) -> str:
+def _resolved_note(path: str) -> str:
     """Where a relative dataset path of a run was looked for, and why there;
-    empty when every path is absolute."""
-    if all(Path(p).is_absolute() for p in paths):
+    empty for an absolute path."""
+    if Path(path).is_absolute():
         return ""
     return f" (relative to {Path.cwd()}: 'run' stores dataset paths as they were given to it)"
 

@@ -265,6 +265,29 @@ def test_verify_and_plot_elsewhere_name_where_relative_dataset_paths_were_looked
     assert f"dataset file not found: true.csv {note}" in capsys.readouterr().err
 
 
+def test_an_absolute_dataset_path_gets_no_note_on_where_it_was_looked_for(tmp_path, monkeypatch, capsys):
+    made_in = tmp_path / "made_in"
+    made_in.mkdir()
+    write_corpus(made_in, n=24, seed=1)
+    true_csv = made_in / "true.csv"
+    monkeypatch.chdir(made_in)
+    argv = ["run", "--true-csv", str(true_csv), "--fake-csv", "fake.csv", "--out", "out", *FAST_FLAGS]
+    assert cli.main(argv) == 0
+    true_csv.rename(made_in / "moved.csv")
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    note = f"(relative to {tmp_path}: 'run' stores dataset paths as they were given to it)"
+    assert cli.main(["verify", "--out", "made_in/out"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert f"verify: dataset {true_csv} cannot be read: No such file or directory" in err
+    assert f"verify: dataset fake.csv cannot be read: No such file or directory {note}" in err
+    # the absolute path is the one that fails first, so the note is not added
+    assert cli.main(["plot", "--out", "made_in/out"]) == 2
+    err = capsys.readouterr().err
+    assert f"dataset file not found: {true_csv}" in err
+    assert "relative to" not in err
+
+
 def test_rerun_with_fewer_variants_removes_their_artifacts(corpus_dir, run_copy):
     notes = run_copy / "scores_notes.csv"
     notes.write_text("doc_id,note\n", encoding="utf-8")  # no elmdetect stamp: not ours to delete
