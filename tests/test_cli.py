@@ -250,10 +250,14 @@ def test_verify_and_plot_elsewhere_name_where_relative_dataset_paths_were_looked
     made_in = tmp_path / "made_in"
     made_in.mkdir()
     write_corpus(made_in, n=24, seed=1)
+    true_csv = made_in / "true.csv"
     monkeypatch.chdir(made_in)
     argv = ["run", "--true-csv", "true.csv", "--fake-csv", "fake.csv", "--out", "out", *FAST_FLAGS, "--plots"]
     assert cli.main(argv) == 0
     assert cli.main(["verify", "--out", "out"]) == 0
+    # a run that stores the true file's path absolute and the fake file's relative
+    argv = ["run", "--true-csv", str(true_csv), "--fake-csv", "fake.csv", "--out", "mixed", *FAST_FLAGS]
+    assert cli.main(argv) == 0
     monkeypatch.chdir(tmp_path)
     capsys.readouterr()
     note = f"(relative to {tmp_path}: 'run' stores dataset paths as they were given to it)"
@@ -263,26 +267,13 @@ def test_verify_and_plot_elsewhere_name_where_relative_dataset_paths_were_looked
     assert f"dataset fake.csv cannot be read: No such file or directory {note}" in err
     assert cli.main(["plot", "--out", "made_in/out"]) == 2
     assert f"dataset file not found: true.csv {note}" in capsys.readouterr().err
-
-
-def test_an_absolute_dataset_path_gets_no_note_on_where_it_was_looked_for(tmp_path, monkeypatch, capsys):
-    made_in = tmp_path / "made_in"
-    made_in.mkdir()
-    write_corpus(made_in, n=24, seed=1)
-    true_csv = made_in / "true.csv"
-    monkeypatch.chdir(made_in)
-    argv = ["run", "--true-csv", str(true_csv), "--fake-csv", "fake.csv", "--out", "out", *FAST_FLAGS]
-    assert cli.main(argv) == 0
+    # only a relative path that cannot be read gets the note
     true_csv.rename(made_in / "moved.csv")
-    monkeypatch.chdir(tmp_path)
-    capsys.readouterr()
-    note = f"(relative to {tmp_path}: 'run' stores dataset paths as they were given to it)"
-    assert cli.main(["verify", "--out", "made_in/out"]) == 2
+    assert cli.main(["verify", "--out", "made_in/mixed"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert f"verify: dataset {true_csv} cannot be read: No such file or directory" in err
     assert f"verify: dataset fake.csv cannot be read: No such file or directory {note}" in err
-    # the absolute path is the one that fails first, so the note is not added
-    assert cli.main(["plot", "--out", "made_in/out"]) == 2
+    assert cli.main(["plot", "--out", "made_in/mixed"]) == 2  # the true file is read first
     err = capsys.readouterr().err
     assert f"dataset file not found: {true_csv}" in err
     assert "relative to" not in err
