@@ -371,9 +371,9 @@ def _read_report(path: Path) -> tuple[str, dict, RunConfig, str]:
 def _rederive(out: Path, cfg: RunConfig) -> tuple[DocumentSet, FoldPlan, ComparisonReport]:
     """The dataset, the fold plan and the report of the run in out, rebuilt
     from the dataset and the stored scores as `cross_validate` built them.
-    ValueError names a scores file that cannot be read, that does not hold
-    its fold's test documents and labels in order, or whose scores are not
-    finite numbers."""
+    ValueError names a dataset file that is not there, or a scores file
+    that cannot be read, that does not hold its fold's test documents and
+    labels in order, or whose scores are not finite numbers."""
     for path in (cfg.true_csv, cfg.fake_csv):  # in the order load_dataset reads them
         if not Path(path).exists():
             raise ValueError(f"dataset file not found: {path}{_resolved_note(path)}")
