@@ -3,13 +3,13 @@ features` on the same corpus.
 
 Refactors must keep every artifact bit-identical: report.json (minus its
 timestamp), every CSV and SVG of the run directory and features.csv, stamps
-included. A change that alters the numerics on purpose re-records these
-digests and says so:
+included, and the run's printed tables and significance lines. A change
+that alters the numerics on purpose re-records these digests and says so:
 
     PYTHONPATH=src python tests/test_golden.py
 
-prints the REPORT_SHA256 / CSV_SHA256 / SVG_SHA256 / FEATURES_SHA256 block of
-the current code.
+prints the REPORT_SHA256 / CSV_SHA256 / SVG_SHA256 / TABLES_SHA256 /
+FEATURES_SHA256 block of the current code.
 """
 import contextlib
 import csv
@@ -20,6 +20,7 @@ import os
 import tempfile
 from pathlib import Path
 
+import pytest
 from synthetic import dual_signal_corpus
 
 from elmdetect import cli
@@ -59,6 +60,7 @@ SVG_SHA256 = {
     "improvement.svg": "05261f5e8eca98d780611c30df9fea592ac419fc604229cdce8dd1e5de6c589e",
     "roc.svg": "f5d169b9f9bfae20802f2470dafe4fa912d9e02276b0c11ac54accaa484959c5",
 }
+TABLES_SHA256 = "20605558ceaa481895bc7bf4c66dec1621ac3df94cea1003144f0a31874c791e"
 FEATURES_SHA256 = "d62b90bc05ecabfba7757fd934dfb25299aee8552499b7a58db5a37b6653976f"
 
 
@@ -75,19 +77,27 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_digests(directory: Path) -> tuple[str, dict[str, str], dict[str, str]]:
-    """The report digest and the CSV and SVG digests of the pinned run, made in
-    directory, which must be the working directory: relative dataset paths
-    keep the config hash independent of where the run is made."""
+def run_digests(directory: Path) -> tuple[str, dict[str, str], dict[str, str], str]:
+    """The report digest, the CSV and SVG digests and the printed-tables digest
+    of the pinned run, made in directory, which must be the working directory:
+    relative dataset paths keep the config hash independent of where the run
+    is made.
+
+    The tables digest covers stdout from its first blank line on: the metric
+    tables and the `significance ... vs base:` lines, not the epoch lines."""
     write_corpus(directory)
-    rc = cli.main(["run", "--true-csv", "true.csv", "--fake-csv", "fake.csv", "--out", "out", *RUN_FLAGS])
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = cli.main(["run", "--true-csv", "true.csv", "--fake-csv", "fake.csv", "--out", "out", *RUN_FLAGS])
     assert rc == 0
+    printed = stdout.getvalue()
+    tables = printed[printed.index("\n\n") + 1 :]
     out = directory / "out"
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     del report["generated_at"]
     csvs = {p.name: sha256(p.read_bytes()) for p in sorted(out.glob("*.csv"))}
     svgs = {p.name: sha256(p.read_bytes()) for p in sorted(out.glob("*.svg"))}
-    return sha256(json.dumps(report, sort_keys=True).encode("utf-8")), csvs, svgs
+    return sha256(json.dumps(report, sort_keys=True).encode("utf-8")), csvs, svgs, sha256(tables.encode("utf-8"))
 
 
 def features_digest(directory: Path) -> str:
@@ -99,12 +109,24 @@ def features_digest(directory: Path) -> str:
     return sha256((directory / "feat" / "features.csv").read_bytes())
 
 
-def test_run_artifacts_are_bit_identical(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    report, csvs, svgs = run_digests(tmp_path)
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """The digests of the pinned run, made once for the tests below."""
+    directory = tmp_path_factory.mktemp("golden")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(directory)
+        return run_digests(directory)
+
+
+def test_run_artifacts_are_bit_identical(golden_run):
+    report, csvs, svgs, _ = golden_run
     assert report == REPORT_SHA256
     assert csvs == CSV_SHA256
     assert svgs == SVG_SHA256
+
+
+def test_printed_tables_are_bit_identical(golden_run):
+    assert golden_run[3] == TABLES_SHA256
 
 
 def test_feature_matrix_is_bit_identical(tmp_path, monkeypatch, capsys):
@@ -117,7 +139,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         os.chdir(tmp)
         try:
-            report, csvs, svgs = run_digests(Path(tmp))
+            report, csvs, svgs, tables = run_digests(Path(tmp))
             features = features_digest(Path(tmp))
         finally:
             os.chdir(cwd)
@@ -127,4 +149,5 @@ if __name__ == "__main__":
         for name, digest in digests.items():
             print(f'    "{name}": "{digest}",')
         print("}")
+    print(f'TABLES_SHA256 = "{tables}"')
     print(f'FEATURES_SHA256 = "{features}"')
