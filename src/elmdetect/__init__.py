@@ -25,13 +25,7 @@ from .evaluation import (
     metrics,
     roc_curve,
 )
-from .significance import (
-    PairedSample,
-    TTestResult,
-    WilcoxonResult,
-    paired_t_test,
-    wilcoxon_signed_rank,
-)
+from .significance import paired_t_test, wilcoxon_signed_rank
 from .textstats import (
     Lexicon,
     count_syllables,
@@ -56,7 +50,7 @@ __all__ = [
     "FEATURE_NAMES", "FeatureExtractor", "FeatureScaler",
     "ConfusionMatrix", "MetricSet", "RocCurve", "ComparisonReport", "confusion", "metrics",
     "roc_curve", "auc", "cross_validate",
-    "PairedSample", "WilcoxonResult", "TTestResult", "wilcoxon_signed_rank", "paired_t_test",
+    "wilcoxon_signed_rank", "paired_t_test",
     "Lexicon", "tokenize", "split_sentences", "count_syllables", "load_lexicon",
     "TrainConfig", "TrainedModel", "train", "bce_loss", "adam_step",
     "save_model", "load_model",

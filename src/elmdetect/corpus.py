@@ -79,7 +79,6 @@ class FoldPlan:
     """Per-document fold assignment for stratified k-fold cross-validation."""
 
     k: int
-    seed: int
     assignments: tuple[int, ...]
 
     def test_indices(self, fold: int) -> list[int]:
@@ -200,4 +199,4 @@ def stratified_folds(doc_set: DocumentSet, k: int, seed: int) -> FoldPlan:
         order = rng.permutation(len(members))
         for j, idx in enumerate(order):
             assignments[members[idx]] = j % k
-    return FoldPlan(k=k, seed=seed, assignments=tuple(assignments))
+    return FoldPlan(k=k, assignments=tuple(assignments))

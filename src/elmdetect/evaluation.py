@@ -19,13 +19,9 @@ from .errors import (
     SingleClassLabelsError,
 )
 from .features import FeatureExtractor
-from .significance import (
-    PairedSample,
-    paired_t_test,
-    wilcoxon_signed_rank,
-)
+from .significance import paired_t_test, wilcoxon_signed_rank
 from .errors import ElmDetectError
-from .training import TrainConfig, predict_scores, train
+from .training import VARIANTS, TrainConfig, predict_scores, train
 
 METRIC_NAMES = ("accuracy", "precision", "recall", "f1", "roc_auc")
 
@@ -233,25 +229,12 @@ def build_report(fold_results: Sequence[FoldResult], k: int) -> ComparisonReport
 
 
 def _significance(base_acc: list[float], variant_acc: list[float]) -> dict:
-    sample = PairedSample(base=tuple(base_acc), enhanced=tuple(variant_acc))
     out: dict = {}
-    try:
-        w = wilcoxon_signed_rank(sample)
-        out.update(
-            w_plus=w.w_plus,
-            w_minus=w.w_minus,
-            w=w.w_statistic,
-            n_eff=w.n_effective,
-            p_exact_two_sided=w.p_value,
-            p_one_sided=w.p_one_sided,
-        )
-    except ElmDetectError as exc:
-        out["wilcoxon_error"] = str(exc)
-    try:
-        t = paired_t_test(sample)
-        out.update(t=t.t_statistic, df=t.degrees_of_freedom, p_t_one_sided=t.p_one_sided)
-    except ElmDetectError as exc:
-        out["t_test_error"] = str(exc)
+    for test, error_key in ((wilcoxon_signed_rank, "wilcoxon_error"), (paired_t_test, "t_test_error")):
+        try:
+            out.update(test(base_acc, variant_acc))
+        except ElmDetectError as exc:
+            out[error_key] = str(exc)
     return out
 
 
@@ -264,8 +247,9 @@ def cross_validate(
     """Train and evaluate every (fold, variant) pair.
 
     Each task gets its own model and an RNG seeded from (global seed, fold,
-    variant), so results do not depend on the order of the tasks; a failed
-    fold aborts the run with its fold index.
+    the variant's index in VARIANTS), so its results depend neither on the
+    order of the tasks nor on which other variants run; a failed fold
+    aborts the run with its fold index.
     """
     if len(fold_plan.assignments) != len(corpus):
         raise ValueError("fold plan does not cover the corpus")
@@ -278,9 +262,9 @@ def cross_validate(
     for fold in range(fold_plan.k):
         train_docs = [docs[i] for i in fold_plan.train_indices(fold)]
         test_docs = [docs[i] for i in fold_plan.test_indices(fold)]
-        for vi, config in enumerate(configs):
+        for config in configs:
             seed = int(
-                np.random.SeedSequence([config.seed, fold, vi]).generate_state(1)[0]
+                np.random.SeedSequence([config.seed, fold, VARIANTS.index(config.variant)]).generate_state(1)[0]
             )
             fold_results.append(_run_task(fold, replace(config, seed=seed), train_docs, test_docs, extractor))
     return build_report(fold_results, fold_plan.k)

@@ -1,5 +1,10 @@
 """Paired significance tests over per-fold accuracies.
 
+Each test takes the per-fold values of the base model and of the compared
+variant, two sequences of equal length with at least two pairs, and returns
+the entries that `report.json` stores under the variant's `significance`,
+in the order the run prints them.
+
 The Wilcoxon signed-rank test drops zero differences, ranks the absolute
 differences (average ranks on ties), sums ranks by sign into W+ and W-, and
 takes W = min(W+, W-). The p-value is exact for every n: the null
@@ -12,7 +17,7 @@ regularized incomplete beta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import (
     AllZeroDifferencesError,
@@ -21,64 +26,35 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class PairedSample:
-    """Per-fold metric values of a baseline and a comparison model."""
-
-    base: tuple[float, ...]
-    enhanced: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.base) != len(self.enhanced):
-            raise ValueError(
-                f"paired sample lengths differ: {len(self.base)} vs {len(self.enhanced)}"
-            )
-
-    @property
-    def k(self) -> int:
-        return len(self.base)
-
-    def differences(self) -> list[float]:
-        return [e - b for b, e in zip(self.base, self.enhanced)]
+def _differences(base: Sequence[float], other: Sequence[float]) -> list[float]:
+    """The paired differences other - base."""
+    if len(base) != len(other):
+        raise ValueError(f"paired sample lengths differ: {len(base)} vs {len(other)}")
+    if len(base) < 2:
+        raise TooFewPairsError(f"need at least 2 pairs, got {len(base)}")
+    return [o - b for b, o in zip(base, other)]
 
 
-@dataclass(frozen=True)
-class WilcoxonResult:
-    w_plus: float
-    w_minus: float
-    w_statistic: float
-    n_effective: int
-    p_value: float  # two-sided
-    p_one_sided: float  # alternative: positive shift (enhanced > base)
-
-
-@dataclass(frozen=True)
-class TTestResult:
-    t_statistic: float
-    degrees_of_freedom: int
-    p_one_sided: float  # alternative: mean difference > 0 (enhanced > base)
-
-
-def wilcoxon_signed_rank(sample: PairedSample) -> WilcoxonResult:
-    """Signed-rank test on paired differences enhanced - base."""
-    if sample.k < 2:
-        raise TooFewPairsError(f"need at least 2 pairs, got {sample.k}")
-    diffs = [d for d in sample.differences() if d != 0.0]
+def wilcoxon_signed_rank(base: Sequence[float], other: Sequence[float]) -> dict:
+    """Signed-rank test on the paired differences other - base: the rank
+    sums `w_plus` and `w_minus`, `w` = min of the two, the number of nonzero
+    differences `n_eff`, the exact two-sided p and the one-sided p of a
+    positive shift (other > base)."""
+    diffs = [d for d in _differences(base, other) if d != 0.0]
     if not diffs:
         raise AllZeroDifferencesError("all paired differences are zero")
-    n = len(diffs)
     ranks = _average_ranks([abs(d) for d in diffs])
     w_plus = sum(r for r, d in zip(ranks, diffs) if d > 0)
     w_minus = sum(r for r, d in zip(ranks, diffs) if d < 0)
     p_two, p_one = _exact_p_values(ranks, w_plus)
-    return WilcoxonResult(
-        w_plus=w_plus,
-        w_minus=w_minus,
-        w_statistic=min(w_plus, w_minus),
-        n_effective=n,
-        p_value=p_two,
-        p_one_sided=p_one,
-    )
+    return {
+        "w_plus": w_plus,
+        "w_minus": w_minus,
+        "w": min(w_plus, w_minus),
+        "n_eff": len(diffs),
+        "p_exact_two_sided": p_two,
+        "p_one_sided": p_one,
+    }
 
 
 def _average_ranks(values: list[float]) -> list[float]:
@@ -114,11 +90,11 @@ def _exact_p_values(ranks: list[float], w_plus: float) -> tuple[float, float]:
     return p_two, p_ge
 
 
-def paired_t_test(sample: PairedSample) -> TTestResult:
-    """One-tailed paired t-test of mean difference enhanced - base > 0."""
-    if sample.k < 2:
-        raise TooFewPairsError(f"need at least 2 pairs, got {sample.k}")
-    diffs = sample.differences()
+def paired_t_test(base: Sequence[float], other: Sequence[float]) -> dict:
+    """One-tailed paired t-test of the mean difference other - base > 0: the
+    statistic `t`, its degrees of freedom `df` and the one-sided p
+    `p_t_one_sided`."""
+    diffs = _differences(base, other)
     n = len(diffs)
     mean = sum(diffs) / n
     ss = sum((d - mean) ** 2 for d in diffs)
@@ -126,8 +102,7 @@ def paired_t_test(sample: PairedSample) -> TTestResult:
         raise ZeroVarianceError("paired differences have zero variance")
     sd = math.sqrt(ss / (n - 1))
     t = mean / (sd / math.sqrt(n))
-    df = n - 1
-    return TTestResult(t_statistic=t, degrees_of_freedom=df, p_one_sided=1.0 - t_cdf(t, df))
+    return {"t": t, "df": n - 1, "p_t_one_sided": 1.0 - t_cdf(t, n - 1)}
 
 
 def t_cdf(t: float, df: int) -> float:

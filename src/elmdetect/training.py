@@ -228,7 +228,7 @@ class TextPipelineModel:
     def layers(self):
         return [self.embedding, self.conv, self.lstm, self.head]
 
-    def forward(self, ids: np.ndarray, feats: np.ndarray | None, train: bool, rng=None) -> np.ndarray:
+    def forward(self, ids: np.ndarray, feats: np.ndarray, train: bool, rng=None) -> np.ndarray:
         """Probabilities for end-padded id rows.
 
         The batch is cut to its longest row (at least one conv window), and
@@ -250,7 +250,8 @@ class TextPipelineModel:
         fmap = self.conv.forward(emb, train)
         fmap = self.dropout.forward(fmap, train=train, rng=rng)
         text = self.lstm.forward(fmap, last=np.maximum(lengths - KERNEL_SIZE, 0), train=train)
-        z = text if feats is None else np.concatenate([text, feats], axis=1)
+        # an (n, 0) float64 feats would make a float32 training input float64
+        z = np.concatenate([text, feats], axis=1) if feats.shape[1] else text
         return self.head.forward(z)
 
     def backward_logit(self, dlogit: np.ndarray) -> None:
@@ -323,15 +324,18 @@ def _build_net(vocab: Vocabulary | None, scaler: FeatureScaler | None, rng: np.r
     return net
 
 
-def _encode_batch(model: TrainedModel, docs: Sequence[Document]) -> np.ndarray | None:
+def _encode_batch(model: TrainedModel, docs: Sequence[Document]) -> np.ndarray:
+    """The id matrix of docs; (n, 0) for a variant without a text path."""
     if model.vocab is None:
-        return None
+        return np.zeros((len(docs), 0), dtype=np.int64)
     return model.vocab.encode([d.tokens for d in docs], model.config.max_seq_len)
 
 
-def _feature_batch(model: TrainedModel, docs: Sequence[Document]) -> np.ndarray | None:
+def _feature_batch(model: TrainedModel, docs: Sequence[Document]) -> np.ndarray:
+    """The scaled feature matrix of docs; (n, 0) for a variant without
+    features."""
     if model.scaler is None:
-        return None
+        return np.zeros((len(docs), 0))
     raw = model.extractor.matrix(docs)
     if model.extended is not None:
         raw = np.hstack([raw, model.extended.matrix(docs)])
@@ -343,7 +347,7 @@ def predict_scores(model: TrainedModel, docs: Sequence[Document]) -> np.ndarray:
     return _eval_forward(model.model, _encode_batch(model, docs), _feature_batch(model, docs), model.config.batch_size)
 
 
-def _eval_forward(net, ids: np.ndarray | None, feats: np.ndarray | None, size: int) -> np.ndarray:
+def _eval_forward(net, ids: np.ndarray, feats: np.ndarray, size: int) -> np.ndarray:
     """Eval-mode probabilities, `size` rows at a time.
 
     The conv and the LSTM keep nothing after an eval forward, and the LSTM
@@ -355,18 +359,13 @@ def _eval_forward(net, ids: np.ndarray | None, feats: np.ndarray | None, size: i
     chunk, trimmed to its own longest row, holds rows of about one length
     and little padding (the sequence bucketing of Khomenko et al.,
     arXiv:1708.05604); each chunk's probabilities go back to its rows'
-    input positions. Rows without ids run in input order.
+    input positions. Rows without ids, all of length 0, run in input order.
     """
-    n = len(ids if feats is None else feats)
-    order = np.arange(n) if ids is None else np.argsort(np.count_nonzero(ids != PAD_INDEX, axis=1), kind="stable")
-    out = np.empty(n)
-    for start in range(0, n, size):
+    order = np.argsort(np.count_nonzero(ids != PAD_INDEX, axis=1), kind="stable")
+    out = np.empty(len(ids))
+    for start in range(0, len(ids), size):
         rows = order[start : start + size]
-        out[rows] = net.forward(
-            None if ids is None else ids[rows],
-            None if feats is None else feats[rows],
-            train=False,
-        )
+        out[rows] = net.forward(ids[rows], feats[rows], train=False)
     return out
 
 
@@ -439,10 +438,8 @@ def train(
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            batch_ids = None if ids_train is None else ids_train[idx]
-            batch_feats = None if feats_train is None else feats_train[idx]
             y = y_train[idx]
-            p = net.forward(batch_ids, batch_feats, train=True, rng=rng)
+            p = net.forward(ids_train[idx], feats_train[idx], train=True, rng=rng)
             loss_sum += bce_loss(p, y) * len(idx)
             grads.fill(0.0)
             net.backward_logit((p - y) / len(idx))
@@ -453,12 +450,12 @@ def train(
         if config.progress:
             print(f"epoch={epoch} train_loss={train_loss:.6f} val_loss={val_loss:.6f}")
         stop = stopper.update(epoch, val_loss)
-        if stopper.improved:
+        if config.early_stop_patience > 0 and stopper.improved:
             best_params = params.copy()
         if stop:
             break
 
-    if config.early_stop_patience > 0 and best_params is not None:
+    if best_params is not None:
         params[...] = best_params
         model.best_epoch = stopper.best_epoch
     else:

@@ -26,7 +26,7 @@ from elmdetect import evaluation
 from elmdetect.training import TrainConfig
 
 from oracles import mann_whitney_auc, oracle_roc_curve
-from synthetic import planted_token_corpus
+from synthetic import dual_signal_corpus, planted_token_corpus
 
 
 class TestConfusion:
@@ -257,6 +257,17 @@ class TestCrossValidate:
         for r in report.fold_results:
             assert len(r.scores) == len(r.labels) == len(r.doc_ids)
         assert "features_only" in report.significance
+
+    def test_scores_do_not_depend_on_the_variant_list(self):
+        """A task is seeded from its variant's place in VARIANTS, so leaving
+        out or reordering the other variants keeps its scores bit for bit."""
+        corpus = dual_signal_corpus(n=60, seed=3)
+        plan = stratified_folds(corpus, 3, seed=7)
+        seen = {}
+        for variants in (("base", "enhanced"), ("enhanced", "base"), ("base", "features_only", "enhanced"), ("enhanced",)):
+            report = cross_validate(corpus, plan, [self.fast_config(v) for v in variants])
+            for r in report.fold_results:
+                assert seen.setdefault((r.variant, r.fold_index), r.scores) == r.scores, (variants, r.variant)
 
     def test_every_document_scored_exactly_once_per_variant(self):
         corpus = planted_token_corpus(n=30, seed=2)

@@ -13,7 +13,6 @@ from elmdetect.errors import (
     ZeroVarianceError,
 )
 from elmdetect.significance import (
-    PairedSample,
     betainc_regularized,
     paired_t_test,
     t_cdf,
@@ -25,48 +24,50 @@ WILCOXON_CRITICAL_05 = {6: 0, 7: 2, 8: 3, 9: 5, 10: 8, 11: 10, 12: 13}
 
 
 def sample_from_diffs(diffs):
-    return PairedSample(base=tuple(0.0 for _ in diffs), enhanced=tuple(diffs))
+    """The (base, other) pair whose differences other - base are diffs."""
+    return [0.0] * len(diffs), list(diffs)
 
 
 class TestWilcoxon:
     def test_all_positive_ten_folds(self):
-        result = wilcoxon_signed_rank(sample_from_diffs([0.01 * (i + 1) for i in range(10)]))
-        assert result.w_minus == 0.0
-        assert result.w_statistic == 0.0
-        assert result.n_effective == 10
-        assert result.p_value == pytest.approx(0.001953125, abs=1e-15)
-        assert result.p_one_sided == pytest.approx(1 / 1024, abs=1e-15)
+        result = wilcoxon_signed_rank(*sample_from_diffs([0.01 * (i + 1) for i in range(10)]))
+        assert result["w_minus"] == 0.0
+        assert result["w"] == 0.0
+        assert result["n_eff"] == 10
+        assert result["p_exact_two_sided"] == pytest.approx(0.001953125, abs=1e-15)
+        assert result["p_one_sided"] == pytest.approx(1 / 1024, abs=1e-15)
+        assert list(result) == ["w_plus", "w_minus", "w", "n_eff", "p_exact_two_sided", "p_one_sided"]
 
     def test_sign_flip_swaps_rank_sums_keeps_p(self):
         diffs = [0.3, -0.1, 0.25, 0.07, -0.02, 0.4, 0.11]
-        a = wilcoxon_signed_rank(sample_from_diffs(diffs))
-        b = wilcoxon_signed_rank(sample_from_diffs([-d for d in diffs]))
-        assert a.w_plus == b.w_minus
-        assert a.w_minus == b.w_plus
-        assert a.p_value == b.p_value
+        a = wilcoxon_signed_rank(*sample_from_diffs(diffs))
+        b = wilcoxon_signed_rank(*sample_from_diffs([-d for d in diffs]))
+        assert a["w_plus"] == b["w_minus"]
+        assert a["w_minus"] == b["w_plus"]
+        assert a["p_exact_two_sided"] == b["p_exact_two_sided"]
 
     def test_zero_differences_dropped(self):
-        result = wilcoxon_signed_rank(sample_from_diffs([0.0, 0.0, 0.5, -0.2, 0.3]))
-        assert result.n_effective == 3
+        result = wilcoxon_signed_rank(*sample_from_diffs([0.0, 0.0, 0.5, -0.2, 0.3]))
+        assert result["n_eff"] == 3
 
     def test_all_zero_differences_error(self):
         with pytest.raises(AllZeroDifferencesError):
-            wilcoxon_signed_rank(sample_from_diffs([0.0, 0.0, 0.0]))
+            wilcoxon_signed_rank(*sample_from_diffs([0.0, 0.0, 0.0]))
 
     def test_too_few_pairs(self):
         with pytest.raises(TooFewPairsError):
-            wilcoxon_signed_rank(sample_from_diffs([1.0]))
+            wilcoxon_signed_rank(*sample_from_diffs([1.0]))
 
     def test_unequal_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            PairedSample(base=(1.0, 2.0), enhanced=(1.0,))
+        with pytest.raises(ValueError, match="lengths differ"):
+            wilcoxon_signed_rank([1.0, 2.0], [1.0])
 
     def test_rescaling_invariance(self):
         diffs = [0.4, -0.2, 0.9, 0.05, -0.6, 0.33]
-        a = wilcoxon_signed_rank(sample_from_diffs(diffs))
-        b = wilcoxon_signed_rank(sample_from_diffs([37.0 * d for d in diffs]))
-        assert a.p_value == b.p_value
-        assert a.w_statistic == b.w_statistic
+        a = wilcoxon_signed_rank(*sample_from_diffs(diffs))
+        b = wilcoxon_signed_rank(*sample_from_diffs([37.0 * d for d in diffs]))
+        assert a["p_exact_two_sided"] == b["p_exact_two_sided"]
+        assert a["w"] == b["w"]
 
     @given(
         st.lists(
@@ -77,10 +78,10 @@ class TestWilcoxon:
     )
     @settings(max_examples=200, deadline=None)
     def test_rank_sum_identity(self, diffs):
-        result = wilcoxon_signed_rank(sample_from_diffs(diffs))
-        n = result.n_effective
-        assert result.w_plus + result.w_minus == pytest.approx(n * (n + 1) / 2)
-        assert result.w_statistic == min(result.w_plus, result.w_minus)
+        result = wilcoxon_signed_rank(*sample_from_diffs(diffs))
+        n = result["n_eff"]
+        assert result["w_plus"] + result["w_minus"] == pytest.approx(n * (n + 1) / 2)
+        assert result["w"] == min(result["w_plus"], result["w_minus"])
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_rejection_matches_published_critical_values(self, n):
@@ -90,13 +91,13 @@ class TestWilcoxon:
             if all(s == 1 for s in signs) or all(s == -1 for s in signs):
                 pass  # still a valid pattern; W = 0
             diffs = [s * m for s, m in zip(signs, range(1, n + 1))]
-            result = wilcoxon_signed_rank(sample_from_diffs(diffs))
-            reject = result.p_value <= 0.05
-            assert reject == (result.w_statistic <= critical), (
+            result = wilcoxon_signed_rank(*sample_from_diffs(diffs))
+            reject = result["p_exact_two_sided"] <= 0.05
+            assert reject == (result["w"] <= critical), (
                 n,
                 signs,
-                result.w_statistic,
-                result.p_value,
+                result["w"],
+                result["p_exact_two_sided"],
             )
 
     def test_matches_scipy_exact_on_tie_free_cases(self):
@@ -106,15 +107,15 @@ class TestWilcoxon:
             diffs = rng.normal(size=n)
             while len(np.unique(np.abs(diffs))) != n or np.any(diffs == 0):
                 diffs = rng.normal(size=n)
-            mine = wilcoxon_signed_rank(sample_from_diffs(list(diffs)))
+            mine = wilcoxon_signed_rank(*sample_from_diffs(list(diffs)))
             ref = scipy.stats.wilcoxon(diffs, alternative="two-sided", method="exact")
-            assert mine.p_value == pytest.approx(ref.pvalue, abs=1e-12)
+            assert mine["p_exact_two_sided"] == pytest.approx(ref.pvalue, abs=1e-12)
 
     def test_exact_with_ties_in_magnitudes(self):
         # tied |D| get average ranks; the doubled-rank enumeration stays exact
         diffs = [0.2, 0.2, -0.2, 0.5, 0.5]
-        result = wilcoxon_signed_rank(sample_from_diffs(diffs))
-        assert result.w_plus + result.w_minus == pytest.approx(15.0)
+        result = wilcoxon_signed_rank(*sample_from_diffs(diffs))
+        assert result["w_plus"] + result["w_minus"] == pytest.approx(15.0)
         # brute force over all 2^5 sign assignments with the same ranks
         ranks = [2.0, 2.0, 2.0, 4.5, 4.5]
         observed_w_plus = 2.0 + 2.0 + 4.5 + 4.5
@@ -129,7 +130,7 @@ class TestWilcoxon:
             if sum(r for s, r in zip(signs, ranks) if s) <= observed_w_plus
         )
         expected_two = min(1.0, 2.0 * min(count_ge / 32, count_le / 32))
-        assert result.p_value == pytest.approx(expected_two, abs=1e-15)
+        assert result["p_exact_two_sided"] == pytest.approx(expected_two, abs=1e-15)
 
 
 def mpmath_t_cdf(t, df):
@@ -165,24 +166,25 @@ class TestTCdf:
 
 class TestPairedTTest:
     def test_symmetric_differences_give_half(self):
-        result = paired_t_test(sample_from_diffs([1.0, -1.0, 1.0, -1.0]))
-        assert result.t_statistic == 0.0
-        assert result.p_one_sided == pytest.approx(0.5)
-        assert result.degrees_of_freedom == 3
+        result = paired_t_test(*sample_from_diffs([1.0, -1.0, 1.0, -1.0]))
+        assert result["t"] == 0.0
+        assert result["p_t_one_sided"] == pytest.approx(0.5)
+        assert result["df"] == 3
+        assert list(result) == ["t", "df", "p_t_one_sided"]
 
     def test_constant_differences_zero_variance(self):
         with pytest.raises(ZeroVarianceError):
-            paired_t_test(sample_from_diffs([1.0, 1.0, 1.0, 1.0]))
+            paired_t_test(*sample_from_diffs([1.0, 1.0, 1.0, 1.0]))
 
     def test_known_case_against_oracle(self):
         diffs = [2.0, 1.0, 3.0, 2.0, 2.0]
-        result = paired_t_test(sample_from_diffs(diffs))
+        result = paired_t_test(*sample_from_diffs(diffs))
         mean = 2.0
         sd = math.sqrt(sum((d - mean) ** 2 for d in diffs) / 4)
         t_expected = mean / (sd / math.sqrt(5))
-        assert result.t_statistic == pytest.approx(t_expected, abs=1e-12)
-        assert result.degrees_of_freedom == 4
-        assert result.p_one_sided == pytest.approx(1.0 - mpmath_t_cdf(t_expected, 4), abs=1e-10)
+        assert result["t"] == pytest.approx(t_expected, abs=1e-12)
+        assert result["df"] == 4
+        assert result["p_t_one_sided"] == pytest.approx(1.0 - mpmath_t_cdf(t_expected, 4), abs=1e-10)
 
     def test_matches_scipy_one_sided(self):
         rng = np.random.default_rng(3)
@@ -190,12 +192,15 @@ class TestPairedTTest:
             n = int(rng.integers(3, 12))
             base = rng.normal(size=n)
             enhanced = base + rng.normal(loc=0.2, size=n)
-            sample = PairedSample(base=tuple(base), enhanced=tuple(enhanced))
-            mine = paired_t_test(sample)
+            mine = paired_t_test(list(base), list(enhanced))
             ref = scipy.stats.ttest_rel(enhanced, base, alternative="greater")
-            assert mine.p_one_sided == pytest.approx(ref.pvalue, abs=1e-10)
-            assert mine.t_statistic == pytest.approx(ref.statistic, abs=1e-10)
+            assert mine["p_t_one_sided"] == pytest.approx(ref.pvalue, abs=1e-10)
+            assert mine["t"] == pytest.approx(ref.statistic, abs=1e-10)
 
     def test_too_few_pairs(self):
         with pytest.raises(TooFewPairsError):
-            paired_t_test(sample_from_diffs([1.0]))
+            paired_t_test(*sample_from_diffs([1.0]))
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="lengths differ"):
+            paired_t_test([1.0, 2.0], [1.0])
