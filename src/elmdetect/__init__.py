@@ -15,9 +15,6 @@ from .features import (
     FeatureScaler,
 )
 from .evaluation import (
-    ComparisonReport,
-    ConfusionMatrix,
-    MetricSet,
     RocCurve,
     auc,
     confusion,
@@ -48,8 +45,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Document", "DocumentSet", "FoldPlan", "clean_text", "load_dataset", "stratified_folds",
     "FEATURE_NAMES", "FeatureExtractor", "FeatureScaler",
-    "ConfusionMatrix", "MetricSet", "RocCurve", "ComparisonReport", "confusion", "metrics",
-    "roc_curve", "auc", "cross_validate",
+    "RocCurve", "confusion", "metrics", "roc_curve", "auc", "cross_validate",
     "wilcoxon_signed_rank", "paired_t_test",
     "Lexicon", "tokenize", "split_sentences", "count_syllables", "load_lexicon",
     "TrainConfig", "TrainedModel", "train", "bce_loss", "adam_step",

@@ -21,20 +21,12 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .corpus import DocumentSet, FoldPlan, load_dataset, stratified_folds
 from .errors import ElmDetectError
-from .evaluation import (
-    FNIR_REFERENCE_RESULTS,
-    METRIC_NAMES,
-    ComparisonReport,
-    build_report,
-    cross_validate,
-    evaluate_fold,
-    roc_curve,
-)
+from .evaluation import METRIC_NAMES, FoldResult, build_report, cross_validate, evaluate_fold, roc_curve
 from .features import FEATURE_NAMES, FeatureExtractor
 from .plots import render_improvement_svg, render_roc_svg
 from .textstats import load_lexicon
@@ -204,14 +196,15 @@ def cmd_run(args) -> int:
     plan = stratified_folds(corpus, cfg.k, cfg.seed)
     configs = [cfg.train_config(v) for v in cfg.variants]
     try:
-        report = cross_validate(corpus, plan, configs, extractor=extractor)
+        results = cross_validate(corpus, plan, configs, extractor=extractor)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRAINING
+    report = build_report(results, plan.k)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _remove_stale_artifacts(out)
-    _write_run_outputs(cfg, hashed, corpus, plan, report, out)
+    _write_run_outputs(cfg, hashed, corpus, plan, results, report, out)
     _print_tables(report)
     return EXIT_OK
 
@@ -227,19 +220,21 @@ def _remove_stale_artifacts(out: Path) -> None:
 
 
 def _write_run_outputs(
-    cfg: RunConfig, hashed: dict, corpus: DocumentSet, plan: FoldPlan, report: ComparisonReport, out: Path
+    cfg: RunConfig, hashed: dict, corpus: DocumentSet, plan: FoldPlan, results: list[FoldResult], report: dict,
+    out: Path,
 ) -> None:
     generated_at = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
-    for name, text in _render(hashed, cfg.seed, corpus, plan, report, generated_at, cfg.emit_plots).items():
+    for name, text in _render(hashed, cfg.seed, corpus, plan, results, report, generated_at, cfg.emit_plots).items():
         _write(out / name, text)
 
 
 def _render(
-    hashed: dict, seed: int, corpus: DocumentSet, plan: FoldPlan, report: ComparisonReport, generated_at: str,
-    plots: bool,
+    hashed: dict, seed: int, corpus: DocumentSet, plan: FoldPlan, results: list[FoldResult], report: dict,
+    generated_at: str, plots: bool,
 ) -> dict[str, str]:
     """The text of every file of a run directory, by name: the CSVs,
-    report.json and, with plots, roc.svg and improvement.svg."""
+    report.json and, with plots, roc.svg and improvement.svg. report is
+    `build_report(results, k)`; report.json is it plus the envelope."""
     cfg_hash = _config_hash(hashed)
     stamp = _stamp(cfg_hash, seed)
     files = {
@@ -247,18 +242,18 @@ def _render(
         "folds.csv": _csv_text(
             stamp,
             ["fold", "variant", "acc", "prec", "rec", "f1", "auc"],
-            ([r.fold_index, r.variant, *map(repr, r.metric_set.as_dict().values())] for r in report.fold_results),
+            ([r.fold, r.variant, *map(repr, r.metrics.values())] for r in results),
         ),
     }
     curves = {}
-    for variant in report.variants:
-        rows = [r for r in report.fold_results if r.variant == variant]
+    for variant in report["variants"]:
+        rows = [r for r in results if r.variant == variant]
         for r in rows:
-            files[f"scores_{variant}_{r.fold_index}.csv"] = _csv_text(
+            files[f"scores_{variant}_{r.fold}.csv"] = _csv_text(
                 stamp, ["doc_id", "score", "label"], ((d, repr(s), y) for d, s, y in zip(r.doc_ids, r.scores, r.labels))
             )
         files[f"confusion_{variant}.csv"] = _csv_text(
-            stamp, ["fold", "tp", "tn", "fp", "fn"], ([r.fold_index, *asdict(r.confusion).values()] for r in rows)
+            stamp, ["fold", "tp", "tn", "fp", "fn"], ([r.fold, *r.confusion.values()] for r in rows)
         )
         # pooled out-of-fold scores give one ROC per variant
         curve = roc_curve([s for r in rows for s in r.scores], [y for r in rows for y in r.labels])
@@ -268,67 +263,44 @@ def _render(
             ((repr(p[0]), repr(p[1]), repr(t)) for p, t in zip(curve.points, curve.thresholds)),
         )
         fprs, tprs = zip(*curve.points)
-        curves[variant] = (fprs, tprs, report.mean_metrics[variant].roc_auc)
+        curves[variant] = (fprs, tprs, report["mean_metrics"][variant]["roc_auc"])
     payload = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "config_hash": cfg_hash,
         "seed": seed,
-        "k": report.k,
         "generated_at": generated_at,
         "config": hashed,
-        "variants": list(report.variants),
-        "mean_metrics": {v: m.as_dict() for v, m in report.mean_metrics.items()},
-        "deltas": report.deltas,
-        "fold_accuracies": report.fold_accuracies,
-        "significance": report.significance,
-        "reference_results": {
-            v: FNIR_REFERENCE_RESULTS[v] for v in report.variants if v in FNIR_REFERENCE_RESULTS
-        },
-        "per_fold": [
-            {"fold": r.fold_index, "variant": r.variant, "metrics": r.metric_set.as_dict(),
-             "confusion": asdict(r.confusion)}
-            for r in report.fold_results
-        ],
+        **report,
     }
     files["report.json"] = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if plots:
         comment = f"<!-- config_hash={cfg_hash} seed={seed} -->\n"
         # without base, or with base alone, every variant is drawn at zero
-        deltas = report.deltas or {v: dict.fromkeys(METRIC_NAMES, 0.0) for v in report.variants}
+        deltas = report["deltas"] or {v: dict.fromkeys(METRIC_NAMES, 0.0) for v in report["variants"]}
         files["roc.svg"] = comment + render_roc_svg(curves)
         files["improvement.svg"] = comment + render_improvement_svg(METRIC_NAMES, deltas)
     return files
 
 
-def _print_tables(report: ComparisonReport) -> None:
-    variants = list(report.variants)
+def _print_tables(report: dict) -> None:
+    variants, mean, deltas = report["variants"], report["mean_metrics"], report["deltas"]
+    reference = report["reference_results"]
     print()
-    header = ["metric"] + variants + [f"d({v}-base)" for v in variants if v != "base" and "base" in variants]
+    header = ["metric", *variants, *(f"d({v}-base)" for v in deltas)]
     widths = [max(10, len(h) + 2) for h in header]
     print("".join(h.ljust(w) for h, w in zip(header, widths)))
     for name in METRIC_NAMES:
-        cells = [name]
-        for v in variants:
-            cells.append(f"{getattr(report.mean_metrics[v], name):.4f}")
-        if "base" in variants:
-            for v in variants:
-                if v != "base":
-                    cells.append(f"{report.deltas[v][name]:+.4f}")
+        cells = [name, *(f"{mean[v][name]:.4f}" for v in variants), *(f"{d[name]:+.4f}" for d in deltas.values())]
         print("".join(c.ljust(w) for c, w in zip(cells, widths)))
-    known = [v for v in variants if v in FNIR_REFERENCE_RESULTS]
-    if known:
+    if reference:
         print("\npublished reference (COVID19-FNIR) vs this run:")
-        header = ["metric"] + [f"{v} ref/run" for v in known]
+        header = ["metric", *(f"{v} ref/run" for v in reference)]
         widths = [max(12, len(h) + 2) for h in header]
         print("".join(h.ljust(w) for h, w in zip(header, widths)))
         for name in METRIC_NAMES:
-            cells = [name]
-            for v in known:
-                ref = FNIR_REFERENCE_RESULTS[v][name]
-                run = getattr(report.mean_metrics[v], name)
-                cells.append(f"{ref:.4f}/{run:.4f}")
+            cells = [name, *(f"{ref[name]:.4f}/{mean[v][name]:.4f}" for v, ref in reference.items())]
             print("".join(c.ljust(w) for c, w in zip(cells, widths)))
-    for variant, sig in report.significance.items():
+    for variant, sig in report["significance"].items():
         print(f"\nsignificance {variant} vs base: " + ", ".join(f"{k}={v}" for k, v in sig.items()))
 
 
@@ -368,9 +340,10 @@ def _read_report(path: Path) -> tuple[str, dict, RunConfig, str]:
         raise ValueError(f"report.json is malformed: {exc}") from None
 
 
-def _rederive(out: Path, cfg: RunConfig) -> tuple[DocumentSet, FoldPlan, ComparisonReport]:
-    """The dataset, the fold plan and the report of the run in out, rebuilt
-    from the dataset and the stored scores as `cross_validate` built them.
+def _rederive(out: Path, cfg: RunConfig) -> tuple[DocumentSet, FoldPlan, list[FoldResult], dict]:
+    """The dataset, the fold plan, the fold results and the report of the
+    run in out, rebuilt from the dataset and the stored scores as
+    `cross_validate` and `build_report` built them.
     ValueError names a dataset file that is not there, or a scores file
     that cannot be read, that does not hold its fold's test documents and
     labels in order, or whose scores are not finite numbers."""
@@ -402,7 +375,7 @@ def _rederive(out: Path, cfg: RunConfig) -> tuple[DocumentSet, FoldPlan, Compari
             if not all(map(math.isfinite, scores)):
                 raise ValueError(f"{name}: a score is not finite")
             results.append(evaluate_fold(fold, variant, doc_ids, scores, [d.label for d in test_docs]))
-    return corpus, plan, build_report(results, plan.k)
+    return corpus, plan, results, build_report(results, plan.k)
 
 
 def _resolved_note(path: str) -> str:

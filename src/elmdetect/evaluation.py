@@ -1,8 +1,8 @@
 """Confusion matrices, classification metrics, ROC/AUC, and the
 cross-validation driver that produces the model-comparison report.
 
-The positive class is fake news (label 1); a score >= threshold predicts
-fake.
+The positive class is fake news (label 1); a score >= THRESHOLD (0.5)
+predicts fake.
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ from .errors import ElmDetectError
 from .training import VARIANTS, TrainConfig, predict_scores, train
 
 METRIC_NAMES = ("accuracy", "precision", "recall", "f1", "roc_auc")
+THRESHOLD = 0.5
 
 # Published reference metrics on the COVID19-FNIR benchmark, used for
 # side-by-side display in the run report (fractions, not percent).
@@ -36,30 +37,6 @@ FNIR_REFERENCE_RESULTS = {
 
 
 @dataclass(frozen=True)
-class ConfusionMatrix:
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
-
-
-@dataclass(frozen=True)
-class MetricSet:
-    accuracy: float
-    precision: float
-    recall: float
-    f1: float
-    roc_auc: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in METRIC_NAMES}
-
-
-@dataclass(frozen=True)
 class RocCurve:
     """(fpr, tpr) points sorted by fpr, from (0,0) to (1,1); thresholds[i] is
     the score cut that produces points[i] under the >= rule."""
@@ -68,15 +45,16 @@ class RocCurve:
     thresholds: tuple[float, ...]
 
 
-def confusion(scores: Sequence[float], labels: Sequence[int], threshold: float = 0.5) -> ConfusionMatrix:
-    """Count tp/tn/fp/fn with fake (1) as the positive class."""
+def confusion(scores: Sequence[float], labels: Sequence[int]) -> dict[str, int]:
+    """Count {tp, tn, fp, fn}, in the column order of confusion_*.csv, with
+    fake (1) as the positive class."""
     if len(scores) != len(labels):
         raise LengthMismatchError(f"{len(scores)} scores vs {len(labels)} labels")
     if len(scores) == 0:
         raise EmptyEvaluationError("cannot build a confusion matrix from zero documents")
     tp = tn = fp = fn = 0
     for s, y in zip(scores, labels):
-        predicted = 1 if s >= threshold else 0
+        predicted = 1 if s >= THRESHOLD else 0
         if predicted == 1 and y == 1:
             tp += 1
         elif predicted == 0 and y == 0:
@@ -85,23 +63,20 @@ def confusion(scores: Sequence[float], labels: Sequence[int], threshold: float =
             fp += 1
         else:
             fn += 1
-    return ConfusionMatrix(tp=tp, tn=tn, fp=fp, fn=fn)
+    return {"tp": tp, "tn": tn, "fp": fp, "fn": fn}
 
 
-def metrics(cm: ConfusionMatrix, auc_value: float) -> MetricSet:
-    """Accuracy, precision, recall, F1 from counts; degenerate cases are 0."""
-    if cm.total == 0:
+def metrics(cm: dict[str, int], auc_value: float) -> dict[str, float]:
+    """The METRIC_NAMES -> value dict of a confusion count and an AUC:
+    accuracy, precision, recall and F1 from the counts, degenerate cases 0."""
+    tp, tn, fp, fn = cm["tp"], cm["tn"], cm["fp"], cm["fn"]
+    total = tp + tn + fp + fn
+    if total == 0:
         raise EmptyEvaluationError("empty confusion matrix")
-    precision = cm.tp / (cm.tp + cm.fp) if (cm.tp + cm.fp) > 0 else 0.0
-    recall = cm.tp / (cm.tp + cm.fn) if (cm.tp + cm.fn) > 0 else 0.0
+    precision = tp / (tp + fp) if (tp + fp) > 0 else 0.0
+    recall = tp / (tp + fn) if (tp + fn) > 0 else 0.0
     f1 = 2.0 * precision * recall / (precision + recall) if (precision + recall) > 0 else 0.0
-    return MetricSet(
-        accuracy=(cm.tp + cm.tn) / cm.total,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        roc_auc=auc_value,
-    )
+    return dict(zip(METRIC_NAMES, ((tp + tn) / total, precision, recall, f1, auc_value)))
 
 
 def roc_curve(scores: Sequence[float], labels: Sequence[int]) -> RocCurve:
@@ -143,19 +118,20 @@ def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
 
 @dataclass
 class FoldResult:
-    """Everything recorded for one (fold, variant) evaluation."""
+    """Everything recorded for one (fold, variant) evaluation; `fold`,
+    `variant`, `metrics` and `confusion` are its report.json entry."""
 
-    fold_index: int
+    fold: int
     variant: str
     doc_ids: tuple[str, ...]
     scores: tuple[float, ...]
     labels: tuple[int, ...]
-    confusion: ConfusionMatrix
-    metric_set: MetricSet
+    confusion: dict[str, int]
+    metrics: dict[str, float]
 
 
 def evaluate_fold(
-    fold_index: int,
+    fold: int,
     variant: str,
     doc_ids: Sequence[str],
     scores: Sequence[float],
@@ -163,46 +139,29 @@ def evaluate_fold(
 ) -> FoldResult:
     cm = confusion(scores, labels)
     return FoldResult(
-        fold_index=fold_index,
+        fold=fold,
         variant=variant,
         doc_ids=tuple(doc_ids),
         scores=tuple(float(s) for s in scores),
         labels=tuple(int(y) for y in labels),
         confusion=cm,
-        metric_set=metrics(cm, roc_auc(scores, labels)),
+        metrics=metrics(cm, roc_auc(scores, labels)),
     )
 
 
-@dataclass
-class ComparisonReport:
-    """Per-variant aggregate metrics, deltas against the base model, and the
-    paired significance tests over per-fold accuracies."""
-
-    k: int
-    variants: tuple[str, ...]
-    fold_results: list[FoldResult]
-    mean_metrics: dict[str, MetricSet]
-    deltas: dict[str, dict[str, float]]
-    fold_accuracies: dict[str, list[float]]
-    significance: dict[str, dict]
-
-
-def build_report(fold_results: Sequence[FoldResult], k: int) -> ComparisonReport:
-    """Aggregate fold results into a report; pure, so a report can be rebuilt
-    from persisted results without retraining."""
-    variants = tuple(dict.fromkeys(r.variant for r in fold_results))
-    mean_metrics: dict[str, MetricSet] = {}
+def build_report(results: Sequence[FoldResult], k: int) -> dict:
+    """The result entries of report.json: per-variant mean metrics, deltas
+    against the base model, the paired significance tests over per-fold
+    accuracies, the published reference metrics and one entry per fold;
+    pure, so a report can be rebuilt from persisted results without
+    retraining."""
+    variants = list(dict.fromkeys(r.variant for r in results))
+    mean_metrics: dict[str, dict[str, float]] = {}
     fold_accuracies: dict[str, list[float]] = {}
     for variant in variants:
-        rows = sorted(
-            (r for r in fold_results if r.variant == variant), key=lambda r: r.fold_index
-        )
-        means = {
-            name: float(np.mean([getattr(r.metric_set, name) for r in rows]))
-            for name in METRIC_NAMES
-        }
-        mean_metrics[variant] = MetricSet(**means)
-        fold_accuracies[variant] = [r.metric_set.accuracy for r in rows]
+        rows = sorted((r for r in results if r.variant == variant), key=lambda r: r.fold)
+        mean_metrics[variant] = {name: float(np.mean([r.metrics[name] for r in rows])) for name in METRIC_NAMES}
+        fold_accuracies[variant] = [r.metrics["accuracy"] for r in rows]
     deltas: dict[str, dict[str, float]] = {}
     significance: dict[str, dict] = {}
     if "base" in variants:
@@ -210,22 +169,20 @@ def build_report(fold_results: Sequence[FoldResult], k: int) -> ComparisonReport
         for variant in variants:
             if variant == "base":
                 continue
-            deltas[variant] = {
-                name: getattr(mean_metrics[variant], name) - getattr(base_metrics, name)
-                for name in METRIC_NAMES
-            }
-            significance[variant] = _significance(
-                fold_accuracies["base"], fold_accuracies[variant]
-            )
-    return ComparisonReport(
-        k=k,
-        variants=variants,
-        fold_results=list(fold_results),
-        mean_metrics=mean_metrics,
-        deltas=deltas,
-        fold_accuracies=fold_accuracies,
-        significance=significance,
-    )
+            deltas[variant] = {name: mean_metrics[variant][name] - base_metrics[name] for name in METRIC_NAMES}
+            significance[variant] = _significance(fold_accuracies["base"], fold_accuracies[variant])
+    return {
+        "k": k,
+        "variants": variants,
+        "mean_metrics": mean_metrics,
+        "deltas": deltas,
+        "fold_accuracies": fold_accuracies,
+        "significance": significance,
+        "reference_results": {v: FNIR_REFERENCE_RESULTS[v] for v in variants if v in FNIR_REFERENCE_RESULTS},
+        "per_fold": [
+            {"fold": r.fold, "variant": r.variant, "metrics": r.metrics, "confusion": r.confusion} for r in results
+        ],
+    }
 
 
 def _significance(base_acc: list[float], variant_acc: list[float]) -> dict:
@@ -243,8 +200,8 @@ def cross_validate(
     fold_plan: FoldPlan,
     configs: Sequence[TrainConfig],
     extractor: FeatureExtractor | None = None,
-) -> ComparisonReport:
-    """Train and evaluate every (fold, variant) pair.
+) -> list[FoldResult]:
+    """Train and evaluate every (fold, variant) pair, fold by fold.
 
     Each task gets its own model and an RNG seeded from (global seed, fold,
     the variant's index in VARIANTS), so its results depend neither on the
@@ -258,7 +215,7 @@ def cross_validate(
     extractor = extractor or FeatureExtractor()
     docs = list(corpus)
 
-    fold_results = []
+    results = []
     for fold in range(fold_plan.k):
         train_docs = [docs[i] for i in fold_plan.train_indices(fold)]
         test_docs = [docs[i] for i in fold_plan.test_indices(fold)]
@@ -266,8 +223,8 @@ def cross_validate(
             seed = int(
                 np.random.SeedSequence([config.seed, fold, VARIANTS.index(config.variant)]).generate_state(1)[0]
             )
-            fold_results.append(_run_task(fold, replace(config, seed=seed), train_docs, test_docs, extractor))
-    return build_report(fold_results, fold_plan.k)
+            results.append(_run_task(fold, replace(config, seed=seed), train_docs, test_docs, extractor))
+    return results
 
 
 def _run_task(fold: int, config: TrainConfig, train_docs, test_docs, extractor: FeatureExtractor) -> FoldResult:

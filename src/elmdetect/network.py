@@ -91,9 +91,8 @@ class Layer:
 class EmbeddingTable(Layer):
     """Token-id lookup table. Row 0 is padding: all zeros, zero gradient."""
 
-    def __init__(self, vocab_size: int, dim: int = EMBEDDING_DIM, rng: np.random.Generator | None = None):
+    def __init__(self, vocab_size: int, dim: int, rng: np.random.Generator):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         self.vocab_size = vocab_size
         self.dim = dim
         weights = rng.uniform(-0.05, 0.05, size=(vocab_size, dim))
@@ -142,15 +141,8 @@ class ConvLayer(Layer):
     pre-activation and applies the ReLU in place.
     """
 
-    def __init__(
-        self,
-        n_filters: int = CONV_FILTERS,
-        kernel_size: int = KERNEL_SIZE,
-        in_dim: int = EMBEDDING_DIM,
-        rng: np.random.Generator | None = None,
-    ):
+    def __init__(self, n_filters: int, kernel_size: int, in_dim: int, rng: np.random.Generator):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         self.n_filters = n_filters
         self.kernel_size = kernel_size
         self.in_dim = in_dim
@@ -254,14 +246,8 @@ class LstmLayer(Layer):
     a second ``backward`` needs a new training ``forward``.
     """
 
-    def __init__(
-        self,
-        in_dim: int,
-        hidden: int = LSTM_UNITS,
-        rng: np.random.Generator | None = None,
-    ):
+    def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         self.in_dim = in_dim
         self.hidden = hidden
         # one gate block at a time, in gate order
@@ -367,9 +353,8 @@ class LstmLayer(Layer):
 class DenseLayer(Layer):
     """Fully connected layer with ReLU (the feature head's hidden layer)."""
 
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator | None = None):
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         self.in_dim = in_dim
         self._register("W", _glorot(rng, (in_dim, out_dim), in_dim, out_dim))
         self._register("b", np.zeros(out_dim))
@@ -394,9 +379,8 @@ class DenseLayer(Layer):
 class DenseHead(Layer):
     """Final fully connected layer with sigmoid activation: one probability."""
 
-    def __init__(self, in_dim: int, rng: np.random.Generator | None = None):
+    def __init__(self, in_dim: int, rng: np.random.Generator):
         super().__init__()
-        rng = rng or np.random.default_rng(0)
         self.in_dim = in_dim
         self._register("w", _glorot(rng, (in_dim,), in_dim, 1))
         self._register("b", np.zeros(1))

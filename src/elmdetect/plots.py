@@ -28,6 +28,15 @@ def _text(x: float, y: float, s: str, size: int = 13, anchor: str = "start") -> 
     )
 
 
+def _legend(i: int, color: str, label: str) -> list[str]:
+    """Row i of the legend: a swatch of the line's color and its label."""
+    ly = MARGIN + 18 + 18 * i
+    return [
+        f'<line x1="{WIDTH - 240}" y1="{ly - 4}" x2="{WIDTH - 216}" y2="{ly - 4}" stroke="{color}" stroke-width="2" />',
+        _text(WIDTH - 210, ly, label),
+    ]
+
+
 def _frame(title: str, x_label: str, y_label: str) -> list[str]:
     x0, y0 = MARGIN, HEIGHT - MARGIN
     x1, y1 = WIDTH - MARGIN, MARGIN
@@ -65,12 +74,7 @@ def render_roc_svg(curves: Mapping[str, tuple[Sequence[float], Sequence[float], 
     for i, (variant, (fprs, tprs, auc_value)) in enumerate(sorted(curves.items())):
         color = COLORS[i % len(COLORS)]
         parts.append(_polyline([sx(v) for v in fprs], [sy(v) for v in tprs], color))
-        ly = MARGIN + 18 + 18 * i
-        parts.append(
-            f'<line x1="{WIDTH - 240}" y1="{ly - 4}" x2="{WIDTH - 216}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="2" />'
-        )
-        parts.append(_text(WIDTH - 210, ly, f"{variant} (AUC={auc_value:.4f})"))
+        parts += _legend(i, color, f"{variant} (AUC={auc_value:.4f})")
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -111,11 +115,6 @@ def render_improvement_svg(
         xs = [sx(j) for j in range(len(metric_names))]
         ys = [sy(dmap[m]) for m in metric_names]
         parts.append(_polyline(xs, ys, color))
-        ly = MARGIN + 18 + 18 * i
-        parts.append(
-            f'<line x1="{WIDTH - 240}" y1="{ly - 4}" x2="{WIDTH - 216}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="2" />'
-        )
-        parts.append(_text(WIDTH - 210, ly, variant))
+        parts += _legend(i, color, variant)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

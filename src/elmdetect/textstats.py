@@ -21,8 +21,8 @@ from .errors import MalformedLineError
 # A token is a maximal run of letters, digits, or apostrophes ("don't" stays
 # one token). Underscore is excluded on purpose: it is a special character.
 # \w is a letter, a digit or "_", so once "_" is a separator the single class
-# finds the same tokens as the alternation, at about twice its speed.
-_TOKEN_RE = re.compile(r"(?:[^\W_]|')+")
+# finds the same tokens as the alternation (?:[^\W_]|')+, at about twice its
+# speed.
 _WORD_RE = re.compile(r"[\w']+")
 
 # A sentence boundary is the end of a run of terminators, so "Wait... what?!"
@@ -45,7 +45,7 @@ def split_sentences(text: str) -> list[str]:
     (e.g. stray punctuation) are dropped.
     """
     segments = _SENTENCE_SPLIT_RE.split(text)
-    return [s.strip() for s in segments if _TOKEN_RE.search(s)]
+    return [s.strip() for s in segments if _WORD_RE.search(s.replace("_", " "))]
 
 
 def count_syllables(word: str) -> int:

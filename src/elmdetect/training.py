@@ -63,6 +63,7 @@ VARIANT_SPECS = {
 VARIANTS = tuple(VARIANT_SPECS)
 
 VAL_FRACTION = 0.1  # of each class, carved off the fold-train rows for early stopping
+MIN_FREQ = 2  # occurrences in the training rows a token needs for an id of its own
 
 
 @dataclass(frozen=True)
@@ -178,18 +179,18 @@ def adam_step(
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Token to id mapping built from training rows only (min frequency 2 by
-    default); id 0 is padding, id 1 is out-of-vocabulary."""
+    """Token to id mapping built from training rows only, of the tokens seen
+    at least MIN_FREQ times; id 0 is padding, id 1 is out-of-vocabulary."""
 
     token_to_id: dict[str, int]
 
     @classmethod
-    def build(cls, token_lists: Sequence[Sequence[str]], min_freq: int = 2) -> "Vocabulary":
+    def build(cls, token_lists: Sequence[Sequence[str]]) -> "Vocabulary":
         counts = Counter()
         for tokens in token_lists:
             counts.update(tokens)
         kept = sorted(
-            (t for t, c in counts.items() if c >= min_freq),
+            (t for t, c in counts.items() if c >= MIN_FREQ),
             key=lambda t: (-counts[t], t),
         )
         mapping = {t: i + 2 for i, t in enumerate(kept)}
@@ -267,7 +268,7 @@ class FeatureHeadModel:
     dense ReLU -> sigmoid head."""
 
     def __init__(self, feature_dim: int, rng: np.random.Generator):
-        self.hidden = DenseLayer(feature_dim, FEATURE_HIDDEN, rng=rng)
+        self.hidden = DenseLayer(feature_dim, FEATURE_HIDDEN, rng)
         self.head = DenseHead(FEATURE_HIDDEN, rng)
 
     def layers(self):
@@ -331,15 +332,19 @@ def _encode_batch(model: TrainedModel, docs: Sequence[Document]) -> np.ndarray:
     return model.vocab.encode([d.tokens for d in docs], model.config.max_seq_len)
 
 
+def _raw_features(extractor: FeatureExtractor, extended: ExtendedFeaturizer | None, docs) -> np.ndarray:
+    """The unscaled feature matrix of docs: the ten features, then the
+    extended ones when there are any."""
+    raw = extractor.matrix(docs)
+    return raw if extended is None else np.hstack([raw, extended.matrix(docs)])
+
+
 def _feature_batch(model: TrainedModel, docs: Sequence[Document]) -> np.ndarray:
     """The scaled feature matrix of docs; (n, 0) for a variant without
     features."""
     if model.scaler is None:
         return np.zeros((len(docs), 0))
-    raw = model.extractor.matrix(docs)
-    if model.extended is not None:
-        raw = np.hstack([raw, model.extended.matrix(docs)])
-    return model.scaler.transform(raw)
+    return model.scaler.transform(_raw_features(model.extractor, model.extended, docs))
 
 
 def predict_scores(model: TrainedModel, docs: Sequence[Document]) -> np.ndarray:
@@ -400,12 +405,13 @@ def train(
     vocab = scaler = extended = None
     if spec.text:
         vocab = Vocabulary.build([d.tokens for d in train_docs])
+    feats_train = np.zeros((len(train_docs), 0))
     if spec.features:
-        raw = extractor.matrix(train_docs)
         if spec.extended:
             extended = ExtendedFeaturizer.fit(train_docs, extractor)
-            raw = np.hstack([raw, extended.matrix(train_docs)])
+        raw = _raw_features(extractor, extended, train_docs)
         scaler = FeatureScaler.fit(raw)
+        feats_train = scaler.transform(raw)
 
     net = _build_net(vocab, scaler, rng)
     model = TrainedModel(
@@ -421,7 +427,6 @@ def train(
     )
 
     ids_train = _encode_batch(model, train_docs)
-    feats_train = _feature_batch(model, train_docs)
     y_train = np.array([d.label for d in train_docs], dtype=np.float64)
     ids_val = _encode_batch(model, val_docs)
     feats_val = _feature_batch(model, val_docs)

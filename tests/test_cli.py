@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from elmdetect import cli
+from elmdetect.evaluation import build_report, confusion, metrics
 from elmdetect.network import KERNEL_SIZE
 from elmdetect.training import TrainConfig
 from test_golden import write_corpus
@@ -65,6 +66,27 @@ def test_run_writes_every_artifact(run_dir):
         expected |= {f"scores_{variant}_{fold}.csv" for fold in range(2)}
     assert names == expected
     assert cli.main(["verify", "--out", str(run_dir)]) == 0
+
+
+def test_report_json_is_the_envelope_around_build_report_of_the_stored_scores(run_dir):
+    stored = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
+    for key in ("schema_version", "config_hash", "seed", "generated_at", "config"):
+        del stored[key]
+    _, _, cfg, _ = cli._read_report(run_dir / "report.json")
+    _, plan, results, report = cli._rederive(run_dir, cfg)
+    assert stored == build_report(results, plan.k) == report
+
+
+def test_confusion_and_metrics_keys_come_in_the_column_order_of_their_csvs(run_dir):
+    def header(name):
+        lines = (run_dir / name).read_text(encoding="utf-8").splitlines()
+        return next(csv.reader(ln for ln in lines if not ln.startswith("#")))
+
+    folds_columns = {"acc": "accuracy", "prec": "precision", "rec": "recall", "f1": "f1", "auc": "roc_auc"}
+    cm = confusion([0.9, 0.6, 0.2], [1, 0, 0])
+    assert header("confusion_base.csv") == ["fold", *cm]
+    assert header("folds.csv")[:2] == ["fold", "variant"]
+    assert [folds_columns[c] for c in header("folds.csv")[2:]] == list(metrics(cm, 0.5))
 
 
 def test_ingest_features_plot_verify(corpus_dir, run_copy):

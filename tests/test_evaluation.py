@@ -12,7 +12,6 @@ from elmdetect.errors import (
     SingleClassLabelsError,
 )
 from elmdetect.evaluation import (
-    ConfusionMatrix,
     auc,
     build_report,
     confusion,
@@ -32,15 +31,15 @@ from synthetic import dual_signal_corpus, planted_token_corpus
 class TestConfusion:
     def test_perfect_split(self):
         cm = confusion([0.9, 0.1], [1, 0])
-        assert (cm.tp, cm.tn, cm.fp, cm.fn) == (1, 1, 0, 0)
+        assert (cm["tp"], cm["tn"], cm["fp"], cm["fn"]) == (1, 1, 0, 0)
 
     def test_boundary_score_predicts_fake(self):
         cm = confusion([0.5], [0])
-        assert cm.fp == 1
+        assert cm["fp"] == 1
 
     def test_all_fake_scored_zero(self):
         cm = confusion([0.0] * 5, [1] * 5)
-        assert cm.fn == 5 and cm.total == 5
+        assert cm["fn"] == 5 and sum(cm.values()) == 5
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
@@ -54,32 +53,32 @@ class TestConfusion:
         rng = np.random.default_rng(0)
         scores = rng.random(37)
         labels = rng.integers(0, 2, 37)
-        assert confusion(scores, labels).total == 37
+        assert sum(confusion(scores, labels).values()) == 37
 
 
 class TestMetrics:
     def test_hand_computed_case(self):
-        m = metrics(ConfusionMatrix(tp=50, tn=40, fp=10, fn=0), auc_value=0.95)
-        assert m.accuracy == pytest.approx(0.9)
-        assert m.precision == pytest.approx(50 / 60)
-        assert m.recall == pytest.approx(1.0)
-        assert m.f1 == pytest.approx(2 * (50 / 60) / (50 / 60 + 1.0))
-        assert m.roc_auc == 0.95
+        m = metrics({"tp": 50, "tn": 40, "fp": 10, "fn": 0}, auc_value=0.95)
+        assert m["accuracy"] == pytest.approx(0.9)
+        assert m["precision"] == pytest.approx(50 / 60)
+        assert m["recall"] == pytest.approx(1.0)
+        assert m["f1"] == pytest.approx(2 * (50 / 60) / (50 / 60 + 1.0))
+        assert m["roc_auc"] == 0.95
 
     def test_degenerate_conventions(self):
-        m = metrics(ConfusionMatrix(tp=0, fp=0, fn=5, tn=5), auc_value=0.5)
-        assert m.precision == 0.0
-        assert m.recall == 0.0
-        assert m.f1 == 0.0
-        assert m.accuracy == 0.5
+        m = metrics({"tp": 0, "tn": 5, "fp": 0, "fn": 5}, auc_value=0.5)
+        assert m["precision"] == 0.0
+        assert m["recall"] == 0.0
+        assert m["f1"] == 0.0
+        assert m["accuracy"] == 0.5
 
     def test_f1_is_harmonic_mean(self):
-        m = metrics(ConfusionMatrix(tp=30, tn=20, fp=10, fn=5), auc_value=0.8)
-        assert m.f1 == pytest.approx(2 * m.precision * m.recall / (m.precision + m.recall))
+        m = metrics({"tp": 30, "tn": 20, "fp": 10, "fn": 5}, auc_value=0.8)
+        assert m["f1"] == pytest.approx(2 * m["precision"] * m["recall"] / (m["precision"] + m["recall"]))
 
     def test_empty_matrix(self):
         with pytest.raises(EmptyEvaluationError):
-            metrics(ConfusionMatrix(0, 0, 0, 0), 0.5)
+            metrics({"tp": 0, "tn": 0, "fp": 0, "fn": 0}, 0.5)
 
 
 @contextmanager
@@ -199,22 +198,20 @@ class TestFoldAggregation:
             recomputed = metrics(
                 confusion(r.scores, r.labels), roc_auc(r.scores, r.labels)
             )
-            assert recomputed == r.metric_set
+            assert recomputed == r.metrics
 
     def test_report_rebuild_identical(self):
         results = self.make_results()
         a = build_report(results, k=3)
         b = build_report(list(results), k=3)
-        assert a.mean_metrics == b.mean_metrics
-        assert a.deltas == b.deltas
-        assert a.fold_accuracies == b.fold_accuracies
+        assert a["mean_metrics"] == b["mean_metrics"]
+        assert a["deltas"] == b["deltas"]
+        assert a["fold_accuracies"] == b["fold_accuracies"]
 
     def test_deltas_are_enhanced_minus_base(self):
         report = build_report(self.make_results(), k=3)
-        for name, delta in report.deltas["enhanced"].items():
-            expected = getattr(report.mean_metrics["enhanced"], name) - getattr(
-                report.mean_metrics["base"], name
-            )
+        for name, delta in report["deltas"]["enhanced"].items():
+            expected = report["mean_metrics"]["enhanced"][name] - report["mean_metrics"]["base"][name]
             assert delta == pytest.approx(expected)
 
     def test_permuting_documents_leaves_metrics_unchanged(self):
@@ -231,7 +228,7 @@ class TestFoldAggregation:
             [scores[i] for i in perm],
             [labels[i] for i in perm],
         )
-        assert base.metric_set == shuffled.metric_set
+        assert base.metrics == shuffled.metrics
 
 
 class TestCrossValidate:
@@ -248,15 +245,16 @@ class TestCrossValidate:
     def test_end_to_end_report_shape(self):
         corpus = planted_token_corpus(n=48, seed=5)
         plan = stratified_folds(corpus, 3, seed=5)
-        report = cross_validate(
+        results = cross_validate(
             corpus, plan, [self.fast_config("base"), self.fast_config("features_only")]
         )
-        assert report.k == 3
-        assert set(report.variants) == {"base", "features_only"}
-        assert len(report.fold_results) == 6
-        for r in report.fold_results:
+        report = build_report(results, plan.k)
+        assert report["k"] == 3
+        assert set(report["variants"]) == {"base", "features_only"}
+        assert len(results) == 6
+        for r in results:
             assert len(r.scores) == len(r.labels) == len(r.doc_ids)
-        assert "features_only" in report.significance
+        assert "features_only" in report["significance"]
 
     def test_scores_do_not_depend_on_the_variant_list(self):
         """A task is seeded from its variant's place in VARIANTS, so leaving
@@ -265,15 +263,14 @@ class TestCrossValidate:
         plan = stratified_folds(corpus, 3, seed=7)
         seen = {}
         for variants in (("base", "enhanced"), ("enhanced", "base"), ("base", "features_only", "enhanced"), ("enhanced",)):
-            report = cross_validate(corpus, plan, [self.fast_config(v) for v in variants])
-            for r in report.fold_results:
-                assert seen.setdefault((r.variant, r.fold_index), r.scores) == r.scores, (variants, r.variant)
+            for r in cross_validate(corpus, plan, [self.fast_config(v) for v in variants]):
+                assert seen.setdefault((r.variant, r.fold), r.scores) == r.scores, (variants, r.variant)
 
     def test_every_document_scored_exactly_once_per_variant(self):
         corpus = planted_token_corpus(n=30, seed=2)
         plan = stratified_folds(corpus, 3, seed=2)
-        report = cross_validate(corpus, plan, [self.fast_config("base")])
-        seen = [d for r in report.fold_results for d in r.doc_ids]
+        results = cross_validate(corpus, plan, [self.fast_config("base")])
+        seen = [d for r in results for d in r.doc_ids]
         assert sorted(seen) == sorted(d.id for d in corpus)
 
     def test_plan_must_cover_corpus(self):

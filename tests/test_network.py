@@ -49,18 +49,18 @@ def zero_grads(layer):
 
 class TestEmbedding:
     def test_pad_rows_are_zero(self):
-        table = EmbeddingTable(5, 4)
+        table = EmbeddingTable(5, 4, np.random.default_rng(0))
         out = table.forward(np.array([[PAD_INDEX, PAD_INDEX, PAD_INDEX]]))
         assert out.shape == (1, 3, 4)
         assert np.all(out == 0.0)
 
     def test_lookup_identity(self):
-        table = EmbeddingTable(4, 3)
+        table = EmbeddingTable(4, 3, np.random.default_rng(0))
         table.params["weights"][2] = [7.0, 8.0, 9.0]
         assert np.array_equal(table.forward(np.array([[2]]))[0, 0], [7.0, 8.0, 9.0])
 
     def test_out_of_vocab_rejected(self):
-        table = EmbeddingTable(4, 3)
+        table = EmbeddingTable(4, 3, np.random.default_rng(0))
         with pytest.raises(IndexOutOfVocabError):
             table.forward(np.array([[4]]))
         with pytest.raises(IndexOutOfVocabError):
@@ -112,7 +112,7 @@ class TestEmbedding:
 
 class TestConv:
     def test_identity_filter_with_relu(self):
-        layer = ConvLayer(n_filters=1, kernel_size=1, in_dim=1)
+        layer = ConvLayer(n_filters=1, kernel_size=1, in_dim=1, rng=np.random.default_rng(0))
         layer.params["taps"][...] = 1.0
         layer.params["bias"][...] = 0.0
         out = layer.forward(np.array([[[2.0], [-3.0], [5.0]]]))
@@ -120,7 +120,7 @@ class TestConv:
         assert out.ravel().tolist() == [2.0, 0.0, 5.0]
 
     def test_zero_filters_zero_output(self):
-        layer = ConvLayer(n_filters=2, kernel_size=3, in_dim=4)
+        layer = ConvLayer(n_filters=2, kernel_size=3, in_dim=4, rng=np.random.default_rng(0))
         layer.params["taps"][...] = 0.0
         out = layer.forward(np.ones((1, 5, 4)))
         assert np.all(out == 0.0)
@@ -130,7 +130,7 @@ class TestConv:
         assert layer.forward(np.ones((1, 9, 4))).shape == (1, 7, 2)
 
     def test_sequence_too_short(self):
-        layer = ConvLayer(n_filters=2, kernel_size=3, in_dim=4)
+        layer = ConvLayer(n_filters=2, kernel_size=3, in_dim=4, rng=np.random.default_rng(0))
         with pytest.raises(SequenceTooShortError):
             layer.forward(np.ones((1, 2, 4)))
 
@@ -312,13 +312,13 @@ def check_lstm_against_the_oracle(batch, steps, in_dim, hidden, last, dtype):
 
 class TestLstm:
     def test_stacked_parameter_shapes(self):
-        layer = LstmLayer(3, 5)
+        layer = LstmLayer(3, 5, np.random.default_rng(0))
         assert [(n, p.shape) for n, p in layer.params.items()] == [("W", (3 + 1 + 5, 20))]
         # row in_dim is the bias: forget bias 1.0, every other gate bias 0.0
         assert layer.params["W"][3].tolist() == [0.0] * 5 + [1.0] * 5 + [0.0] * 10
 
     def test_zero_weights_fixed_point(self):
-        layer = LstmLayer(2, 3)
+        layer = LstmLayer(2, 3, np.random.default_rng(0))
         for p in layer.params.values():
             p[...] = 0.0
         seq = np.ones((1, 4, 2))
@@ -327,7 +327,7 @@ class TestLstm:
         assert np.all(final_tanh_c(layer, seq) == 0.0)
 
     def test_hand_evaluated_single_step(self):
-        layer = LstmLayer(1, 1)
+        layer = LstmLayer(1, 1, np.random.default_rng(0))
         for p in layer.params.values():
             p[...] = 0.0
         layer.params["W"][0, GATE_COLUMN["i"]] = 1.0
@@ -338,7 +338,7 @@ class TestLstm:
         assert h[0, 0] == 0.0
 
     def test_hand_evaluated_with_cell_input(self):
-        layer = LstmLayer(1, 1)
+        layer = LstmLayer(1, 1, np.random.default_rng(0))
         for p in layer.params.values():
             p[...] = 0.0
         layer.params["W"][0, GATE_COLUMN["i"]] = 1.0
@@ -377,7 +377,7 @@ class TestLstm:
             np.testing.assert_allclose(layer.forward(seq, last=np.full(2, t)), h, rtol=0, atol=1e-12)
 
     def test_dimension_mismatch(self):
-        layer = LstmLayer(3, 4)
+        layer = LstmLayer(3, 4, np.random.default_rng(0))
         with pytest.raises(DimensionMismatchError):
             layer.forward(np.ones((1, 5, 2)))
 
@@ -507,19 +507,19 @@ class TestLstm:
 
     @pytest.mark.parametrize("last", [[0, 5], [-1, 2], [1, 2, 3]])
     def test_last_out_of_range_rejected(self, last):
-        layer = LstmLayer(3, 4)
+        layer = LstmLayer(3, 4, np.random.default_rng(0))
         with pytest.raises(ValueError):
             layer.forward(np.ones((2, 5, 3)), last=np.array(last))
 
 
 class TestDenseHead:
     def test_zero_weights_give_half(self):
-        head = DenseHead(4)
+        head = DenseHead(4, np.random.default_rng(0))
         head.params["w"][...] = 0.0
         assert head.forward(np.ones((1, 4))).tolist() == [0.5]
 
     def test_large_bias_saturates(self):
-        head = DenseHead(2)
+        head = DenseHead(2, np.random.default_rng(0))
         head.params["w"][...] = 0.0
         head.params["b"][...] = 20.0
         p = head.forward(np.zeros((1, 2)))
@@ -534,7 +534,7 @@ class TestDenseHead:
         assert np.all((p > 0.0) & (p < 1.0))
 
     def test_dimension_mismatch(self):
-        head = DenseHead(3)
+        head = DenseHead(3, np.random.default_rng(0))
         with pytest.raises(DimensionMismatchError):
             head.forward(np.ones((1, 5)))
 

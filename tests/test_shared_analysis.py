@@ -47,8 +47,8 @@ def test_cross_validate_tokenises_each_document_at_most_twice(monkeypatch):
     plan = stratified_folds(corpus, 3, seed=3)
     configs = [TrainConfig(variant=v, epochs=1, batch_size=16, max_seq_len=16, progress=False) for v in VARIANTS]
     texts = count_tokenize_calls(monkeypatch)
-    report = cross_validate(corpus, plan, configs)
-    assert len(report.fold_results) == 3 * len(VARIANTS)
+    results = cross_validate(corpus, plan, configs)
+    assert len(results) == 3 * len(VARIANTS)
     assert len(texts) <= 2 * len(corpus)
     assert set(texts) <= {d.clean_text for d in corpus} | {d.raw_text for d in corpus}
 

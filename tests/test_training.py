@@ -123,13 +123,13 @@ class TestEarlyStopper:
 
 class TestVocabulary:
     def test_min_frequency_cutoff_and_special_ids(self):
-        vocab = Vocabulary.build([["a", "a", "b"], ["a", "c", "c"]], min_freq=2)
+        vocab = Vocabulary.build([["a", "a", "b"], ["a", "c", "c"]])
         assert set(vocab.token_to_id) == {"a", "c"}
         assert min(vocab.token_to_id.values()) == 2  # 0 = pad, 1 = oov
         assert vocab.size == 4
 
     def test_encode_pads_truncates_and_maps_oov(self):
-        vocab = Vocabulary.build([["a", "a", "b", "b"]], min_freq=2)
+        vocab = Vocabulary.build([["a", "a", "b", "b"]])
         a, b = vocab.token_to_id["a"], vocab.token_to_id["b"]
         ids = vocab.encode([["a", "zzz", "b"], ["a"] * 10, [], ("b",)], max_len=4)
         assert ids.dtype == np.int64
