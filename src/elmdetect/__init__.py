@@ -15,7 +15,6 @@ from .features import (
     FeatureScaler,
 )
 from .evaluation import (
-    RocCurve,
     auc,
     confusion,
     cross_validate,
@@ -24,7 +23,6 @@ from .evaluation import (
 )
 from .significance import paired_t_test, wilcoxon_signed_rank
 from .textstats import (
-    Lexicon,
     count_syllables,
     load_lexicon,
     split_sentences,
@@ -45,9 +43,9 @@ __version__ = "0.1.0"
 __all__ = [
     "Document", "DocumentSet", "FoldPlan", "clean_text", "load_dataset", "stratified_folds",
     "FEATURE_NAMES", "FeatureExtractor", "FeatureScaler",
-    "RocCurve", "confusion", "metrics", "roc_curve", "auc", "cross_validate",
+    "confusion", "metrics", "roc_curve", "auc", "cross_validate",
     "wilcoxon_signed_rank", "paired_t_test",
-    "Lexicon", "tokenize", "split_sentences", "count_syllables", "load_lexicon",
+    "tokenize", "split_sentences", "count_syllables", "load_lexicon",
     "TrainConfig", "TrainedModel", "train", "bce_loss", "adam_step",
     "save_model", "load_model",
 ]

@@ -39,6 +39,7 @@ EXIT_TRAINING = 3
 REPORT_SCHEMA_VERSION = 1
 
 DATASET_FIELDS = ("true_csv", "fake_csv")
+UNHASHED_FIELDS = ("out_dir", "emit_plots")  # where the outputs go and whether plots are drawn
 
 # the stamped CSVs `run` writes; a re-run first deletes the per-variant ones
 # and the plots of an earlier run
@@ -70,7 +71,7 @@ class RunConfig:
         """The fields that determine the outputs: all but where they are
         written and whether plots are drawn, plus `dataset_sha256`, the
         sha256 of each dataset file's bytes. report.json embeds them."""
-        values = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("out_dir", "emit_plots")}
+        values = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in UNHASHED_FIELDS}
         values["dataset_sha256"] = {name: _file_sha256(getattr(self, name)) for name in DATASET_FIELDS}
         return values
 
@@ -123,18 +124,11 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8", newline="")
 
 
-def _read_stamp(path: Path) -> dict[str, str]:
-    """The key=value pairs of the first line when it is a comment: `# ...`
-    in a CSV, `<!-- ... -->` in an SVG."""
+def _stamped(path: Path) -> bool:
+    """Whether the first line is a run's stamp: `# config_hash=...` in a CSV,
+    `<!-- config_hash=...` in an SVG."""
     with open(path, encoding="utf-8", errors="replace") as fh:
-        first = fh.readline().strip()
-    if first.startswith("#"):
-        body = first[1:]
-    elif first.startswith("<!--") and first.endswith("-->"):
-        body = first[4:-3]
-    else:
-        return {}
-    return dict(part.split("=", 1) for part in body.split() if "=" in part)
+        return fh.readline().startswith(("# config_hash=", "<!-- config_hash="))
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -215,7 +209,7 @@ def _remove_stale_artifacts(out: Path) -> None:
     behind; files without an elmdetect stamp stay."""
     for pattern in (*VARIANT_CSV_PATTERNS, *PLOT_NAMES):
         for path in out.glob(pattern):
-            if "config_hash" in _read_stamp(path):
+            if _stamped(path):
                 path.unlink()
 
 
@@ -224,18 +218,19 @@ def _write_run_outputs(
     out: Path,
 ) -> None:
     generated_at = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
-    for name, text in _render(hashed, cfg.seed, corpus, plan, results, report, generated_at, cfg.emit_plots).items():
+    for name, text in _render(hashed, corpus, plan, results, report, generated_at, cfg.emit_plots).items():
         _write(out / name, text)
 
 
 def _render(
-    hashed: dict, seed: int, corpus: DocumentSet, plan: FoldPlan, results: list[FoldResult], report: dict,
-    generated_at: str, plots: bool,
+    hashed: dict, corpus: DocumentSet, plan: FoldPlan, results: list[FoldResult], report: dict, generated_at: str,
+    plots: bool,
 ) -> dict[str, str]:
     """The text of every file of a run directory, by name: the CSVs,
-    report.json and, with plots, roc.svg and improvement.svg. report is
-    `build_report(results, k)`; report.json is it plus the envelope."""
-    cfg_hash = _config_hash(hashed)
+    report.json and, with plots, roc.svg and improvement.svg. hashed is the
+    run's `hashed_fields()` and report `build_report(results, k)`;
+    report.json is report plus the envelope."""
+    cfg_hash, seed = _config_hash(hashed), hashed["seed"]
     stamp = _stamp(cfg_hash, seed)
     files = {
         "fold_assignments.csv": _fold_assignments(stamp, corpus, plan),
@@ -256,14 +251,11 @@ def _render(
             stamp, ["fold", "tp", "tn", "fp", "fn"], ([r.fold, *r.confusion.values()] for r in rows)
         )
         # pooled out-of-fold scores give one ROC per variant
-        curve = roc_curve([s for r in rows for s in r.scores], [y for r in rows for y in r.labels])
+        fpr, tpr, thresholds = roc_curve([s for r in rows for s in r.scores], [y for r in rows for y in r.labels])
         files[f"roc_{variant}.csv"] = _csv_text(
-            stamp,
-            ["fpr", "tpr", "threshold"],
-            ((repr(p[0]), repr(p[1]), repr(t)) for p, t in zip(curve.points, curve.thresholds)),
+            stamp, ["fpr", "tpr", "threshold"], (map(repr, row) for row in zip(fpr, tpr, thresholds))
         )
-        fprs, tprs = zip(*curve.points)
-        curves[variant] = (fprs, tprs, report["mean_metrics"][variant]["roc_auc"])
+        curves[variant] = (fpr, tpr, report["mean_metrics"][variant]["roc_auc"])
     payload = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "config_hash": cfg_hash,
@@ -307,7 +299,7 @@ def _print_tables(report: dict) -> None:
 def cmd_plot(args) -> int:
     out = Path(args.out)
     _, hashed, cfg, generated_at = _read_report(out / "report.json")
-    files = _render(hashed, cfg.seed, *_rederive(out, cfg), generated_at, plots=True)
+    files = _render(hashed, *_rederive(out, cfg), generated_at, plots=True)
     for name in PLOT_NAMES:
         _write(out / name, files[name])
     print(f"wrote {out / 'roc.svg'} and {out / 'improvement.svg'}")
@@ -330,6 +322,9 @@ def _read_report(path: Path) -> tuple[str, dict, RunConfig, str]:
         report = json.loads(path.read_text(encoding="utf-8"))
         hashed = report["config"]
         config = {name: value for name, value in hashed.items() if name != "dataset_sha256"}
+        missing = sorted(set(_DEFAULTS) - set(UNHASHED_FIELDS) - set(config))
+        if missing:
+            raise ValueError(f"config has no {', '.join(missing)}")
         digests = hashed["dataset_sha256"]
         if not isinstance(digests, dict) or sorted(digests) != sorted(DATASET_FIELDS):
             raise ValueError(f"dataset_sha256 must name {', '.join(DATASET_FIELDS)}")
@@ -410,7 +405,7 @@ def cmd_verify(args) -> int:
     if not problems:
         plots = any((out / name).exists() for name in PLOT_NAMES)
         try:
-            files = _render(hashed, cfg.seed, *_rederive(out, cfg), generated_at, plots)
+            files = _render(hashed, *_rederive(out, cfg), generated_at, plots)
         except ValueError as exc:
             problems.append(str(exc))
         else:
@@ -501,7 +496,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, ElmDetectError, ValueError) as exc:
+    except (OSError, ElmDetectError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -32,7 +32,6 @@ class Document:
     raw_text: str
     clean_text: str
     label: int  # 0 = authentic, 1 = fake
-    source_file: str  # SOURCE_TRUE or SOURCE_FAKE
 
     @cached_property
     def tokens(self) -> tuple[str, ...]:
@@ -164,7 +163,6 @@ def _load_file(path: Path, source: str, label: int) -> tuple[list[Document], int
                     raw_text=raw,
                     clean_text=clean_text(raw),
                     label=label,
-                    source_file=source,
                 )
             )
     return docs, dropped

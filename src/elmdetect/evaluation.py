@@ -36,15 +36,6 @@ FNIR_REFERENCE_RESULTS = {
 }
 
 
-@dataclass(frozen=True)
-class RocCurve:
-    """(fpr, tpr) points sorted by fpr, from (0,0) to (1,1); thresholds[i] is
-    the score cut that produces points[i] under the >= rule."""
-
-    points: tuple[tuple[float, float], ...]
-    thresholds: tuple[float, ...]
-
-
 def confusion(scores: Sequence[float], labels: Sequence[int]) -> dict[str, int]:
     """Count {tp, tn, fp, fn}, in the column order of confusion_*.csv, with
     fake (1) as the positive class."""
@@ -79,10 +70,12 @@ def metrics(cm: dict[str, int], auc_value: float) -> dict[str, float]:
     return dict(zip(METRIC_NAMES, ((tp + tn) / total, precision, recall, f1, auc_value)))
 
 
-def roc_curve(scores: Sequence[float], labels: Sequence[int]) -> RocCurve:
-    """Threshold sweep over the distinct scores, descending; tied scores
-    share one point. A NaN or infinite score is rejected: NaN equals no
-    cut, so the sweep could never pass it."""
+def roc_curve(scores: Sequence[float], labels: Sequence[int]) -> tuple[tuple[float, ...], ...]:
+    """(fpr, tpr, thresholds) of the threshold sweep over the distinct
+    scores, descending, from (0, 0) to (1, 1): tied scores share one point,
+    and thresholds[i] is the score cut that gives point i under the >= rule.
+    A NaN or infinite score is rejected: NaN equals no cut, so the sweep
+    could never pass it."""
     scores = np.asarray(scores, dtype=np.float64)
     if not np.isfinite(scores).all():
         raise NonFiniteScoreError(f"{np.count_nonzero(~np.isfinite(scores))} of {len(scores)} scores are not finite")
@@ -97,19 +90,20 @@ def roc_curve(scores: Sequence[float], labels: Sequence[int]) -> RocCurve:
     ends = np.flatnonzero(np.append(sorted_scores[1:] != sorted_scores[:-1], True))
     tp = np.cumsum(labels[order] == 1)[ends]
     fp = ends + 1 - tp
-    points = [(0.0, 0.0), *zip((fp / n_neg).tolist(), (tp / n_pos).tolist())]
+    fpr, tpr = [0.0, *(fp / n_neg).tolist()], [0.0, *(tp / n_pos).tolist()]
     thresholds = [np.inf, *sorted_scores[ends].tolist()]
-    if points[-1] != (1.0, 1.0):
-        points.append((1.0, 1.0))
+    if (fpr[-1], tpr[-1]) != (1.0, 1.0):
+        fpr.append(1.0)
+        tpr.append(1.0)
         thresholds.append(-np.inf)
-    return RocCurve(points=tuple(points), thresholds=tuple(thresholds))
+    return tuple(fpr), tuple(tpr), tuple(thresholds)
 
 
-def auc(curve: RocCurve) -> float:
-    """Trapezoidal area under the curve; equals the normalized rank statistic
-    with ties counted one half."""
-    pts = np.asarray(curve.points)
-    return float(np.trapezoid(pts[:, 1], pts[:, 0]))
+def auc(curve: tuple[Sequence[float], Sequence[float], Sequence[float]]) -> float:
+    """Trapezoidal area under an (fpr, tpr, thresholds) curve; equals the
+    normalized rank statistic with ties counted one half."""
+    fpr, tpr, _ = curve
+    return float(np.trapezoid(tpr, fpr))
 
 
 def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> float:
@@ -212,6 +206,10 @@ def cross_validate(
         raise ValueError("fold plan does not cover the corpus")
     if not configs:
         raise ValueError("at least one variant config is required")
+    variants = [c.variant for c in configs]
+    for variant in variants:
+        if variants.count(variant) > 1:
+            raise ValueError(f"variant {variant!r} is listed more than once")
     extractor = extractor or FeatureExtractor()
     docs = list(corpus)
 

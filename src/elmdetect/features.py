@@ -29,14 +29,13 @@ import heapq
 import weakref
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .corpus import Document
 from .errors import EmptyTrainingSetError
 from .textstats import (
-    Lexicon,
     bundled_sentiment_lexicon,
     bundled_urgency_lexicon,
     count_syllables,
@@ -63,7 +62,7 @@ class FeatureExtractor:
     """Computes feature rows for documents with fixed lexicons, each
     document's `elm` row once."""
 
-    def __init__(self, sentiment: Lexicon | None = None, urgency: Lexicon | None = None):
+    def __init__(self, sentiment: Mapping[str, float] | None = None, urgency: Mapping[str, float] | None = None):
         self.sentiment = sentiment if sentiment is not None else bundled_sentiment_lexicon()
         self.urgency = urgency if urgency is not None else bundled_urgency_lexicon()
         # a value holds no reference to its document, so an entry goes with it
@@ -77,7 +76,7 @@ class FeatureExtractor:
     def _clean_entries(self, tokens: Sequence[str]) -> list[tuple[int, float, bool, str]]:
         """The entry of each clean token, in token order."""
         words = self._clean_words
-        sentiment = self.sentiment.entries
+        sentiment = self.sentiment
         for t in set(tokens).difference(words):
             low = t.lower()
             words[t] = (count_syllables(t), sentiment.get(low, 0.0), low in sentiment, low)
@@ -86,7 +85,7 @@ class FeatureExtractor:
     def _raw_entries(self, tokens: Sequence[str]) -> list[tuple[bool, bool, bool]]:
         """The entry of each raw token, in token order."""
         words = self._raw_words
-        urgency = self.urgency.entries
+        urgency = self.urgency
         for t in set(tokens).difference(words):
             words[t] = (t[0].isupper(), len(t) >= 2 and t.isalpha() and t.isupper(), t.lower() in urgency)
         return list(map(words.__getitem__, tokens))

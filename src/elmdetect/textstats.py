@@ -1,5 +1,8 @@
 """Deterministic linguistic primitives: tokens, sentences, syllables, lexicons.
 
+A lexicon is a mapping of lowercased word to score: `load_lexicon` returns a
+dict, and the bundled lexicons are read-only views that every caller shares.
+
 Everything here is a pure function of its input and keeps no cache keyed by
 text, so running the same text twice does the work twice. What a run
 computes once is held by the objects it concerns: `Document.tokens` keeps a
@@ -11,9 +14,9 @@ casing) for as long as the extractor lives.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from types import MappingProxyType
 from typing import Mapping
 
 from .errors import MalformedLineError
@@ -62,25 +65,15 @@ def count_syllables(word: str) -> int:
     return max(1, n)
 
 
-@dataclass(frozen=True)
-class Lexicon:
-    """Word -> score mapping, looked up by lowercased token."""
-
-    name: str
-    entries: Mapping[str, float]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def load_lexicon(path, name: str | None = None) -> Lexicon:
-    """Load a `word<TAB>score` lexicon file.
+def load_lexicon(path) -> dict[str, float]:
+    """Load a `word<TAB>score` lexicon file as a word -> score dict.
 
     The score is optional (defaults to 1.0), `#` starts a comment, keys are
-    case-folded, and on duplicates the last entry wins.
+    case-folded, and on duplicates the last entry wins. A leading byte-order
+    mark is skipped, as in the dataset files.
     """
     entries: dict[str, float] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             body = line.split("#", 1)[0].strip()
             if not body:
@@ -102,22 +95,23 @@ def load_lexicon(path, name: str | None = None) -> Lexicon:
             if not word:
                 raise MalformedLineError(f"{path}:{lineno}: empty word")
             entries[word] = score
-    return Lexicon(name or str(path), entries)
+    return entries
 
 
 @lru_cache(maxsize=None)
-def bundled_sentiment_lexicon() -> Lexicon:
+def bundled_sentiment_lexicon() -> Mapping[str, float]:
     """Word-polarity lexicon shipped with the package, scores in [-1, 1]."""
-    return _load_bundled("sentiment_lexicon.tsv", "bundled-sentiment")
+    return _load_bundled("sentiment_lexicon.tsv")
 
 
 @lru_cache(maxsize=None)
-def bundled_urgency_lexicon() -> Lexicon:
+def bundled_urgency_lexicon() -> Mapping[str, float]:
     """Urgency-cue word list shipped with the package, all scores 1.0."""
-    return _load_bundled("urgency_lexicon.tsv", "bundled-urgency")
+    return _load_bundled("urgency_lexicon.tsv")
 
 
-def _load_bundled(filename: str, name: str) -> Lexicon:
+def _load_bundled(filename: str) -> Mapping[str, float]:
+    """A read-only view of a bundled lexicon, since every caller shares it."""
     ref = resources.files("elmdetect").joinpath("data").joinpath(filename)
     with resources.as_file(ref) as path:
-        return load_lexicon(path, name=name)
+        return MappingProxyType(load_lexicon(path))

@@ -105,32 +105,6 @@ def bce_loss(preds: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(-(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p))))
 
 
-class EarlyStopper:
-    """Stop when validation loss fails to improve for `patience` consecutive
-    epochs; remembers which epoch held the best loss. patience <= 0 disables
-    stopping (update never returns True)."""
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best = np.inf
-        self.best_epoch = 0
-        self.stale = 0
-
-    def update(self, epoch: int, val_loss: float) -> bool:
-        """Record one epoch; returns True when training should stop."""
-        if val_loss < self.best:
-            self.best = val_loss
-            self.best_epoch = epoch
-            self.stale = 0
-            return False
-        self.stale += 1
-        return self.patience > 0 and self.stale >= self.patience
-
-    @property
-    def improved(self) -> bool:
-        return self.stale == 0
-
-
 class AdamState:
     """First/second moment accumulators for one flat parameter array."""
 
@@ -293,10 +267,6 @@ class TrainedModel:
     best_epoch: int
     fit_doc_ids: tuple[str, ...]
 
-    @property
-    def variant(self) -> str:
-        return self.config.variant
-
 
 def _build_net(vocab: Vocabulary | None, scaler: FeatureScaler | None, rng: np.random.Generator):
     """The network for what was fitted: a text pipeline when there is a
@@ -382,9 +352,10 @@ def train(
     """Train one variant on fold-train documents.
 
     Carves off a stratified validation split, fits vocabulary/scaler/bigrams
-    on the remaining rows only, runs mini-batch Adam on binary cross-entropy,
-    and (when early stopping is enabled) restores the parameters of the best
-    validation epoch.
+    on the remaining rows only and runs mini-batch Adam on binary
+    cross-entropy. With a patience > 0, training stops once the validation
+    loss has not improved for that many epochs in a row, and the parameters
+    of the best validation epoch are restored.
     """
     config.validate()
     docs = list(docs)
@@ -435,7 +406,8 @@ def train(
     params, grads = net.params, net.grads
     adam = AdamState(params)
     n = len(train_docs)
-    stopper = EarlyStopper(config.early_stop_patience)
+    patience = config.early_stop_patience
+    best_loss, best_epoch, stale = np.inf, 0, 0  # stale: epochs since best_epoch
     best_params: np.ndarray | None = None
 
     for epoch in range(1, config.epochs + 1):
@@ -454,15 +426,18 @@ def train(
         model.history.append((train_loss, val_loss))
         if config.progress:
             print(f"epoch={epoch} train_loss={train_loss:.6f} val_loss={val_loss:.6f}")
-        stop = stopper.update(epoch, val_loss)
-        if config.early_stop_patience > 0 and stopper.improved:
-            best_params = params.copy()
-        if stop:
-            break
+        if val_loss < best_loss:
+            best_loss, best_epoch, stale = val_loss, epoch, 0
+            if patience > 0:
+                best_params = params.copy()
+        else:
+            stale += 1
+            if 0 < patience <= stale:
+                break
 
     if best_params is not None:
         params[...] = best_params
-        model.best_epoch = stopper.best_epoch
+        model.best_epoch = best_epoch
     else:
         model.best_epoch = len(model.history)
     return model

@@ -152,8 +152,8 @@ def mann_whitney_auc(scores, labels) -> float:
     return total / (len(pos) * len(neg))
 
 
-def oracle_roc_curve(scores, labels) -> tuple[tuple, tuple]:
-    """(points, thresholds) of the threshold sweep, one row at a time:
+def oracle_roc_curve(scores, labels) -> tuple[tuple, tuple, tuple]:
+    """(fpr, tpr, thresholds) of the threshold sweep, one row at a time:
     tied scores share one point, and a row whose label is not 1 counts as a
     false positive."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -181,7 +181,8 @@ def oracle_roc_curve(scores, labels) -> tuple[tuple, tuple]:
     if points[-1] != (1.0, 1.0):
         points.append((1.0, 1.0))
         thresholds.append(-np.inf)
-    return tuple(points), tuple(thresholds)
+    fpr, tpr = zip(*points)
+    return fpr, tpr, tuple(thresholds)
 
 
 def numeric_grad(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -301,3 +302,20 @@ def oracle_adam(params: list, grads: list, m: list, v: list, t: int, lr: float,
         m_hat = m[i] / (1.0 - beta1**t)
         v_hat = v[i] / (1.0 - beta2**t)
         p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def oracle_early_stop(val_losses, patience: int) -> tuple[int, int]:
+    """(epochs run, epoch whose parameters are kept) when epoch e, counted
+    from 1, ends with validation loss val_losses[e - 1]: training stops at
+    the first epoch that comes `patience` epochs after the lowest loss so
+    far, and keeps that lowest epoch; patience <= 0 runs every epoch and
+    keeps the last."""
+    if patience <= 0:
+        return len(val_losses), len(val_losses)
+    best = 0
+    for epoch in range(1, len(val_losses) + 1):
+        if best == 0 or val_losses[epoch - 1] < val_losses[best - 1]:
+            best = epoch
+        elif epoch - best >= patience:
+            return epoch, best
+    return len(val_losses), best

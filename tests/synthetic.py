@@ -25,7 +25,6 @@ def make_doc(raw: str, label: int = 0, doc_id: str | None = None) -> Document:
         raw_text=raw,
         clean_text=clean_text(raw),
         label=label,
-        source_file=source,
     )
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from elmdetect import cli
+from elmdetect import cli, evaluation
 from elmdetect.evaluation import build_report, confusion, metrics
 from elmdetect.network import KERNEL_SIZE
 from elmdetect.training import TrainConfig
@@ -130,10 +130,12 @@ def test_verify_detects_an_edited_score(run_copy, capsys):
         lambda r: r.pop("config"),
         lambda r: r.pop("config_hash"),
         lambda r: r["config"].pop("true_csv"),
+        lambda r: r["config"].pop("seed"),
         lambda r: r["config"].update(jobs=2),
         lambda r: r.update(config=[1, 2]),
     ],
-    ids=["no_config", "no_hash", "no_config_field", "unknown_config_field", "config_not_object"],
+    ids=["no_config", "no_hash", "no_config_field", "no_defaulted_config_field", "unknown_config_field",
+         "config_not_object"],
 )
 def test_verify_reports_a_malformed_report(run_copy, capsys, damage):
     path = run_copy / "report.json"
@@ -340,6 +342,34 @@ def test_unknown_variant_exits_2(corpus_dir, tmp_path, capsys):
     assert cli.main(argv) == 2
     assert "unknown variant 'bogus'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("variants", ["base,base", "base,base,enhanced"])
+def test_a_variant_listed_twice_exits_2_before_training(corpus_dir, tmp_path, capsys, monkeypatch, variants):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a task was trained")
+
+    monkeypatch.setattr(evaluation, "train", no_training)
+    argv = ["run", *dataset_flags(corpus_dir), "--out", str(tmp_path / "out"), *FAST_FLAGS, "--variants", variants]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: variant 'base' is listed more than once\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["true_csv_is_a_directory", "sentiment_lexicon_is_a_directory", "out_is_a_file"])
+def test_an_unusable_path_exits_2_with_one_error_line(corpus_dir, tmp_path, capsys, where):
+    (tmp_path / "a_file").write_text("", encoding="utf-8")
+    flags = {"--out": str(tmp_path / "out")}
+    if where == "true_csv_is_a_directory":
+        command, flags["--true-csv"] = "ingest", str(tmp_path)
+    elif where == "sentiment_lexicon_is_a_directory":
+        command, flags["--sentiment-lexicon"] = "features", str(tmp_path)
+    else:
+        command, flags["--out"] = "ingest", str(tmp_path / "a_file")
+    argv = [command, *dataset_flags(corpus_dir), *(item for pair in flags.items() for item in pair)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_flag_defaults_are_the_run_config_defaults():

@@ -75,7 +75,7 @@ class TestLoadDataset:
         f = write_csv(tmp_path / "f.csv", ["text"], [["B"]])
         ds = load_dataset(t, f)
         assert [d.label for d in ds] == [0, 1]
-        assert [d.source_file for d in ds] == ["true_news", "fake_news"]
+        assert [d.id for d in ds] == ["true_news:0", "fake_news:0"]
 
     def test_missing_file(self, tmp_path, dataset):
         with pytest.raises(FileNotFoundError):

@@ -101,12 +101,12 @@ def deadline(seconds: int):
 class TestRoc:
     def test_perfect_separation(self):
         curve = roc_curve([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0])
-        assert (0.0, 1.0) in curve.points
+        assert (0.0, 1.0) in zip(*curve[:2])
         assert auc(curve) == 1.0
 
     def test_identical_scores_give_diagonal(self):
         curve = roc_curve([0.5, 0.5, 0.5, 0.5], [1, 0, 1, 0])
-        assert curve.points == ((0.0, 0.0), (1.0, 1.0))
+        assert curve[:2] == ((0.0, 1.0), (0.0, 1.0))
         assert auc(curve) == 0.5
 
     def test_three_score_example(self):
@@ -125,19 +125,16 @@ class TestRoc:
         rng = np.random.default_rng(1)
         scores = rng.random(50)
         labels = np.r_[np.ones(25, dtype=int), np.zeros(25, dtype=int)]
-        curve = roc_curve(scores, labels)
-        assert curve.points[0] == (0.0, 0.0)
-        assert curve.points[-1] == (1.0, 1.0)
-        fprs = [p[0] for p in curve.points]
-        tprs = [p[1] for p in curve.points]
-        assert fprs == sorted(fprs)
-        assert tprs == sorted(tprs)
+        fprs, tprs, _ = roc_curve(scores, labels)
+        assert (fprs[0], tprs[0]) == (0.0, 0.0)
+        assert (fprs[-1], tprs[-1]) == (1.0, 1.0)
+        assert list(fprs) == sorted(fprs)
+        assert list(tprs) == sorted(tprs)
 
     def test_threshold_semantics(self):
         scores = [0.9, 0.7, 0.7, 0.3]
         labels = [1, 1, 0, 0]
-        curve = roc_curve(scores, labels)
-        for (fpr, tpr), cut in zip(curve.points, curve.thresholds):
+        for fpr, tpr, cut in zip(*roc_curve(scores, labels)):
             preds = [1 if s >= cut else 0 for s in scores]
             tp = sum(1 for p, y in zip(preds, labels) if p == 1 and y == 1)
             fp = sum(1 for p, y in zip(preds, labels) if p == 1 and y == 0)
@@ -166,10 +163,10 @@ class TestRoc:
                 labels[0] = 1 - labels[0]
             scores = np.round(rng.random(n), int(rng.integers(1, 3)))
             curve = roc_curve(scores, labels)
-            assert (curve.points, curve.thresholds) == oracle_roc_curve(scores, labels)
-            # Python floats, so the CSV reprs do not change
-            assert all(type(x) is float for point in curve.points for x in point)
-            assert all(type(x) is float for x in curve.thresholds)
+            assert curve == oracle_roc_curve(scores, labels)
+            # tuples of Python floats, so the CSV reprs do not change
+            assert all(type(column) is tuple for column in curve)
+            assert all(type(x) is float for column in curve for x in column)
 
     def test_rank_invariance_under_monotone_transform(self):
         rng = np.random.default_rng(7)

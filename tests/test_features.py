@@ -10,7 +10,7 @@ from elmdetect.features import (
     FeatureExtractor,
     FeatureScaler,
 )
-from elmdetect.textstats import Lexicon, bundled_sentiment_lexicon, bundled_urgency_lexicon
+from elmdetect.textstats import bundled_sentiment_lexicon, bundled_urgency_lexicon
 
 from oracles import oracle_elm
 from synthetic import make_doc
@@ -85,8 +85,8 @@ class TestOracleEquivalence:
         got = FeatureExtractor().elm(doc)
         expected = oracle_elm(
             doc,
-            dict(bundled_sentiment_lexicon().entries),
-            set(bundled_urgency_lexicon().entries),
+            dict(bundled_sentiment_lexicon()),
+            set(bundled_urgency_lexicon()),
         )
         for name, g, e in zip(FEATURE_NAMES, got, expected):
             if name in ("text_length", "all_caps_count"):
@@ -116,15 +116,13 @@ class TestCentralFeatures:
         assert FeatureExtractor().central(make_doc("")) == (0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_repeated_word_polarity_and_richness(self):
-        lex = Lexicon("t", {"good": 0.7})
-        extractor = FeatureExtractor(sentiment=lex)
+        extractor = FeatureExtractor(sentiment={"good": 0.7})
         cv = central("good good good", extractor)
         assert abs(cv["sentiment_polarity"] - 0.7) < 1e-12
         assert abs(cv["vocabulary_richness"] - 1 / 3) < 1e-12
 
     def test_unknown_words_contribute_zero(self):
-        lex = Lexicon("t", {"good": 1.0})
-        extractor = FeatureExtractor(sentiment=lex)
+        extractor = FeatureExtractor(sentiment={"good": 1.0})
         cv = central("good unknown", extractor)
         assert abs(cv["sentiment_polarity"] - 0.5) < 1e-12  # (1.0 + 0) / 2
 
@@ -253,8 +251,7 @@ class TestExtendedFeaturizer:
         assert a.bigrams == b.bigrams
 
     def test_subjectivity_counts_lexicon_membership_only(self):
-        lex = Lexicon("t", {"good": 0.5, "bad": -0.5})
-        extractor = FeatureExtractor(sentiment=lex)
+        extractor = FeatureExtractor(sentiment={"good": 0.5, "bad": -0.5})
         doc = make_doc("good bad neutral")
         assert abs(extractor.subjectivity(doc) - 2 / 3) < 1e-12
 

@@ -1,22 +1,28 @@
 """Every function and method the benchmark's span tracer wraps must exist,
-and the benchmark's layer timings must run.
+every name the benchmark imports from the package must exist, and the
+benchmark's layer timings must run.
 
 `perfbench/spans.py` skips a target it cannot find with a note, so a renamed
 function would only drop the per-layer metric built on it; this test makes
-the rename fail instead. `perfbench/kernels.py` calls the LSTM and conv
-layers directly, so a layer change that breaks those calls fails here
-before it fails a traced benchmark run.
+the rename fail instead. A renamed import would break only the benchmark
+runs that reach it, so the imports are checked here too. `perfbench/kernels.py`
+calls the LSTM and conv layers directly, so a layer change that breaks those
+calls fails here before it fails a traced benchmark run.
 """
+import ast
 import importlib
 import importlib.util
 import inspect
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from synthetic import dual_signal_corpus
 
-from elmdetect import training
+import elmdetect
+from elmdetect import auc, roc_curve, training
+from elmdetect.evaluation import roc_auc
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -86,3 +92,37 @@ def test_predict_scores_reaches_every_scoring_path_target():
     missing = [name for name in SCORING_SPANS if tracer.calls[name] == 0]
     assert not missing, f"predict_scores did not reach {missing}"
     assert tracer.calls["textstats.tokenize"] == 2 * len(docs)
+
+
+def perfbench_imports():
+    """(file, module, name) of every `from elmdetect... import name` in perfbench/*.py."""
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "elmdetect":
+                yield from ((path.name, node.module, alias.name) for alias in node.names)
+
+
+@pytest.mark.parametrize(
+    "module_name, name", [pytest.param(m, n, id=f"{f}:{m}.{n}") for f, m, n in sorted(set(perfbench_imports()))]
+)
+def test_every_name_the_benchmark_imports_exists(module_name, name):
+    module = importlib.import_module(module_name)
+    assert hasattr(module, name) or importlib.util.find_spec(f"{module_name}.{name}"), f"{module_name}.{name}"
+
+
+def test_perfbench_imports_are_found():
+    assert {("run.py", "elmdetect", "auc"), ("run.py", "elmdetect", "roc_curve")} <= set(perfbench_imports())
+
+
+def test_the_traced_score_runs_auc_call_is_roc_auc():
+    """`perfbench/run.py` reports each variant's AUC as auc(roc_curve(scores, labels))."""
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        labels = [0, 1, *rng.integers(0, 2, size=30).tolist()]
+        scores = np.round(rng.random(len(labels)), 1).tolist()
+        assert auc(roc_curve(scores, labels)) == roc_auc(scores, labels)
+
+
+@pytest.mark.parametrize("name", elmdetect.__all__)
+def test_every_exported_name_resolves(name):
+    assert getattr(elmdetect, name, None) is not None, name

@@ -12,7 +12,7 @@ from elmdetect import textstats
 from elmdetect.corpus import load_dataset, stratified_folds
 from elmdetect.evaluation import cross_validate
 from elmdetect.features import ExtendedFeaturizer, FeatureExtractor
-from elmdetect.textstats import Lexicon, tokenize
+from elmdetect.textstats import tokenize
 from elmdetect.training import VARIANTS, TrainConfig
 
 from synthetic import make_doc, planted_token_corpus
@@ -54,7 +54,7 @@ def test_cross_validate_tokenises_each_document_at_most_twice(monkeypatch):
 
 
 class CountingEntries(dict):
-    """Lexicon entries that count their membership tests."""
+    """A lexicon that counts its membership tests."""
 
     lookups = 0
 
@@ -69,8 +69,8 @@ def test_bigram_sets_and_subjectivity_are_made_once_per_document():
     assert doc.bigrams is doc.bigrams
     corpus = planted_token_corpus(n=30, seed=4)
     docs = list(corpus)
-    entries = CountingEntries(FeatureExtractor().sentiment.entries)
-    extractor = FeatureExtractor(sentiment=Lexicon("counting", entries))
+    entries = CountingEntries(FeatureExtractor().sentiment)
+    extractor = FeatureExtractor(sentiment=entries)
     read_by: Counter = Counter()  # id of a document's tokens -> calls that read their entries
     clean_entries = extractor._clean_entries
 
@@ -97,7 +97,7 @@ def test_rows_are_kept_per_lexicon_pair():
     docs = [make_doc("Good news today!", 0), make_doc("Bad news today?", 1)]
     bundled = FeatureExtractor()
     before = bundled.matrix(docs)
-    flipped = Lexicon("flipped", {w: -s for w, s in bundled.sentiment.entries.items()})
+    flipped = {w: -s for w, s in bundled.sentiment.items()}
     rows = FeatureExtractor(sentiment=flipped).matrix(docs)
     polarity = 2
     assert before[0, polarity] > 0 > before[1, polarity]

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from elmdetect.corpus import clean_text
 from elmdetect.errors import MalformedLineError
+from elmdetect.features import FEATURE_NAMES, FeatureExtractor
 from elmdetect.textstats import (
     bundled_sentiment_lexicon,
     bundled_urgency_lexicon,
@@ -14,6 +15,7 @@ from elmdetect.textstats import (
 )
 
 from oracles import oracle_sentences, oracle_syllables, oracle_tokens
+from synthetic import make_doc
 
 
 class TestTokenize:
@@ -125,20 +127,20 @@ class TestLexicon:
         path.write_text("GOOD\t0.7\nbad\t-0.7\n", encoding="utf-8")
         lex = load_lexicon(path)
         assert len(lex) == 2
-        assert lex.entries["good"] == 0.7
+        assert lex["good"] == 0.7
 
     def test_scoreless_words_default_to_one(self, tmp_path):
         path = tmp_path / "lex.tsv"
         path.write_text("urgent\nnow\n", encoding="utf-8")
         lex = load_lexicon(path)
         assert len(lex) == 2
-        assert lex.entries["urgent"] == 1.0
+        assert lex["urgent"] == 1.0
 
     def test_comments_blank_lines_and_duplicates(self, tmp_path):
         path = tmp_path / "lex.tsv"
         path.write_text("# c\n\nword\t0.1\nword\t0.9\n", encoding="utf-8")
         lex = load_lexicon(path)
-        assert lex.entries["word"] == 0.9
+        assert lex["word"] == 0.9
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "lex.tsv"
@@ -150,15 +152,30 @@ class TestLexicon:
         with pytest.raises(FileNotFoundError):
             load_lexicon(tmp_path / "absent.tsv")
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_text("good\t0.7\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        lex = load_lexicon(path)
+        assert lex == {"good": 0.7}
+        polarity = FeatureExtractor(sentiment=lex).elm(make_doc("good news"))[FEATURE_NAMES.index("sentiment_polarity")]
+        assert polarity == 0.35
+
 
 class TestBundledLexicons:
     def test_sentiment_size_and_range(self):
         lex = bundled_sentiment_lexicon()
         assert len(lex) >= 1800
-        assert all(-1.0 <= s <= 1.0 for s in lex.entries.values())
-        assert lex.entries["good"] > 0
-        assert lex.entries["bad"] < 0
-        assert "qwzzk" not in lex.entries
+        assert all(-1.0 <= s <= 1.0 for s in lex.values())
+        assert lex["good"] > 0
+        assert lex["bad"] < 0
+        assert "qwzzk" not in lex
+
+    def test_bundled_lexicons_are_shared_and_read_only(self):
+        for load in (bundled_sentiment_lexicon, bundled_urgency_lexicon):
+            assert load() is load()
+            with pytest.raises(TypeError):
+                load()["good"] = 0.0
 
     def test_urgency_default_terms(self):
         lex = bundled_urgency_lexicon()
@@ -167,5 +184,5 @@ class TestBundledLexicons:
             "alert", "hurry", "act", "emergency", "deadline", "must", "critical",
             "danger", "quick", "instantly",
         }
-        assert set(lex.entries) == expected
-        assert all(s == 1.0 for s in lex.entries.values())
+        assert set(lex) == expected
+        assert all(s == 1.0 for s in lex.values())

@@ -14,7 +14,6 @@ from elmdetect.network import DROPOUT_RATE, EMBEDDING_DIM, KERNEL_SIZE, LSTM_UNI
 from elmdetect.textstats import tokenize
 from elmdetect.training import (
     AdamState,
-    EarlyStopper,
     VARIANT_SPECS,
     VARIANTS,
     TextPipelineModel,
@@ -28,7 +27,7 @@ from elmdetect.training import (
     train,
 )
 
-from oracles import oracle_adam
+from oracles import oracle_adam, oracle_early_stop
 from synthetic import NEUTRAL_WORDS, dual_signal_corpus, make_doc, planted_token_corpus
 
 
@@ -103,22 +102,16 @@ class TestAdam:
         assert np.array_equal(net.params, np.concatenate([p.reshape(-1) for p in pieces]))
 
 
-class TestEarlyStopper:
+class TestEarlyStopOracle:
     def test_traced_patience_two_sequence(self):
-        stopper = EarlyStopper(patience=2)
-        decisions = [stopper.update(e, v) for e, v in enumerate([0.6, 0.5, 0.55, 0.56], start=1)]
-        assert decisions == [False, False, False, True]  # stop after epoch 4
-        assert stopper.best_epoch == 2  # restore epoch-2 parameters
+        # stop after epoch 4 and restore the epoch-2 parameters
+        assert oracle_early_stop([0.6, 0.5, 0.55, 0.56], patience=2) == (4, 2)
 
     def test_improvement_resets_patience(self):
-        stopper = EarlyStopper(patience=2)
-        for e, v in enumerate([0.6, 0.61, 0.5, 0.51], start=1):
-            assert stopper.update(e, v) is False
-        assert stopper.best_epoch == 3
+        assert oracle_early_stop([0.6, 0.61, 0.5, 0.51], patience=2) == (4, 3)
 
     def test_disabled_never_stops(self):
-        stopper = EarlyStopper(patience=0)
-        assert not any(stopper.update(e, 1.0) for e in range(1, 20))
+        assert oracle_early_stop([1.0] * 19, patience=0) == (19, 19)
 
 
 class TestVocabulary:
@@ -235,16 +228,16 @@ class TestTrain:
 
     def test_stopping_point_follows_patience_rule(self):
         corpus = planted_token_corpus(48, seed=3)
-        cfg = quick_config(epochs=8, early_stop_patience=2)
-        model = train(list(corpus), cfg)
-        vals = [v for _, v in model.history]
-        stopper = EarlyStopper(cfg.early_stop_patience)
-        expected = cfg.epochs
-        for e, v in enumerate(vals, start=1):
-            if stopper.update(e, v):
-                expected = e
-                break
-        assert len(vals) == expected
+        stopped = []
+        for patience in (0, 1, 2):
+            cfg = quick_config(epochs=8, early_stop_patience=patience, learning_rate=0.05)
+            model = train(list(corpus), cfg)
+            vals = [v for _, v in model.history]
+            # epochs that did not run would not have improved, so the rule stops where training did
+            padded = vals + [math.inf] * (cfg.epochs - len(vals))
+            assert oracle_early_stop(padded, patience) == (len(vals), model.best_epoch), patience
+            stopped.append(len(vals) < cfg.epochs)
+        assert stopped == [False, True, True]
 
     def test_progress_lines_are_key_value(self, capsys):
         corpus = planted_token_corpus(32, seed=4)
@@ -259,7 +252,7 @@ class TestTrain:
         corpus = planted_token_corpus(40, seed=5)
         for variant, spec in VARIANT_SPECS.items():
             model = train(list(corpus), quick_config(variant, epochs=1))
-            assert model.variant == variant
+            assert model.config.variant == variant
             assert (model.vocab is not None) == spec.text
             assert (model.scaler is not None) == spec.features
             assert (model.extended is not None) == spec.extended
@@ -422,7 +415,7 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
-        assert loaded.variant == model.variant
+        assert loaded.config == model.config
         assert loaded.history == model.history
         assert loaded.model.params.dtype == np.float64
         assert np.array_equal(model.model.params, loaded.model.params)  # bit-exact
