@@ -13,6 +13,7 @@ import numpy as np
 
 from .corpus import DocumentSet, FoldPlan
 from .errors import (
+    ElmDetectError,
     EmptyEvaluationError,
     LengthMismatchError,
     NonFiniteScoreError,
@@ -20,7 +21,6 @@ from .errors import (
 )
 from .features import FeatureExtractor
 from .significance import paired_t_test, wilcoxon_signed_rank
-from .errors import ElmDetectError
 from .training import VARIANTS, TrainConfig, predict_scores, train
 
 METRIC_NAMES = ("accuracy", "precision", "recall", "f1", "roc_auc")

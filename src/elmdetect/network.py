@@ -9,9 +9,12 @@ convolution, dropout and LSTM compute in the dtype of their input: they cast
 their parameters to it at forward, keep their caches in it, and add their
 gradients into the float64 ``grads`` dicts, so float32 input gives float32
 compute over float64 master weights (Micikevicius et al., "Mixed Precision
-Training", arXiv:1710.03740). Every backward returns the gradient w.r.t. the
-layer input. A single example is a batch of one. Each layer stores its
-weights in the layout its GEMMs read, so no forward or backward restacks
+Training", arXiv:1710.03740). ``training`` feeds them float32 in every
+forward: training steps, validation and scoring alike. Every backward
+returns the gradient w.r.t. the layer input. A single example is a batch of
+one, but then the LSTM's GEMMs run as GEMVs, which round differently, so
+``training`` scores a lone row as a batch of two copies. Each layer stores
+its weights in the layout its GEMMs read, so no forward or backward restacks
 them: the convolution one ``(dim, kernel * F)`` tap matrix, the LSTM one
 ``(in_dim + 1 + H, 4H)`` matrix whose rows match its ``[x, 1, h]`` inputs.
 When ``training`` builds the layers, their ``params`` and ``grads`` dicts
@@ -377,7 +380,12 @@ class DenseLayer(Layer):
 
 
 class DenseHead(Layer):
-    """Final fully connected layer with sigmoid activation: one probability."""
+    """Final fully connected layer with sigmoid activation: one probability.
+
+    The logit is a sum over each row of ``z * w``, not the GEMV ``z @ w``:
+    the GEMV rounds a row differently depending on how many rows it is
+    given, and a score must not depend on the batching.
+    """
 
     def __init__(self, in_dim: int, rng: np.random.Generator):
         super().__init__()
@@ -391,7 +399,7 @@ class DenseHead(Layer):
         if z.shape[1] != self.in_dim:
             raise DimensionMismatchError(f"expected input dim {self.in_dim}, got {z.shape[1]}")
         self._z = z
-        p = sigmoid(z @ self.params["w"] + self.params["b"][0])
+        p = sigmoid((z * self.params["w"]).sum(axis=1) + self.params["b"][0])
         self._p = p
         return p
 

@@ -44,8 +44,8 @@ def wilcoxon_signed_rank(base: Sequence[float], other: Sequence[float]) -> dict:
     if not diffs:
         raise AllZeroDifferencesError("all paired differences are zero")
     ranks = _average_ranks([abs(d) for d in diffs])
-    w_plus = sum(r for r, d in zip(ranks, diffs) if d > 0)
-    w_minus = sum(r for r, d in zip(ranks, diffs) if d < 0)
+    w_plus = sum((r for r, d in zip(ranks, diffs) if d > 0), 0.0)
+    w_minus = sum((r for r, d in zip(ranks, diffs) if d < 0), 0.0)
     p_two, p_one = _exact_p_values(ranks, w_plus)
     return {
         "w_plus": w_plus,

@@ -211,21 +211,22 @@ class TextPipelineModel:
         only of real tokens, so the result does not depend on how far the
         rows were padded.
 
-        A training step runs the conv, dropout and LSTM in float32, about
-        twice as fast, while the parameters, their gradients and Adam stay
-        float64. Scoring stays float64: in float32 a document's score would
-        depend on the rows it is batched with by about 1e-11, and a score
-        must not depend on the batching.
+        Every forward, training or eval, runs the conv, dropout and LSTM in
+        float32, about twice as fast, while the parameters, their gradients,
+        Adam, the head and the probabilities stay float64. Per row, a GEMM
+        of two rows or more gives the same float32 bits whatever its row
+        count, but a one-row GEMM runs as a GEMV, which rounds differently;
+        `_eval_forward` never runs one, and the head sums each row on its
+        own, so a score does not depend on the batching.
         """
         lengths = np.count_nonzero(ids != PAD_INDEX, axis=1)
         ids = ids[:, : max(KERNEL_SIZE, int(lengths.max()))]
-        emb = self.embedding.forward(ids)
-        if train:
-            emb = emb.astype(np.float32)
+        emb = self.embedding.forward(ids).astype(np.float32)
         fmap = self.conv.forward(emb, train)
         fmap = self.dropout.forward(fmap, train=train, rng=rng)
         text = self.lstm.forward(fmap, last=np.maximum(lengths - KERNEL_SIZE, 0), train=train)
-        # an (n, 0) float64 feats would make a float32 training input float64
+        # the head promotes the float32 states to float64 either way; an
+        # (n, 0) feats is skipped, since concatenating it would only copy them
         z = np.concatenate([text, feats], axis=1) if feats.shape[1] else text
         return self.head.forward(z)
 
@@ -335,12 +336,18 @@ def _eval_forward(net, ids: np.ndarray, feats: np.ndarray, size: int) -> np.ndar
     and little padding (the sequence bucketing of Khomenko et al.,
     arXiv:1708.05604); each chunk's probabilities go back to its rows'
     input positions. Rows without ids, all of length 0, run in input order.
+
+    A chunk of one row runs as two copies of it, and the first result is
+    kept: the network never sees a one-row batch, whose GEMMs would run as
+    GEMVs and round the float32 text path differently, so each row's score
+    is the same bits however the documents are batched.
     """
     order = np.argsort(np.count_nonzero(ids != PAD_INDEX, axis=1), kind="stable")
     out = np.empty(len(ids))
     for start in range(0, len(ids), size):
         rows = order[start : start + size]
-        out[rows] = net.forward(ids[rows], feats[rows], train=False)
+        run = np.repeat(rows, 2) if rows.size == 1 else rows
+        out[rows] = net.forward(ids[run], feats[run], train=False)[: rows.size]
     return out
 
 

@@ -31,7 +31,7 @@ RUN_FLAGS = [
 ]
 FEATURE_FLAGS = ["--seed", "7"]
 
-REPORT_SHA256 = "184d58dea65c07a9c355fb4b06fda19c24c9b03f35f79fe2d6d1f24532aa93c3"
+REPORT_SHA256 = "19e85192f03546719cd6e34f32da927bf044954ef40fcf0d4cf712fa84d5ea87"
 CSV_SHA256 = {
     "confusion_base.csv": "84a03ec5e55d642e7385298a22e6376ddbeb8546d92f0c97da24f37e75b84606",
     "confusion_combined.csv": "34e32d84ca47dc61e02a0a3a75f6b752ae3bdd9b31217fb7ad00a31346f99454",
@@ -39,28 +39,28 @@ CSV_SHA256 = {
     "confusion_features_only.csv": "ed490752fd809b0b639398159c6513406587d4228c4fcc55d9edc153525941d0",
     "fold_assignments.csv": "a35f5fb721335a7c3706d4a71001d3ddabb3bdd68bffd1ba747fc8f6f06fe5e9",
     "folds.csv": "77003e0299307dc96df7242646f493b4549a2433ee6607bcfa06f27f72fb5689",
-    "roc_base.csv": "503c6fe3a8286e8796b2fb7df7534b9a2e6c7bd649af42391e420a4610c44c2a",
-    "roc_combined.csv": "e777e79e4341b373fac77c6d661731b9d017730b58dc778d81145e3794985411",
-    "roc_enhanced.csv": "5473c6386bf10de0e2df9f6a38a6930fa10396530c78d600b715c333b6927fd2",
-    "roc_features_only.csv": "db4a44e85e09360bbb43afbb46c3a507653d1bbadfd173ba644e951558b6448e",
-    "scores_base_0.csv": "7c2e3c788ef64294fd6497fc7dbe39aa067919131820ffd231c1d20e0fd83054",
-    "scores_base_1.csv": "24769b785eb26a6b3f7e19c0b4997cd74059b1b31de2c2cd9c5d5ea0b7ef3678",
-    "scores_base_2.csv": "84c854cf11bce8f73c1dea4a293ff6d7a7e22a83de45bf7b116247158ed4ef13",
-    "scores_combined_0.csv": "bc3e57a2a7e24181a5cc66935be23f6d9a2c8a30349fd22d95dbbae46bd3dfc4",
-    "scores_combined_1.csv": "3a79deba8d5741ff77bc2f65ddfa90c7e47f43c9e4991915ce74acdb63195132",
-    "scores_combined_2.csv": "39fb1bbe5448b4d77eb7eac6f5615a73dcbb78d500fcb03e7d3fc1a5adf61fea",
-    "scores_enhanced_0.csv": "589d8c2834fed2867409b21f20052a2355434c53e1dcebee750ecdf5294c12fa",
-    "scores_enhanced_1.csv": "7be4ed4382db3a501b0e0665bc32b4c5db240beb8713ab8568dbdab0aebb4e1e",
-    "scores_enhanced_2.csv": "650f2937540cb3b5804711d4b49f64d0c0ef79fc065cea9fc00145b67ee840b4",
-    "scores_features_only_0.csv": "a0e18854762504e7581e2aa5ce4225c17cbf040c12b3d37d5c6179b07a99eddc",
-    "scores_features_only_1.csv": "859e3715bf0d5e9195233124341c2191615f25663c7e93718f16febab13805a6",
-    "scores_features_only_2.csv": "f5f27f4b55c11012b2deabfe4719e6b2dc19dc748ce0b5fcd7199e35e6ba9929",
+    "roc_base.csv": "505ae29440a6059daecfcc3460360a9d24c327a44d2abdd8e86fa9509ef308bd",
+    "roc_combined.csv": "8c363fa535e2d605c491b74cd4114fb60422ca7b80d4a3bb3d8270910e128e09",
+    "roc_enhanced.csv": "c79bc55670f0d0687ea80e5ccbaa1ba21ef175656722e5449dd6ab44fe5c21bc",
+    "roc_features_only.csv": "3e6f1ee26496ef43063c6af1218e86358689cb2cd997fc8ee14ef3591c6b4f7d",
+    "scores_base_0.csv": "6ee5a1b3e75dcc89ec1614d4c9421ed49a7e91e0923f35e51f5157a09ebd4762",
+    "scores_base_1.csv": "8b40f99bb3b980db5da9924d84b415705e8f718a97d256ac9055eb0e64e17bac",
+    "scores_base_2.csv": "678b50d709ff2c7f63edb8d32b62a81ee843cb7fdd41ede0f33f2fab07574cb8",
+    "scores_combined_0.csv": "bf6358eff6f6c068cb50e9b968a281df221b319405301386c3396a746cee6ee7",
+    "scores_combined_1.csv": "2f916b46d449c803706554a2424eafa322b7fa6794a42e413e2a4d0b69a26834",
+    "scores_combined_2.csv": "c9e207d3dc7a1edc954054cc3b01b29b03688402f7e3a7f20306eed9f2ccaca5",
+    "scores_enhanced_0.csv": "11f4504ebc5d9b4938c5dff90d725935c0e3fd3c214a578f2bf84e1fa5511739",
+    "scores_enhanced_1.csv": "e7bafc3d180ac000da67ebcbf99f92b92d8ca46ddd862ec82244477b4a8c42ed",
+    "scores_enhanced_2.csv": "5aa24d9ece7bc3257b6c72aabd072d229911698db96f755db4a6be2203ee72c4",
+    "scores_features_only_0.csv": "900bb3038f1dd997b7ec6ff76cf229641980df0c64c6bff529ee50835dea0c49",
+    "scores_features_only_1.csv": "b56c0a9ceb9a16e3e6bc22fa950542da1f9ec1a4290de456a68602419fa0c265",
+    "scores_features_only_2.csv": "94631a3322fa9d5f946f6ebf9806ee78ae43b38fbfdb752008180e53bed7adf2",
 }
 SVG_SHA256 = {
     "improvement.svg": "05261f5e8eca98d780611c30df9fea592ac419fc604229cdce8dd1e5de6c589e",
     "roc.svg": "f5d169b9f9bfae20802f2470dafe4fa912d9e02276b0c11ac54accaa484959c5",
 }
-TABLES_SHA256 = "20605558ceaa481895bc7bf4c66dec1621ac3df94cea1003144f0a31874c791e"
+TABLES_SHA256 = "059af600b66578b1421e4b318118127e53d45b262025eee4b75a314bed1691b4"
 FEATURES_SHA256 = "d62b90bc05ecabfba7757fd934dfb25299aee8552499b7a58db5a37b6653976f"
 
 

@@ -38,6 +38,12 @@ class TestWilcoxon:
         assert result["p_one_sided"] == pytest.approx(1 / 1024, abs=1e-15)
         assert list(result) == ["w_plus", "w_minus", "w", "n_eff", "p_exact_two_sided", "p_one_sided"]
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_rank_sums_are_floats_when_one_side_is_empty(self, sign):
+        """report.json stores 0.0, not 0, for an empty rank sum."""
+        result = wilcoxon_signed_rank(*sample_from_diffs([sign * 0.1, sign * 0.2, sign * 0.3]))
+        assert [type(result[key]) for key in ("w_plus", "w_minus", "w")] == [float, float, float]
+
     def test_sign_flip_swaps_rank_sums_keeps_p(self):
         diffs = [0.3, -0.1, 0.25, 0.07, -0.02, 0.4, 0.11]
         a = wilcoxon_signed_rank(*sample_from_diffs(diffs))
