@@ -9,7 +9,7 @@ convolution, dropout and LSTM compute in the dtype of their input: they cast
 their parameters to it at forward, keep their caches in it, and add their
 gradients into the float64 ``grads`` dicts, so float32 input gives float32
 compute over float64 master weights (Micikevicius et al., "Mixed Precision
-Training", arXiv:1710.03740). ``training`` feeds them float32 in every
+Training", arXiv:1710.03740). ``Network`` feeds them float32 in every
 forward: training steps, validation and scoring alike. Every backward
 returns the gradient w.r.t. the layer input. A single example is a batch of
 one, but then the LSTM's GEMMs run as GEMVs, which round differently, so
@@ -17,15 +17,17 @@ one, but then the LSTM's GEMMs run as GEMVs, which round differently, so
 its weights in the layout its GEMMs read, so no forward or backward restacks
 them: the convolution one ``(dim, kernel * F)`` tap matrix, the LSTM one
 ``(in_dim + 1 + H, 4H)`` matrix whose rows match its ``[x, 1, h]`` inputs.
-When ``training`` builds the layers, their ``params`` and ``grads`` dicts
-hold views into the model's one flat parameter buffer and one flat gradient
-buffer, so layers update those arrays only in place, and ``train`` zeroes
-every gradient with one ``fill`` per step.
+In a ``Network`` the layers' ``params`` and ``grads`` dicts hold views into
+the model's one flat parameter buffer and one flat gradient buffer, so
+layers update those arrays only in place, and ``train`` zeroes every
+gradient with one ``fill`` per step.
 
-The pipeline is a fixed chain (embedding, convolution, dropout, recurrence,
-concatenation, sigmoid head), so explicit per-layer backprop is used instead
-of a general autodiff graph; tests verify every layer against central finite
-differences.
+``Network`` chains the layers in two fixed steps: ``text_states``
+(embedding, convolution, dropout, recurrence) and then ``fuse`` (the
+optional feature layer, concatenation, sigmoid head). So explicit per-layer
+backprop is used instead of a general autodiff graph; tests verify every
+layer, and the network without a text path as a whole, against central
+finite differences.
 """
 from __future__ import annotations
 
@@ -413,3 +415,95 @@ class DenseHead(Layer):
         self.grads["w"] += self._z.T @ dlogit
         self.grads["b"] += np.array([dlogit.sum()])
         return dlogit[:, None] * self.params["w"][None, :]
+
+
+class Network:
+    """The model of one variant: a text path, then a fusion.
+
+    ``text_states`` runs embedding -> conv -> dropout -> LSTM over the token
+    ids and gives each row's final LSTM state; ``fuse`` runs the feature
+    layer, when there is one, joins the states with the features and
+    applies the sigmoid head. A network built without a vocabulary has no
+    text path, and its states are ``(n, 0)``. The dense ReLU feature layer
+    is built when there is no text path.
+
+    The layers are built, and draw from ``rng``, in ``layers`` order. Their
+    parameters are then moved into one flat float64 array, ``params``, and
+    their gradients into another, ``grads``, layer by layer in that order;
+    each layer's ``params[name]`` and ``grads[name]`` become views into them.
+    """
+
+    def __init__(self, vocab_size: int | None, feature_dim: int, rng: np.random.Generator):
+        text = vocab_size is not None
+        self.layers: list[Layer] = []
+        if text:
+            self.embedding = EmbeddingTable(vocab_size, EMBEDDING_DIM, rng)
+            self.conv = ConvLayer(CONV_FILTERS, KERNEL_SIZE, EMBEDDING_DIM, rng)
+            self.dropout = DropoutLayer(DROPOUT_RATE)
+            self.lstm = LstmLayer(CONV_FILTERS, LSTM_UNITS, rng)
+            self.layers += [self.embedding, self.conv, self.lstm]
+        self.state_dim = LSTM_UNITS if text else 0
+        self.hidden = None if text else DenseLayer(feature_dim, FEATURE_HIDDEN, rng)
+        if self.hidden is not None:
+            self.layers.append(self.hidden)
+            feature_dim = FEATURE_HIDDEN
+        self.head = DenseHead(self.state_dim + feature_dim, rng)
+        self.layers.append(self.head)
+        self.params = np.concatenate([p.reshape(-1) for layer in self.layers for p in layer.params.values()])
+        self.grads = np.zeros_like(self.params)
+        start = 0
+        for layer in self.layers:
+            for name, p in layer.params.items():
+                end = start + p.size
+                layer.params[name] = self.params[start:end].reshape(p.shape)
+                layer.grads[name] = self.grads[start:end].reshape(p.shape)
+                start = end
+
+    def text_states(self, ids: np.ndarray, train: bool, rng=None) -> np.ndarray:
+        """The float32 ``(n, state_dim)`` LSTM states of end-padded id rows.
+
+        The batch is cut to its longest row (at least one conv window), and
+        each row's state is read after its last conv window made only of
+        real tokens, so the result does not depend on how far the rows were
+        padded.
+
+        Every forward, training or eval, runs the conv, dropout and LSTM in
+        float32, about twice as fast, while the parameters, their gradients,
+        Adam, the head and the probabilities stay float64. Per row, a GEMM
+        of two rows or more gives the same float32 bits whatever its row
+        count, but a one-row GEMM runs as a GEMV, which rounds differently;
+        ``training`` never scores a one-row batch, and the head sums each row
+        on its own, so a score does not depend on the batching.
+        """
+        if not self.state_dim:
+            return np.empty((len(ids), 0), np.float32)
+        lengths = np.count_nonzero(ids != PAD_INDEX, axis=1)
+        ids = ids[:, : max(KERNEL_SIZE, int(lengths.max()))]
+        emb = self.embedding.forward(ids).astype(np.float32)
+        fmap = self.conv.forward(emb, train)
+        fmap = self.dropout.forward(fmap, train=train, rng=rng)
+        return self.lstm.forward(fmap, last=np.maximum(lengths - KERNEL_SIZE, 0), train=train)
+
+    def fuse(self, states: np.ndarray, feats: np.ndarray) -> np.ndarray:
+        """Probabilities from the text states and the scaled features."""
+        if self.hidden is not None:
+            feats = self.hidden.forward(feats)
+        # An empty part is left out, not concatenated: concatenation would
+        # make float64 copies of float32 states, and the head's weight
+        # gradient `z.T @ dlogit` rounds differently for them.
+        parts = [part for part in (states, feats) if part.shape[1]]
+        return self.head.forward(np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0])
+
+    def forward(self, ids: np.ndarray, feats: np.ndarray, train: bool, rng=None) -> np.ndarray:
+        """Probabilities for end-padded id rows and their scaled features."""
+        return self.fuse(self.text_states(ids, train, rng), feats)
+
+    def backward_logit(self, dlogit: np.ndarray) -> None:
+        """Backward of the last training forward from the gradient of each
+        row's pre-sigmoid logit, into ``grads``."""
+        dz = self.head.backward_logit(dlogit)
+        if self.hidden is not None:
+            self.hidden.backward(dz[:, self.state_dim :])
+        if self.state_dim:
+            dfmap = self.dropout.backward(self.lstm.backward(dz[:, : self.state_dim]))
+            self.embedding.backward(self.conv.backward(dfmap))

@@ -1,8 +1,8 @@
 """Training of the four model variants of VARIANT_SPECS.
 
-The text path is embedding -> conv -> dropout -> LSTM -> sigmoid head; the
-scaled features either join it before the head or, without a text path,
-feed a small dense head of their own.
+Each variant trains one `network.Network`: a vocabulary for the text path
+when the variant reads tokens, and a scaler for the features when it reads
+them.
 
 All randomness flows from TrainConfig.seed through one numpy Generator, so a
 training run is reproducible bit for bit.
@@ -26,22 +26,7 @@ from .errors import (
     SingleClassTrainingSetError,
 )
 from .features import ExtendedFeaturizer, FeatureExtractor, FeatureScaler
-from .network import (
-    CONV_FILTERS,
-    DROPOUT_RATE,
-    EMBEDDING_DIM,
-    FEATURE_HIDDEN,
-    KERNEL_SIZE,
-    LSTM_UNITS,
-    OOV_INDEX,
-    PAD_INDEX,
-    ConvLayer,
-    DenseHead,
-    DenseLayer,
-    DropoutLayer,
-    EmbeddingTable,
-    LstmLayer,
-)
+from .network import KERNEL_SIZE, OOV_INDEX, PAD_INDEX, Network
 
 
 @dataclass(frozen=True)
@@ -189,76 +174,9 @@ class Vocabulary:
         return out
 
 
-class TextPipelineModel:
-    """The convolutional-recurrent text pipeline, optionally concatenated
-    with a scaled feature vector before the sigmoid head."""
-
-    def __init__(self, vocab_size: int, feature_dim: int, rng: np.random.Generator):
-        self.embedding = EmbeddingTable(vocab_size, EMBEDDING_DIM, rng)
-        self.conv = ConvLayer(CONV_FILTERS, KERNEL_SIZE, EMBEDDING_DIM, rng)
-        self.dropout = DropoutLayer(DROPOUT_RATE)
-        self.lstm = LstmLayer(CONV_FILTERS, LSTM_UNITS, rng)
-        self.head = DenseHead(LSTM_UNITS + feature_dim, rng)
-
-    def layers(self):
-        return [self.embedding, self.conv, self.lstm, self.head]
-
-    def forward(self, ids: np.ndarray, feats: np.ndarray, train: bool, rng=None) -> np.ndarray:
-        """Probabilities for end-padded id rows.
-
-        The batch is cut to its longest row (at least one conv window), and
-        the head reads each row's LSTM state after its last conv window made
-        only of real tokens, so the result does not depend on how far the
-        rows were padded.
-
-        Every forward, training or eval, runs the conv, dropout and LSTM in
-        float32, about twice as fast, while the parameters, their gradients,
-        Adam, the head and the probabilities stay float64. Per row, a GEMM
-        of two rows or more gives the same float32 bits whatever its row
-        count, but a one-row GEMM runs as a GEMV, which rounds differently;
-        `_eval_forward` never runs one, and the head sums each row on its
-        own, so a score does not depend on the batching.
-        """
-        lengths = np.count_nonzero(ids != PAD_INDEX, axis=1)
-        ids = ids[:, : max(KERNEL_SIZE, int(lengths.max()))]
-        emb = self.embedding.forward(ids).astype(np.float32)
-        fmap = self.conv.forward(emb, train)
-        fmap = self.dropout.forward(fmap, train=train, rng=rng)
-        text = self.lstm.forward(fmap, last=np.maximum(lengths - KERNEL_SIZE, 0), train=train)
-        # the head promotes the float32 states to float64 either way; an
-        # (n, 0) feats is skipped, since concatenating it would only copy them
-        z = np.concatenate([text, feats], axis=1) if feats.shape[1] else text
-        return self.head.forward(z)
-
-    def backward_logit(self, dlogit: np.ndarray) -> None:
-        dz = self.head.backward_logit(dlogit)
-        dfmap = self.lstm.backward(dz[:, :LSTM_UNITS])
-        dfmap = self.dropout.backward(dfmap)
-        demb = self.conv.backward(dfmap)
-        self.embedding.backward(demb)
-
-
-class FeatureHeadModel:
-    """The network of a variant without a text path: scaled features ->
-    dense ReLU -> sigmoid head."""
-
-    def __init__(self, feature_dim: int, rng: np.random.Generator):
-        self.hidden = DenseLayer(feature_dim, FEATURE_HIDDEN, rng)
-        self.head = DenseHead(FEATURE_HIDDEN, rng)
-
-    def layers(self):
-        return [self.hidden, self.head]
-
-    def forward(self, ids, feats: np.ndarray, train: bool, rng=None) -> np.ndarray:
-        return self.head.forward(self.hidden.forward(feats))
-
-    def backward_logit(self, dlogit: np.ndarray) -> None:
-        self.hidden.backward(self.head.backward_logit(dlogit))
-
-
 @dataclass
 class TrainedModel:
-    model: object
+    model: Network
     vocab: Vocabulary | None
     scaler: FeatureScaler | None
     extended: ExtendedFeaturizer | None
@@ -267,33 +185,6 @@ class TrainedModel:
     history: list[tuple[float, float]]
     best_epoch: int
     fit_doc_ids: tuple[str, ...]
-
-
-def _build_net(vocab: Vocabulary | None, scaler: FeatureScaler | None, rng: np.random.Generator):
-    """The network for what was fitted: a text pipeline when there is a
-    vocabulary, widened by the scaled features when there is a scaler.
-
-    Its parameters are then moved into one flat float64 array, `net.params`,
-    and its gradients into another, `net.grads`, layer by layer in
-    `layers()` order; each layer's `params[name]` and `grads[name]` become
-    views into them.
-    """
-    feature_dim = 0 if scaler is None else scaler.n_features
-    if vocab is None:
-        net = FeatureHeadModel(feature_dim, rng)
-    else:
-        net = TextPipelineModel(vocab.size, feature_dim, rng)
-    layers = net.layers()
-    net.params = np.concatenate([p.reshape(-1) for layer in layers for p in layer.params.values()])
-    net.grads = np.zeros_like(net.params)
-    start = 0
-    for layer in layers:
-        for name, p in layer.params.items():
-            end = start + p.size
-            layer.params[name] = net.params[start:end].reshape(p.shape)
-            layer.grads[name] = net.grads[start:end].reshape(p.shape)
-            start = end
-    return net
 
 
 def _encode_batch(model: TrainedModel, docs: Sequence[Document]) -> np.ndarray:
@@ -323,7 +214,7 @@ def predict_scores(model: TrainedModel, docs: Sequence[Document]) -> np.ndarray:
     return _eval_forward(model.model, _encode_batch(model, docs), _feature_batch(model, docs), model.config.batch_size)
 
 
-def _eval_forward(net, ids: np.ndarray, feats: np.ndarray, size: int) -> np.ndarray:
+def _eval_forward(net: Network, ids: np.ndarray, feats: np.ndarray, size: int) -> np.ndarray:
     """Eval-mode probabilities, `size` rows at a time.
 
     The conv and the LSTM keep nothing after an eval forward, and the LSTM
@@ -391,7 +282,7 @@ def train(
         scaler = FeatureScaler.fit(raw)
         feats_train = scaler.transform(raw)
 
-    net = _build_net(vocab, scaler, rng)
+    net = Network(vocab.size if vocab else None, feats_train.shape[1], rng)
     model = TrainedModel(
         model=net,
         vocab=vocab,
@@ -524,7 +415,7 @@ def load_model(path, extractor: FeatureExtractor | None = None) -> TrainedModel:
             extractor=extractor,
         )
     model = TrainedModel(
-        model=_build_net(vocab, scaler, np.random.default_rng(0)),
+        model=Network(vocab.size if vocab else None, scaler.n_features if scaler else 0, np.random.default_rng(0)),
         vocab=vocab,
         scaler=scaler,
         extended=extended,

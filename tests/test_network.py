@@ -15,9 +15,11 @@ from elmdetect.network import (
     DropoutLayer,
     EmbeddingTable,
     LstmLayer,
+    Network,
     PAD_INDEX,
     sigmoid,
 )
+from elmdetect.training import bce_loss
 
 from oracles import grads_close, numeric_grad, oracle_conv, oracle_embedding_grad, oracle_lstm
 
@@ -567,6 +569,22 @@ class TestDenseLayer:
         assert grads_close(layer.grads["W"], numeric_grad(loss, layer.params["W"]))
         assert grads_close(layer.grads["b"], numeric_grad(loss, layer.params["b"]))
         assert grads_close(dx, numeric_grad(loss, x))
+
+
+class TestNetwork:
+    def test_backward_without_a_text_path_matches_finite_differences(self):
+        """The network of a variant without a text path runs in float64 end
+        to end: after `backward_logit` of the cross-entropy gradient p - y,
+        every entry of `grads` matches central differences of `bce_loss`."""
+        rng = np.random.default_rng(1)
+        net = Network(None, 10, rng)
+        ids, feats = np.zeros((8, 0), np.int64), rng.random((8, 10))
+        y = rng.integers(0, 2, 8).astype(float)
+        p = net.forward(ids, feats, train=True)
+        assert np.abs(net.hidden._pre).min() > 1e-3  # smooth case for this seed
+        net.backward_logit((p - y) / len(y))
+        loss = lambda: bce_loss(net.forward(ids, feats, train=True), y)
+        assert grads_close(net.grads, numeric_grad(loss, net.params))
 
 
 def test_float32_input_computes_in_float32_into_float64_gradients():

@@ -20,13 +20,13 @@ from elmdetect.network import (
     ConvLayer,
     DropoutLayer,
     LstmLayer,
+    Network,
 )
 from elmdetect.textstats import tokenize
 from elmdetect.training import (
     AdamState,
     VARIANT_SPECS,
     VARIANTS,
-    TextPipelineModel,
     TrainConfig,
     Vocabulary,
     _encode_batch,
@@ -103,12 +103,12 @@ class TestAdam:
         array at a time, bit for bit."""
         model = train(list(planted_token_corpus(32, seed=5)), quick_config("enhanced", epochs=1))
         net, rng = model.model, np.random.default_rng(6)
-        pieces = [p.copy() for layer in net.layers() for p in layer.params.values()]
+        pieces = [p.copy() for layer in net.layers for p in layer.params.values()]
         m, v = [np.zeros_like(p) for p in pieces], [np.zeros_like(p) for p in pieces]
         state = AdamState(net.params)
         for t in range(1, 6):
             net.grads[...] = rng.normal(size=net.grads.size)
-            grads = [g.copy() for layer in net.layers() for g in layer.grads.values()]
+            grads = [g.copy() for layer in net.layers for g in layer.grads.values()]
             adam_step(net.params, net.grads, state, 0.01, 0.8, 0.99, 1e-6)
             oracle_adam(pieces, grads, m, v, t, 0.01, 0.8, 0.99, 1e-6)
         assert np.array_equal(net.params, np.concatenate([p.reshape(-1) for p in pieces]))
@@ -229,14 +229,28 @@ class TestTrain:
             net = m.model
             assert net.params.shape == net.grads.shape
             sizes = 0
-            for layer in net.layers():
+            for layer in net.layers:
                 for name, p in layer.params.items():
                     assert np.shares_memory(p, net.params), name
                     assert np.shares_memory(layer.grads[name], net.grads), name
                     sizes += p.size
             assert sizes == net.params.size
-            in_order = [p.reshape(-1) for layer in net.layers() for p in layer.params.values()]
+            in_order = [p.reshape(-1) for layer in net.layers for p in layer.params.values()]
             assert np.array_equal(np.concatenate(in_order), net.params)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_forward_is_fuse_of_the_text_states(self, variant):
+        """A forward is `fuse` of `text_states`, bit for bit, so the fusion
+        can run again on stored states."""
+        corpus = list(planted_token_corpus(32, seed=4))
+        model = train(corpus, quick_config(variant, epochs=1))
+        net, text = model.model, VARIANT_SPECS[variant].text
+        ids, feats = _encode_batch(model, corpus), _feature_batch(model, corpus)
+        states = net.text_states(ids, train=False)
+        assert states.dtype == np.float32
+        assert states.shape == (len(corpus), LSTM_UNITS if text else 0)
+        np.testing.assert_array_equal(net.fuse(states, feats), net.forward(ids, feats, train=False))
+        assert net.layers == ([net.embedding, net.conv, net.lstm, net.head] if text else [net.hidden, net.head])
 
     def test_stopping_point_follows_patience_rule(self):
         corpus = planted_token_corpus(48, seed=3)
@@ -385,7 +399,7 @@ class TestMixedPrecision:
         step run in float64 through the layers; measured at most 1.2e-6
         over 20 seeds."""
         rng = np.random.default_rng(3)
-        net = TextPipelineModel(60, 3, rng)
+        net = Network(60, 3, rng)
         net.dropout = DropoutLayer(0.0)
         lengths = rng.integers(1, 30, size=16)
         ids = rng.integers(2, 60, size=(16, 40))
@@ -393,8 +407,8 @@ class TestMixedPrecision:
         feats, y = rng.random((16, 3)), rng.integers(0, 2, 16).astype(float)
         p = net.forward(ids, feats, train=True, rng=rng)
         net.backward_logit((p - y) / 16)
-        mixed = [{name: g.copy() for name, g in layer.grads.items()} for layer in net.layers()]
-        for layer in net.layers():
+        mixed = [{name: g.copy() for name, g in layer.grads.items()} for layer in net.layers]
+        for layer in net.layers:
             for g in layer.grads.values():
                 g[...] = 0.0
         emb = net.embedding.forward(ids[:, : max(KERNEL_SIZE, lengths.max())])
@@ -404,7 +418,7 @@ class TestMixedPrecision:
         net.embedding.backward(net.conv.backward(net.lstm.backward(dz[:, :LSTM_UNITS])))
         np.testing.assert_allclose(p, p64, rtol=0, atol=1e-7)
         differs = False
-        for layer, grads in zip(net.layers(), mixed):
+        for layer, grads in zip(net.layers, mixed):
             for name, g in grads.items():
                 want = layer.grads[name]
                 assert g.dtype == want.dtype == np.float64
