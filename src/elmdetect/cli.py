@@ -1,4 +1,4 @@
-"""Command-line entry point: ingest, features, run, plot, verify.
+"""Command-line entry point: run, plot, verify.
 
 Exit codes: 0 success, 2 input error, 3 training/evaluation failure.
 Every output file is stamped with the run's config hash, which covers the
@@ -6,10 +6,13 @@ dataset files' contents, and with its global seed. All commands are
 deterministic given identical inputs and flags (report.json carries the only
 timestamp).
 
-`_render` is the only code that knows what a run directory holds. `run`
-writes what it returns; `verify` rebuilds the report from the dataset and the
-stored scores, renders it again and compares every file byte for byte; `plot`
-redraws the SVGs the same way.
+`_render` is the only code that knows what a run directory holds: the fold
+assignments, the unscaled ELM features of every document, the per-fold
+metrics, scores, confusion counts and ROC points, report.json with the
+corpus facts, and the plots. `run` writes what it returns; `verify` rebuilds
+the report from the dataset, the lexicons and the stored scores, renders it
+again and compares every file byte for byte; `plot` redraws the SVGs the
+same way.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .corpus import DocumentSet, FoldPlan, load_dataset, stratified_folds
+from .corpus import SOURCE_FAKE, SOURCE_TRUE, DocumentSet, FoldPlan, load_dataset, stratified_folds
 from .errors import ElmDetectError
 from .evaluation import METRIC_NAMES, FoldResult, build_report, cross_validate, evaluate_fold, roc_curve
 from .features import FEATURE_NAMES, FeatureExtractor
@@ -36,7 +39,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_TRAINING = 3
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 DATASET_FIELDS = ("true_csv", "fake_csv")
 UNHASHED_FIELDS = ("out_dir", "emit_plots")  # where the outputs go and whether plots are drawn
@@ -44,7 +47,7 @@ UNHASHED_FIELDS = ("out_dir", "emit_plots")  # where the outputs go and whether 
 # the stamped CSVs `run` writes; a re-run first deletes the per-variant ones
 # and the plots of an earlier run
 VARIANT_CSV_PATTERNS = ("scores_*.csv", "roc_*.csv", "confusion_*.csv")
-RUN_CSV_PATTERNS = ("fold_assignments.csv", "folds.csv", *VARIANT_CSV_PATTERNS)
+RUN_CSV_PATTERNS = ("fold_assignments.csv", "features.csv", "folds.csv", *VARIANT_CSV_PATTERNS)
 PLOT_NAMES = ("roc.svg", "improvement.svg")
 
 
@@ -134,54 +137,6 @@ def _stamped(path: Path) -> bool:
 # -- subcommands ----------------------------------------------------------------
 
 
-def _fold_assignments(stamp: str, corpus: DocumentSet, plan: FoldPlan) -> str:
-    return _csv_text(stamp, ["doc_id", "fold"], ((doc.id, fold) for doc, fold in zip(corpus, plan.assignments)))
-
-
-def cmd_ingest(args) -> int:
-    cfg = _run_config(args)
-    corpus = load_dataset(cfg.true_csv, cfg.fake_csv)
-    cfg_hash = cfg.config_hash()
-    plan = stratified_folds(corpus, cfg.k, cfg.seed)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write(out / "fold_assignments.csv", _fold_assignments(_stamp(cfg_hash, cfg.seed), corpus, plan))
-    n_true, n_fake = corpus.class_counts
-    fold_sizes = [plan.assignments.count(f) for f in range(cfg.k)]
-    summary = {
-        "config_hash": cfg_hash,
-        "seed": cfg.seed,
-        "k": cfg.k,
-        "n_documents": len(corpus),
-        "class_counts": {"true_news": n_true, "fake_news": n_fake},
-        "dropped_rows": corpus.dropped_rows,
-        "empty_after_cleaning": sum(1 for d in corpus if d.empty_after_cleaning),
-        "fold_sizes": fold_sizes,
-    }
-    with open(out / "corpus_summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"ingested {len(corpus)} documents ({n_true} true, {n_fake} fake), "
-          f"{corpus.dropped_rows} empty rows dropped; folds written to {out / 'fold_assignments.csv'}")
-    return EXIT_OK
-
-
-def cmd_features(args) -> int:
-    cfg = _run_config(args)
-    corpus = load_dataset(cfg.true_csv, cfg.fake_csv)
-    extractor = _extractor(cfg)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    stamp = _stamp(cfg.config_hash(), cfg.seed)
-    rows = (
-        [doc.id, doc.label] + [repr(v) for v in extractor.elm(doc)]
-        for doc in corpus
-    )
-    _write(out / "features.csv", _csv_text(stamp, ["doc_id", "label", *FEATURE_NAMES], rows))
-    print(f"wrote features for {len(corpus)} documents to {out / 'features.csv'}")
-    return EXIT_OK
-
-
 def cmd_run(args) -> int:
     cfg = _run_config(args)
     corpus = load_dataset(cfg.true_csv, cfg.fake_csv)
@@ -198,7 +153,7 @@ def cmd_run(args) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _remove_stale_artifacts(out)
-    _write_run_outputs(cfg, hashed, corpus, plan, results, report, out)
+    _write_run_outputs(cfg, hashed, corpus, extractor, plan, results, report, out)
     _print_tables(report)
     return EXIT_OK
 
@@ -214,26 +169,35 @@ def _remove_stale_artifacts(out: Path) -> None:
 
 
 def _write_run_outputs(
-    cfg: RunConfig, hashed: dict, corpus: DocumentSet, plan: FoldPlan, results: list[FoldResult], report: dict,
-    out: Path,
+    cfg: RunConfig, hashed: dict, corpus: DocumentSet, extractor: FeatureExtractor, plan: FoldPlan,
+    results: list[FoldResult], report: dict, out: Path,
 ) -> None:
     generated_at = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
-    for name, text in _render(hashed, corpus, plan, results, report, generated_at, cfg.emit_plots).items():
+    files = _render(hashed, corpus, extractor, plan, results, report, generated_at, cfg.emit_plots)
+    for name, text in files.items():
         _write(out / name, text)
 
 
 def _render(
-    hashed: dict, corpus: DocumentSet, plan: FoldPlan, results: list[FoldResult], report: dict, generated_at: str,
-    plots: bool,
+    hashed: dict, corpus: DocumentSet, extractor: FeatureExtractor, plan: FoldPlan, results: list[FoldResult],
+    report: dict, generated_at: str, plots: bool,
 ) -> dict[str, str]:
     """The text of every file of a run directory, by name: the CSVs,
-    report.json and, with plots, roc.svg and improvement.svg. hashed is the
-    run's `hashed_fields()` and report `build_report(results, k)`;
-    report.json is report plus the envelope."""
+    features.csv among them, report.json and, with plots, roc.svg and
+    improvement.svg. hashed is the run's `hashed_fields()` and report
+    `build_report(results, k)`; report.json is report plus the envelope,
+    which holds the corpus facts."""
     cfg_hash, seed = _config_hash(hashed), hashed["seed"]
     stamp = _stamp(cfg_hash, seed)
     files = {
-        "fold_assignments.csv": _fold_assignments(stamp, corpus, plan),
+        "fold_assignments.csv": _csv_text(
+            stamp, ["doc_id", "fold"], ((doc.id, fold) for doc, fold in zip(corpus, plan.assignments))
+        ),
+        "features.csv": _csv_text(
+            stamp,
+            ["doc_id", "label", *FEATURE_NAMES],
+            ([doc.id, doc.label, *map(repr, extractor.elm(doc))] for doc in corpus),
+        ),
         "folds.csv": _csv_text(
             stamp,
             ["fold", "variant", "acc", "prec", "rec", "f1", "auc"],
@@ -256,12 +220,19 @@ def _render(
             stamp, ["fpr", "tpr", "threshold"], (map(repr, row) for row in zip(fpr, tpr, thresholds))
         )
         curves[variant] = (fpr, tpr, report["mean_metrics"][variant]["roc_auc"])
+    n_true, n_fake = corpus.class_counts
     payload = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "config_hash": cfg_hash,
         "seed": seed,
         "generated_at": generated_at,
         "config": hashed,
+        "corpus": {
+            "class_counts": {SOURCE_TRUE: n_true, SOURCE_FAKE: n_fake},
+            "dropped_rows": corpus.dropped_rows,
+            "empty_after_cleaning": sum(doc.empty_after_cleaning for doc in corpus),
+            "fold_sizes": [plan.assignments.count(fold) for fold in range(plan.k)],
+        },
         **report,
     }
     files["report.json"] = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -315,11 +286,15 @@ def _read_csv(path: Path) -> list[dict[str, str]]:
 def _read_report(path: Path) -> tuple[str, dict, RunConfig, str]:
     """The stored config hash, the embedded hashed fields, the RunConfig
     they hold and the report's timestamp; ValueError says what is
-    malformed."""
+    malformed, a report of another schema version included."""
     if not path.exists():
         raise FileNotFoundError(f"{path} not found; run the 'run' command first")
     try:
         report = json.loads(path.read_text(encoding="utf-8"))
+        if report["schema_version"] != REPORT_SCHEMA_VERSION:
+            raise ValueError(
+                f"schema_version is {report['schema_version']!r}, this elmdetect reads {REPORT_SCHEMA_VERSION}"
+            )
         hashed = report["config"]
         config = {name: value for name, value in hashed.items() if name != "dataset_sha256"}
         missing = sorted(set(_DEFAULTS) - set(UNHASHED_FIELDS) - set(config))
@@ -335,10 +310,10 @@ def _read_report(path: Path) -> tuple[str, dict, RunConfig, str]:
         raise ValueError(f"report.json is malformed: {exc}") from None
 
 
-def _rederive(out: Path, cfg: RunConfig) -> tuple[DocumentSet, FoldPlan, list[FoldResult], dict]:
-    """The dataset, the fold plan, the fold results and the report of the
-    run in out, rebuilt from the dataset and the stored scores as
-    `cross_validate` and `build_report` built them.
+def _rederive(out: Path, cfg: RunConfig) -> tuple[DocumentSet, FeatureExtractor, FoldPlan, list[FoldResult], dict]:
+    """The dataset, a feature extractor with the run's lexicons, the fold
+    plan, the fold results and the report of the run in out, rebuilt from
+    the dataset, the lexicons and the stored scores as `cmd_run` built them.
     ValueError names a dataset file that is not there, or a scores file
     that cannot be read, that does not hold its fold's test documents and
     labels in order, or whose scores are not finite numbers."""
@@ -346,6 +321,7 @@ def _rederive(out: Path, cfg: RunConfig) -> tuple[DocumentSet, FoldPlan, list[Fo
         if not Path(path).exists():
             raise ValueError(f"dataset file not found: {path}{_resolved_note(path)}")
     corpus = load_dataset(cfg.true_csv, cfg.fake_csv)
+    extractor = _extractor(cfg)
     plan = stratified_folds(corpus, cfg.k, cfg.seed)
     results = []
     for fold in range(plan.k):
@@ -370,7 +346,7 @@ def _rederive(out: Path, cfg: RunConfig) -> tuple[DocumentSet, FoldPlan, list[Fo
             if not all(map(math.isfinite, scores)):
                 raise ValueError(f"{name}: a score is not finite")
             results.append(evaluate_fold(fold, variant, doc_ids, scores, [d.label for d in test_docs]))
-    return corpus, plan, results, build_report(results, plan.k)
+    return corpus, extractor, plan, results, build_report(results, plan.k)
 
 
 def _resolved_note(path: str) -> str:
@@ -431,7 +407,7 @@ def cmd_verify(args) -> int:
 def _run_config(args) -> RunConfig:
     """The RunConfig of the parsed flags, whose destinations are its field
     names; a flag that a variant cannot train with raises ValueError here."""
-    values = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+    values = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
     values["variants"] = tuple(args.variants.split(","))
     cfg = RunConfig(**values)
     for v in cfg.variants:
@@ -439,7 +415,14 @@ def _run_config(args) -> RunConfig:
     return cfg
 
 
-def _add_dataset_args(p: argparse.ArgumentParser) -> None:
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="elmdetect",
+        description="Health misinformation detection: dual-route features + CNN-LSTM comparison harness.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("run", help="cross-validate the requested variants and write the report")
     d = _DEFAULTS
     p.add_argument("--true-csv", required=True, help="path to the true-news CSV")
     p.add_argument("--fake-csv", required=True, help="path to the fake-news CSV")
@@ -457,25 +440,6 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-seq-len", type=int, default=d["max_seq_len"])
     p.add_argument("--batch-size", type=int, default=d["batch_size"])
     p.add_argument("--learning-rate", type=float, default=d["learning_rate"])
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="elmdetect",
-        description="Health misinformation detection: dual-route features + CNN-LSTM comparison harness.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="load the dataset and write fold assignments")
-    _add_dataset_args(p)
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("features", help="write the unscaled feature matrix")
-    _add_dataset_args(p)
-    p.set_defaults(func=cmd_features)
-
-    p = sub.add_parser("run", help="cross-validate the requested variants and write the report")
-    _add_dataset_args(p)
     p.add_argument("--plots", dest="emit_plots", action="store_true", help="also emit roc.svg / improvement.svg")
     p.set_defaults(func=cmd_run)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from elmdetect import cli, evaluation
+from elmdetect import cli, evaluation, load_dataset
 from elmdetect.evaluation import build_report, confusion, metrics
 from elmdetect.network import KERNEL_SIZE
 from elmdetect.training import TrainConfig
@@ -58,22 +58,30 @@ def run_copy(run_dir, tmp_path):
     return out
 
 
-def test_run_writes_every_artifact(run_dir):
-    names = {p.name for p in run_dir.iterdir()}
-    expected = {"report.json", "folds.csv", "fold_assignments.csv", "roc.svg", "improvement.svg"}
+def test_run_writes_every_artifact(run_copy):
+    names = {p.name for p in run_copy.iterdir()}
+    expected = {"report.json", "folds.csv", "fold_assignments.csv", "features.csv", "roc.svg", "improvement.svg"}
     for variant in ("base", "features_only"):
         expected |= {f"confusion_{variant}.csv", f"roc_{variant}.csv"}
         expected |= {f"scores_{variant}_{fold}.csv" for fold in range(2)}
     assert names == expected
-    assert cli.main(["verify", "--out", str(run_dir)]) == 0
+    corpus = json.loads((run_copy / "report.json").read_text(encoding="utf-8"))["corpus"]
+    assert corpus["class_counts"] == {"true_news": 12, "fake_news": 12}
+    assert corpus["dropped_rows"] == 0 and sum(corpus["fold_sizes"]) == 24
+    assert cli.main(["verify", "--out", str(run_copy)]) == 0
+    for name in cli.PLOT_NAMES:
+        (run_copy / name).unlink()
+    assert cli.main(["plot", "--out", str(run_copy)]) == 0
+    assert all((run_copy / name).is_file() for name in cli.PLOT_NAMES)
+    assert cli.main(["verify", "--out", str(run_copy)]) == 0
 
 
 def test_report_json_is_the_envelope_around_build_report_of_the_stored_scores(run_dir):
     stored = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
-    for key in ("schema_version", "config_hash", "seed", "generated_at", "config"):
+    for key in ("schema_version", "config_hash", "seed", "generated_at", "config", "corpus"):
         del stored[key]
     _, _, cfg, _ = cli._read_report(run_dir / "report.json")
-    _, plan, results, report = cli._rederive(run_dir, cfg)
+    _, _, plan, results, report = cli._rederive(run_dir, cfg)
     assert stored == build_report(results, plan.k) == report
 
 
@@ -87,29 +95,6 @@ def test_confusion_and_metrics_keys_come_in_the_column_order_of_their_csvs(run_d
     assert header("confusion_base.csv") == ["fold", *cm]
     assert header("folds.csv")[:2] == ["fold", "variant"]
     assert [folds_columns[c] for c in header("folds.csv")[2:]] == list(metrics(cm, 0.5))
-
-
-def test_ingest_features_plot_verify(corpus_dir, run_copy):
-    for path in ("roc.svg", "improvement.svg"):
-        (run_copy / path).unlink()
-    flags = [*dataset_flags(corpus_dir), "--out", str(run_copy), *FAST_FLAGS]
-    assert cli.main(["ingest", *flags]) == 0
-    assert cli.main(["features", *flags]) == 0
-    assert cli.main(["plot", "--out", str(run_copy)]) == 0
-    assert cli.main(["verify", "--out", str(run_copy)]) == 0
-    for name in ("corpus_summary.json", "features.csv", "roc.svg", "improvement.svg"):
-        assert (run_copy / name).is_file()
-    summary = json.loads((run_copy / "corpus_summary.json").read_text(encoding="utf-8"))
-    assert summary["n_documents"] == 24 and sum(summary["fold_sizes"]) == 24
-
-
-def test_ingest_after_run_leaves_the_run_metrics(corpus_dir, run_copy):
-    before = (run_copy / "folds.csv").read_bytes()
-    flags = [*dataset_flags(corpus_dir), "--out", str(run_copy), *FAST_FLAGS]
-    assert cli.main(["ingest", *flags]) == 0
-    assert (run_copy / "folds.csv").read_bytes() == before
-    assert cli.main(["plot", "--out", str(run_copy)]) == 0
-    assert cli.main(["verify", "--out", str(run_copy)]) == 0
 
 
 def test_verify_detects_an_edited_score(run_copy, capsys):
@@ -133,9 +118,10 @@ def test_verify_detects_an_edited_score(run_copy, capsys):
         lambda r: r["config"].pop("seed"),
         lambda r: r["config"].update(jobs=2),
         lambda r: r.update(config=[1, 2]),
+        lambda r: r.update(schema_version=1),
     ],
     ids=["no_config", "no_hash", "no_config_field", "no_defaulted_config_field", "unknown_config_field",
-         "config_not_object"],
+         "config_not_object", "older_schema"],
 )
 def test_verify_reports_a_malformed_report(run_copy, capsys, damage):
     path = run_copy / "report.json"
@@ -195,6 +181,8 @@ def bump(value) -> str:
         pytest.param("roc_base.csv", set_cell(2, 0, bump), id="roc_point"),
         pytest.param("folds.csv", set_cell(1, 2, bump), id="fold_accuracy"),
         pytest.param("fold_assignments.csv", set_cell(1, 1, lambda v: str((int(v) + 1) % 3)), id="moved_document"),
+        pytest.param("features.csv", set_cell(1, 2, bump), id="feature_value"),
+        pytest.param("report.json", lambda r: r["corpus"].update(dropped_rows=1), id="corpus_dropped_rows"),
         pytest.param("report.json", lambda r: r["mean_metrics"]["base"].update(accuracy=0.9), id="mean_metrics"),
         pytest.param("report.json", lambda r: r["deltas"]["features_only"].update(f1=0.5), id="deltas"),
         pytest.param("report.json", lambda r: r["significance"]["features_only"].update(p_exact_two_sided=0.01),
@@ -270,6 +258,27 @@ def test_verify_detects_a_changed_or_missing_dataset(tmp_path, capsys):
     assert f"dataset {tmp_path / 'fake.csv'} cannot be read" in capsys.readouterr().err
 
 
+def test_verify_detects_a_changed_or_missing_lexicon(corpus_dir, tmp_path, capsys):
+    """Lexicon contents are not in the config hash; features.csv shows a change."""
+    word = load_dataset(*(corpus_dir / name for name in ("true.csv", "fake.csv")))[0].tokens[0]
+    lexicon = tmp_path / "sentiment.tsv"
+    lexicon.write_text(f"{word}\t0.5\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["run", *dataset_flags(corpus_dir), "--out", str(out), *FAST_FLAGS, "--sentiment-lexicon", str(lexicon)]
+    assert cli.main(argv) == 0
+    assert cli.main(["verify", "--out", str(out)]) == 0
+    lexicon.write_text(f"{word}\t-0.5\n", encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["verify", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "verify: features.csv does not match the run re-derived from the dataset and the scores\n"
+    )
+    lexicon.unlink()
+    assert cli.main(["verify", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(lexicon) in err, err
+
+
 def test_verify_and_plot_elsewhere_name_where_relative_dataset_paths_were_looked_for(tmp_path, monkeypatch, capsys):
     made_in = tmp_path / "made_in"
     made_in.mkdir()
@@ -314,14 +323,6 @@ def test_rerun_with_fewer_variants_removes_their_artifacts(corpus_dir, run_copy)
     assert cli.main(["verify", "--out", str(run_copy)]) == 0
 
 
-def test_verify_ignores_files_run_does_not_write(corpus_dir, run_copy):
-    flags = [*dataset_flags(corpus_dir), "--out", str(run_copy), *FAST_FLAGS]
-    assert cli.main(["features", *flags]) == 0
-    assert cli.main(["run", *flags, "--variants", "base", "--seed", "9"]) == 0
-    assert (run_copy / "features.csv").is_file()  # stamped with the first run's hash
-    assert cli.main(["verify", "--out", str(run_copy)]) == 0
-
-
 def test_run_without_plots_removes_the_plots_of_an_earlier_run(corpus_dir, run_copy):
     assert (run_copy / "roc.svg").is_file() and (run_copy / "improvement.svg").is_file()
     argv = ["run", *dataset_flags(corpus_dir), "--out", str(run_copy), *FAST_FLAGS, "--variants", "base", "--seed", "9"]
@@ -361,12 +362,12 @@ def test_an_unusable_path_exits_2_with_one_error_line(corpus_dir, tmp_path, caps
     (tmp_path / "a_file").write_text("", encoding="utf-8")
     flags = {"--out": str(tmp_path / "out")}
     if where == "true_csv_is_a_directory":
-        command, flags["--true-csv"] = "ingest", str(tmp_path)
+        flags["--true-csv"] = str(tmp_path)
     elif where == "sentiment_lexicon_is_a_directory":
-        command, flags["--sentiment-lexicon"] = "features", str(tmp_path)
+        flags["--sentiment-lexicon"] = str(tmp_path)
     else:
-        command, flags["--out"] = "ingest", str(tmp_path / "a_file")
-    argv = [command, *dataset_flags(corpus_dir), *(item for pair in flags.items() for item in pair)]
+        flags["--out"] = str(tmp_path / "a_file")
+    argv = ["run", *dataset_flags(corpus_dir), *FAST_FLAGS, *(item for pair in flags.items() for item in pair)]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err

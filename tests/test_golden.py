@@ -1,15 +1,15 @@
-"""Golden pin of a small fixed-seed `elmdetect run` and of `elmdetect
-features` on the same corpus.
+"""Golden pin of a small fixed-seed `elmdetect run`.
 
 Refactors must keep every artifact bit-identical: report.json (minus its
-timestamp), every CSV and SVG of the run directory and features.csv, stamps
-included, and the run's printed tables and significance lines. A change
-that alters the numerics on purpose re-records these digests and says so:
+timestamp), every CSV of the run directory (features.csv among them) and
+every SVG, stamps included, and the run's printed tables and significance
+lines. A change that alters the numerics on purpose re-records these
+digests and says so:
 
     PYTHONPATH=src python tests/test_golden.py
 
-prints the REPORT_SHA256 / CSV_SHA256 / SVG_SHA256 / TABLES_SHA256 /
-FEATURES_SHA256 block of the current code.
+prints the REPORT_SHA256 / CSV_SHA256 / SVG_SHA256 / TABLES_SHA256 block of
+the current code.
 """
 import contextlib
 import csv
@@ -29,14 +29,14 @@ RUN_FLAGS = [
     "--k", "3", "--seed", "7", "--variants", "base,features_only,enhanced,combined",
     "--epochs", "2", "--patience", "0", "--learning-rate", "0.05", "--max-seq-len", "16", "--plots",
 ]
-FEATURE_FLAGS = ["--seed", "7"]
 
-REPORT_SHA256 = "19e85192f03546719cd6e34f32da927bf044954ef40fcf0d4cf712fa84d5ea87"
+REPORT_SHA256 = "557d6971ae0f1ded8bef51e4a4efacb8b96cbfef551d3204a3ac8136f42fddf2"
 CSV_SHA256 = {
     "confusion_base.csv": "84a03ec5e55d642e7385298a22e6376ddbeb8546d92f0c97da24f37e75b84606",
     "confusion_combined.csv": "34e32d84ca47dc61e02a0a3a75f6b752ae3bdd9b31217fb7ad00a31346f99454",
     "confusion_enhanced.csv": "8031ab3f6d51b6a20d70debe05c9f24d7e75c8eddc4dd66c61574369b8e1e24b",
     "confusion_features_only.csv": "ed490752fd809b0b639398159c6513406587d4228c4fcc55d9edc153525941d0",
+    "features.csv": "4b70e68375e9115a82645fc5168019254ec7a8b3065baf2bf86f8f58c9621a12",
     "fold_assignments.csv": "a35f5fb721335a7c3706d4a71001d3ddabb3bdd68bffd1ba747fc8f6f06fe5e9",
     "folds.csv": "77003e0299307dc96df7242646f493b4549a2433ee6607bcfa06f27f72fb5689",
     "roc_base.csv": "505ae29440a6059daecfcc3460360a9d24c327a44d2abdd8e86fa9509ef308bd",
@@ -61,7 +61,6 @@ SVG_SHA256 = {
     "roc.svg": "f5d169b9f9bfae20802f2470dafe4fa912d9e02276b0c11ac54accaa484959c5",
 }
 TABLES_SHA256 = "059af600b66578b1421e4b318118127e53d45b262025eee4b75a314bed1691b4"
-FEATURES_SHA256 = "d62b90bc05ecabfba7757fd934dfb25299aee8552499b7a58db5a37b6653976f"
 
 
 def write_corpus(directory, n=60, seed=3):
@@ -100,15 +99,6 @@ def run_digests(directory: Path) -> tuple[str, dict[str, str], dict[str, str], s
     return sha256(json.dumps(report, sort_keys=True).encode("utf-8")), csvs, svgs, sha256(tables.encode("utf-8"))
 
 
-def features_digest(directory: Path) -> str:
-    """The digest of features.csv of the pinned corpus, written in directory,
-    which must be the working directory, as for `run_digests`."""
-    write_corpus(directory)
-    rc = cli.main(["features", "--true-csv", "true.csv", "--fake-csv", "fake.csv", "--out", "feat", *FEATURE_FLAGS])
-    assert rc == 0
-    return sha256((directory / "feat" / "features.csv").read_bytes())
-
-
 @pytest.fixture(scope="module")
 def golden_run(tmp_path_factory):
     """The digests of the pinned run, made once for the tests below."""
@@ -129,18 +119,12 @@ def test_printed_tables_are_bit_identical(golden_run):
     assert golden_run[3] == TABLES_SHA256
 
 
-def test_feature_matrix_is_bit_identical(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    assert features_digest(tmp_path) == FEATURES_SHA256
-
-
 if __name__ == "__main__":
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         os.chdir(tmp)
         try:
             report, csvs, svgs, tables = run_digests(Path(tmp))
-            features = features_digest(Path(tmp))
         finally:
             os.chdir(cwd)
     print(f'REPORT_SHA256 = "{report}"')
@@ -150,4 +134,3 @@ if __name__ == "__main__":
             print(f'    "{name}": "{digest}",')
         print("}")
     print(f'TABLES_SHA256 = "{tables}"')
-    print(f'FEATURES_SHA256 = "{features}"')
