@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from elmdetect import cli, evaluation, load_dataset
+from elmdetect import FEATURE_NAMES, cli, evaluation, load_dataset
 from elmdetect.evaluation import build_report, confusion, metrics
 from elmdetect.network import KERNEL_SIZE
 from elmdetect.training import TrainConfig
@@ -65,10 +65,23 @@ def test_run_writes_every_artifact(run_copy):
         expected |= {f"confusion_{variant}.csv", f"roc_{variant}.csv"}
         expected |= {f"scores_{variant}_{fold}.csv" for fold in range(2)}
     assert names == expected
+    assert cli.main(["verify", "--out", str(run_copy)]) == 0
+
+
+def test_ingest_features_plot_verify(corpus_dir, run_copy):
+    """What the removed `ingest` and `features` subcommands wrote, the corpus
+    facts and the feature matrix, comes from `run`; `plot` then `verify`
+    accept the directory."""
     corpus = json.loads((run_copy / "report.json").read_text(encoding="utf-8"))["corpus"]
     assert corpus["class_counts"] == {"true_news": 12, "fake_news": 12}
     assert corpus["dropped_rows"] == 0 and sum(corpus["fold_sizes"]) == 24
-    assert cli.main(["verify", "--out", str(run_copy)]) == 0
+    _, _, cfg, _ = cli._read_report(run_copy / "report.json")
+    extractor = cli._extractor(cfg)
+    lines = (run_copy / "features.csv").read_text(encoding="utf-8").splitlines()
+    rows = list(csv.reader(ln for ln in lines if not ln.startswith("#")))
+    docs = load_dataset(corpus_dir / "true.csv", corpus_dir / "fake.csv")
+    assert rows[0] == ["doc_id", "label", *FEATURE_NAMES]
+    assert rows[1:] == [[doc.id, str(doc.label), *map(repr, extractor.elm(doc))] for doc in docs]
     for name in cli.PLOT_NAMES:
         (run_copy / name).unlink()
     assert cli.main(["plot", "--out", str(run_copy)]) == 0
