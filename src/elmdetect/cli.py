@@ -78,9 +78,6 @@ class RunConfig:
         values["dataset_sha256"] = {name: _file_sha256(getattr(self, name)) for name in DATASET_FIELDS}
         return values
 
-    def config_hash(self) -> str:
-        return _config_hash(self.hashed_fields())
-
     def train_config(self, variant: str) -> TrainConfig:
         return TrainConfig(
             variant=variant,
@@ -314,12 +311,15 @@ def _rederive(out: Path, cfg: RunConfig) -> tuple[DocumentSet, FeatureExtractor,
     """The dataset, a feature extractor with the run's lexicons, the fold
     plan, the fold results and the report of the run in out, rebuilt from
     the dataset, the lexicons and the stored scores as `cmd_run` built them.
-    ValueError names a dataset file that is not there, or a scores file
-    that cannot be read, that does not hold its fold's test documents and
-    labels in order, or whose scores are not finite numbers."""
+    ValueError names a dataset or lexicon file that is not there, or a
+    scores file that cannot be read, that does not hold its fold's test
+    documents and labels in order, or whose scores are not finite numbers."""
     for path in (cfg.true_csv, cfg.fake_csv):  # in the order load_dataset reads them
         if not Path(path).exists():
             raise ValueError(f"dataset file not found: {path}{_resolved_note(path)}")
+    for path in (cfg.sentiment_lexicon, cfg.urgency_lexicon):
+        if path and not Path(path).exists():
+            raise ValueError(f"lexicon file not found: {path}{_resolved_note(path)}")
     corpus = load_dataset(cfg.true_csv, cfg.fake_csv)
     extractor = _extractor(cfg)
     plan = stratified_folds(corpus, cfg.k, cfg.seed)
@@ -350,11 +350,11 @@ def _rederive(out: Path, cfg: RunConfig) -> tuple[DocumentSet, FeatureExtractor,
 
 
 def _resolved_note(path: str) -> str:
-    """Where a relative dataset path of a run was looked for, and why there;
-    empty for an absolute path."""
+    """Where a relative input path of a run (a dataset or a lexicon) was
+    looked for, and why there; empty for an absolute path."""
     if Path(path).is_absolute():
         return ""
-    return f" (relative to {Path.cwd()}: 'run' stores dataset paths as they were given to it)"
+    return f" (relative to {Path.cwd()}: 'run' stores input paths as they were given to it)"
 
 
 def cmd_verify(args) -> int:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedRowError, MissingTextColumnError, TooFewDocumentsError
+from .errors import ElmDetectError
 from .textstats import tokenize
 
 SOURCE_TRUE = "true_news"
@@ -136,21 +136,21 @@ def _load_file(path: Path, source: str, label: int) -> tuple[list[Document], int
         try:
             header = next(reader, None)
         except csv.Error as exc:
-            raise MalformedRowError(f"{path}: row 0: {exc}") from exc
+            raise ElmDetectError(f"{path}: row 0: {exc}") from exc
         if header is None:
-            raise MissingTextColumnError(f"{path}: file is empty")
+            raise ElmDetectError(f"{path}: file is empty")
         text_col = _find_text_column(header, path)
         row_idx = 0
         while True:
             try:
                 row = next(reader, None)
             except csv.Error as exc:
-                raise MalformedRowError(f"{path}: row {row_idx + 1}: {exc}") from exc
+                raise ElmDetectError(f"{path}: row {row_idx + 1}: {exc}") from exc
             if row is None:
                 break
             row_idx += 1
             if len(row) != len(header):
-                raise MalformedRowError(
+                raise ElmDetectError(
                     f"{path}: row {row_idx}: expected {len(header)} columns, got {len(row)}"
                 )
             raw = row[text_col]
@@ -172,7 +172,7 @@ def _find_text_column(header: list[str], path: Path) -> int:
     for i, name in enumerate(header):
         if name.strip().lower() == "text":
             return i
-    raise MissingTextColumnError(f"{path}: no 'text' column in header {header}")
+    raise ElmDetectError(f"{path}: no 'text' column in header {header}")
 
 
 def stratified_folds(doc_set: DocumentSet, k: int, seed: int) -> FoldPlan:
@@ -187,7 +187,7 @@ def stratified_folds(doc_set: DocumentSet, k: int, seed: int) -> FoldPlan:
         by_class[doc.label].append(i)
     for label, members in by_class.items():
         if len(members) < k:
-            raise TooFewDocumentsError(
+            raise ElmDetectError(
                 f"class {label} has {len(members)} documents, fewer than k={k}"
             )
     rng = np.random.default_rng(seed)

@@ -12,13 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import DocumentSet, FoldPlan
-from .errors import (
-    ElmDetectError,
-    EmptyEvaluationError,
-    LengthMismatchError,
-    NonFiniteScoreError,
-    SingleClassLabelsError,
-)
+from .errors import ElmDetectError
 from .features import FeatureExtractor
 from .significance import paired_t_test, wilcoxon_signed_rank
 from .training import VARIANTS, TrainConfig, predict_scores, train
@@ -40,9 +34,9 @@ def confusion(scores: Sequence[float], labels: Sequence[int]) -> dict[str, int]:
     """Count {tp, tn, fp, fn}, in the column order of confusion_*.csv, with
     fake (1) as the positive class."""
     if len(scores) != len(labels):
-        raise LengthMismatchError(f"{len(scores)} scores vs {len(labels)} labels")
+        raise ElmDetectError(f"{len(scores)} scores vs {len(labels)} labels")
     if len(scores) == 0:
-        raise EmptyEvaluationError("cannot build a confusion matrix from zero documents")
+        raise ElmDetectError("cannot build a confusion matrix from zero documents")
     tp = tn = fp = fn = 0
     for s, y in zip(scores, labels):
         predicted = 1 if s >= THRESHOLD else 0
@@ -63,7 +57,7 @@ def metrics(cm: dict[str, int], auc_value: float) -> dict[str, float]:
     tp, tn, fp, fn = cm["tp"], cm["tn"], cm["fp"], cm["fn"]
     total = tp + tn + fp + fn
     if total == 0:
-        raise EmptyEvaluationError("empty confusion matrix")
+        raise ElmDetectError("empty confusion matrix")
     precision = tp / (tp + fp) if (tp + fp) > 0 else 0.0
     recall = tp / (tp + fn) if (tp + fn) > 0 else 0.0
     f1 = 2.0 * precision * recall / (precision + recall) if (precision + recall) > 0 else 0.0
@@ -78,12 +72,12 @@ def roc_curve(scores: Sequence[float], labels: Sequence[int]) -> tuple[tuple[flo
     could never pass it."""
     scores = np.asarray(scores, dtype=np.float64)
     if not np.isfinite(scores).all():
-        raise NonFiniteScoreError(f"{np.count_nonzero(~np.isfinite(scores))} of {len(scores)} scores are not finite")
+        raise ElmDetectError(f"{np.count_nonzero(~np.isfinite(scores))} of {len(scores)} scores are not finite")
     labels = np.asarray(labels)
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
-        raise SingleClassLabelsError("ROC needs both classes present")
+        raise ElmDetectError("ROC needs both classes present")
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
     # the last row of each run of tied scores

@@ -34,7 +34,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import Document
-from .errors import EmptyTrainingSetError
+from .errors import ElmDetectError
 from .textstats import (
     bundled_sentiment_lexicon,
     bundled_urgency_lexicon,
@@ -151,7 +151,7 @@ class FeatureScaler:
     def fit(cls, rows: np.ndarray) -> "FeatureScaler":
         rows = np.asarray(rows, dtype=np.float64)
         if rows.size == 0 or rows.shape[0] == 0:
-            raise EmptyTrainingSetError("cannot fit a scaler on zero rows")
+            raise ElmDetectError("cannot fit a scaler on zero rows")
         mins = rows.min(axis=0)
         maxs = rows.max(axis=0)
         constant = maxs <= mins
@@ -172,36 +172,31 @@ class FeatureScaler:
 class ExtendedFeaturizer:
     """Extra engineered features for the combined variant: presence of the
     top training-fold bigrams (by document frequency) plus a subjectivity
-    score. Fitted on training rows only."""
+    score from the extractor the caller passes. Fitted on training rows
+    only."""
 
     bigrams: tuple[tuple[str, str], ...]
-    extractor: FeatureExtractor
 
     @classmethod
-    def fit(
-        cls,
-        docs: Sequence[Document],
-        extractor: FeatureExtractor,
-        top_n: int = 50,
-    ) -> "ExtendedFeaturizer":
+    def fit(cls, docs: Sequence[Document], top_n: int = 50) -> "ExtendedFeaturizer":
         if not docs:
-            raise EmptyTrainingSetError("cannot fit bigram features on zero documents")
+            raise ElmDetectError("cannot fit bigram features on zero documents")
         doc_freq: Counter = Counter()
         for doc in docs:
             doc_freq.update(doc.bigrams)
         # the first top_n of the (frequency desc, bigram) order, without sorting the rest
         ranked = heapq.nsmallest(top_n, doc_freq.items(), key=lambda kv: (-kv[1], kv[0]))
         top = tuple(bg for bg, _ in ranked)
-        return cls(bigrams=top, extractor=extractor)
+        return cls(bigrams=top)
 
     @property
     def n_features(self) -> int:
         return len(self.bigrams) + 1
 
-    def vector(self, doc: Document) -> np.ndarray:
-        return np.array([bg in doc.bigrams for bg in self.bigrams] + [self.extractor.subjectivity(doc)])
+    def vector(self, doc: Document, extractor: FeatureExtractor) -> np.ndarray:
+        return np.array([bg in doc.bigrams for bg in self.bigrams] + [extractor.subjectivity(doc)])
 
-    def matrix(self, docs: Sequence[Document]) -> np.ndarray:
+    def matrix(self, docs: Sequence[Document], extractor: FeatureExtractor) -> np.ndarray:
         """(n_docs, n_features) matrix in document order."""
-        rows = [self.vector(d) for d in docs]
+        rows = [self.vector(d, extractor) for d in docs]
         return np.array(rows, dtype=np.float64).reshape(len(rows), self.n_features)

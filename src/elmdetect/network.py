@@ -35,12 +35,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    EmptySequenceError,
-    IndexOutOfVocabError,
-    SequenceTooShortError,
-)
+from .errors import ElmDetectError
 
 EMBEDDING_DIM = 100
 CONV_FILTERS = 64
@@ -108,7 +103,7 @@ class EmbeddingTable(Layer):
     def forward(self, ids: np.ndarray) -> np.ndarray:
         ids = np.asarray(ids)
         if ids.size and (ids.min() < 0 or ids.max() >= self.vocab_size):
-            raise IndexOutOfVocabError(
+            raise ElmDetectError(
                 f"token ids must lie in [0, {self.vocab_size}), got range "
                 f"[{ids.min()}, {ids.max()}]"
             )
@@ -161,9 +156,9 @@ class ConvLayer(Layer):
         batch, length, dim = emb.shape
         h, nf = self.kernel_size, self.n_filters
         if length < h:
-            raise SequenceTooShortError(f"sequence length {length} < kernel size {h}")
+            raise ElmDetectError(f"sequence length {length} < kernel size {h}")
         if dim != self.in_dim:
-            raise DimensionMismatchError(f"expected embedding dim {self.in_dim}, got {dim}")
+            raise ElmDetectError(f"expected embedding dim {self.in_dim}, got {dim}")
         out_len = length - h + 1
         self._emb = self._pre = None
         flat, w = emb.reshape(-1, dim), self.params["taps"].astype(emb.dtype, copy=False)
@@ -270,9 +265,9 @@ class LstmLayer(Layer):
     def forward(self, seq: np.ndarray, last: np.ndarray | None = None, train: bool = True) -> np.ndarray:
         batch, steps, dim = seq.shape
         if dim != self.in_dim:
-            raise DimensionMismatchError(f"expected input dim {self.in_dim}, got {dim}")
+            raise ElmDetectError(f"expected input dim {self.in_dim}, got {dim}")
         if steps < 1:
-            raise EmptySequenceError("LSTM needs at least one timestep")
+            raise ElmDetectError("LSTM needs at least one timestep")
         last = np.full(batch, steps - 1) if last is None else np.asarray(last)
         if last.shape != (batch,) or np.any((last < 0) | (last >= steps)):
             raise ValueError(f"last must hold one step in [0, {steps}) for each of {batch} rows")
@@ -368,7 +363,7 @@ class DenseLayer(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.shape[1] != self.in_dim:
-            raise DimensionMismatchError(f"expected input dim {self.in_dim}, got {x.shape[1]}")
+            raise ElmDetectError(f"expected input dim {self.in_dim}, got {x.shape[1]}")
         self._x = x
         pre = x @ self.params["W"] + self.params["b"]
         self._pre = pre
@@ -399,7 +394,7 @@ class DenseHead(Layer):
 
     def forward(self, z: np.ndarray) -> np.ndarray:
         if z.shape[1] != self.in_dim:
-            raise DimensionMismatchError(f"expected input dim {self.in_dim}, got {z.shape[1]}")
+            raise ElmDetectError(f"expected input dim {self.in_dim}, got {z.shape[1]}")
         self._z = z
         p = sigmoid((z * self.params["w"]).sum(axis=1) + self.params["b"][0])
         self._p = p

@@ -19,11 +19,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .errors import (
-    AllZeroDifferencesError,
-    TooFewPairsError,
-    ZeroVarianceError,
-)
+from .errors import ElmDetectError
 
 
 def _differences(base: Sequence[float], other: Sequence[float]) -> list[float]:
@@ -31,7 +27,7 @@ def _differences(base: Sequence[float], other: Sequence[float]) -> list[float]:
     if len(base) != len(other):
         raise ValueError(f"paired sample lengths differ: {len(base)} vs {len(other)}")
     if len(base) < 2:
-        raise TooFewPairsError(f"need at least 2 pairs, got {len(base)}")
+        raise ElmDetectError(f"need at least 2 pairs, got {len(base)}")
     return [o - b for b, o in zip(base, other)]
 
 
@@ -42,7 +38,7 @@ def wilcoxon_signed_rank(base: Sequence[float], other: Sequence[float]) -> dict:
     positive shift (other > base)."""
     diffs = [d for d in _differences(base, other) if d != 0.0]
     if not diffs:
-        raise AllZeroDifferencesError("all paired differences are zero")
+        raise ElmDetectError("all paired differences are zero")
     ranks = _average_ranks([abs(d) for d in diffs])
     w_plus = sum((r for r, d in zip(ranks, diffs) if d > 0), 0.0)
     w_minus = sum((r for r, d in zip(ranks, diffs) if d < 0), 0.0)
@@ -99,7 +95,7 @@ def paired_t_test(base: Sequence[float], other: Sequence[float]) -> dict:
     mean = sum(diffs) / n
     ss = sum((d - mean) ** 2 for d in diffs)
     if ss == 0.0:
-        raise ZeroVarianceError("paired differences have zero variance")
+        raise ElmDetectError("paired differences have zero variance")
     sd = math.sqrt(ss / (n - 1))
     t = mean / (sd / math.sqrt(n))
     return {"t": t, "df": n - 1, "p_t_one_sided": 1.0 - t_cdf(t, n - 1)}

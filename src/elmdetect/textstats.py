@@ -19,7 +19,7 @@ from importlib import resources
 from types import MappingProxyType
 from typing import Mapping
 
-from .errors import MalformedLineError
+from .errors import ElmDetectError
 
 # A token is a maximal run of letters, digits, or apostrophes ("don't" stays
 # one token). Underscore is excluded on purpose: it is a special character.
@@ -86,14 +86,14 @@ def load_lexicon(path) -> dict[str, float]:
                 try:
                     score = float(parts[1])
                 except ValueError as exc:
-                    raise MalformedLineError(
+                    raise ElmDetectError(
                         f"{path}:{lineno}: not a number: {parts[1]!r}"
                     ) from exc
             else:
-                raise MalformedLineError(f"{path}:{lineno}: expected 'word<TAB>score'")
+                raise ElmDetectError(f"{path}:{lineno}: expected 'word<TAB>score'")
             word = word.strip().lower()
             if not word:
-                raise MalformedLineError(f"{path}:{lineno}: empty word")
+                raise ElmDetectError(f"{path}:{lineno}: empty word")
             entries[word] = score
     return entries
 

@@ -20,11 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Document
-from .errors import (
-    EmptyTrainingSetError,
-    ShapeMismatchError,
-    SingleClassTrainingSetError,
-)
+from .errors import ElmDetectError
 from .features import ExtendedFeaturizer, FeatureExtractor, FeatureScaler
 from .network import KERNEL_SIZE, OOV_INDEX, PAD_INDEX, Network
 
@@ -116,7 +112,7 @@ def adam_step(
     the whole model, was slower than the update one layer at a time.
     """
     if params.shape != grads.shape or params.shape != state.m.shape:
-        raise ShapeMismatchError(f"params {params.shape}, grads {grads.shape} and state {state.m.shape} differ")
+        raise ElmDetectError(f"params {params.shape}, grads {grads.shape} and state {state.m.shape} differ")
     state.t += 1
     t = state.t
     step = np.multiply(1.0 - beta1, grads)
@@ -198,7 +194,7 @@ def _raw_features(extractor: FeatureExtractor, extended: ExtendedFeaturizer | No
     """The unscaled feature matrix of docs: the ten features, then the
     extended ones when there are any."""
     raw = extractor.matrix(docs)
-    return raw if extended is None else np.hstack([raw, extended.matrix(docs)])
+    return raw if extended is None else np.hstack([raw, extended.matrix(docs, extractor)])
 
 
 def _feature_batch(model: TrainedModel, docs: Sequence[Document]) -> np.ndarray:
@@ -258,11 +254,11 @@ def train(
     config.validate()
     docs = list(docs)
     if not docs:
-        raise EmptyTrainingSetError("training set is empty")
+        raise ElmDetectError("training set is empty")
     counts = Counter(d.label for d in docs)
     for label in (0, 1):
         if counts[label] < 2:  # one row to train on and one to validate
-            raise SingleClassTrainingSetError(
+            raise ElmDetectError(
                 f"training set has {counts[label]} documents of class {label}; each class needs at least 2"
             )
     extractor = extractor or FeatureExtractor()
@@ -277,7 +273,7 @@ def train(
     feats_train = np.zeros((len(train_docs), 0))
     if spec.features:
         if spec.extended:
-            extended = ExtendedFeaturizer.fit(train_docs, extractor)
+            extended = ExtendedFeaturizer.fit(train_docs)
         raw = _raw_features(extractor, extended, train_docs)
         scaler = FeatureScaler.fit(raw)
         feats_train = scaler.transform(raw)
@@ -410,10 +406,7 @@ def load_model(path, extractor: FeatureExtractor | None = None) -> TrainedModel:
         )
     extended = None
     if payload["extended_bigrams"] is not None:
-        extended = ExtendedFeaturizer(
-            bigrams=tuple(tuple(bg) for bg in payload["extended_bigrams"]),
-            extractor=extractor,
-        )
+        extended = ExtendedFeaturizer(bigrams=tuple(tuple(bg) for bg in payload["extended_bigrams"]))
     model = TrainedModel(
         model=Network(vocab.size if vocab else None, scaler.n_features if scaler else 0, np.random.default_rng(0)),
         vocab=vocab,

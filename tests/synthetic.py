@@ -85,3 +85,28 @@ def dual_signal_corpus(n: int = 600, seed: int = 0) -> DocumentSet:
         raw = " ".join(raw_words) + end
         docs.append(make_doc(raw, label, doc_id=f"dual:{i}"))
     return DocumentSet(tuple(docs))
+
+
+def central_signal_corpus(n: int = 300, seed: int = 0) -> DocumentSet:
+    """Balanced corpus whose label only the central route sees: true posts
+    are cut into 3 or 4 sentences, fakes are one run-on sentence.
+
+    Both classes draw 10 to 15 words from NEUTRAL_WORDS in the same way, and
+    only a post's first letter is a capital: a capital at every sentence
+    start would leak the label into `capitalization_ratio`, a peripheral
+    feature. Tokens are lowercase and never hold a '.', so the text path
+    sees the same token distribution in both classes, while words per
+    sentence (and through it the Flesch-Kincaid grade) carry the label.
+    """
+    rng = np.random.default_rng(seed)
+    docs = []
+    for i in range(n):
+        label = i % 2
+        words = list(rng.choice(NEUTRAL_WORDS, size=int(rng.integers(10, 16))))
+        if label == 0:
+            # 2 or 3 sentence breaks, each after a different word but the last
+            for j in rng.choice(len(words) - 1, size=int(rng.integers(2, 4)), replace=False):
+                words[j] += "."
+        raw = " ".join(words).capitalize() + "."
+        docs.append(make_doc(raw, label, doc_id=f"central:{i}"))
+    return DocumentSet(tuple(docs))

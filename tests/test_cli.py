@@ -288,8 +288,9 @@ def test_verify_detects_a_changed_or_missing_lexicon(corpus_dir, tmp_path, capsy
     )
     lexicon.unlink()
     assert cli.main(["verify", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and str(lexicon) in err, err
+    assert capsys.readouterr().err == f"verify: lexicon file not found: {lexicon}\n"
+    assert cli.main(["plot", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: lexicon file not found: {lexicon}\n"
 
 
 def test_verify_and_plot_elsewhere_name_where_relative_dataset_paths_were_looked_for(tmp_path, monkeypatch, capsys):
@@ -304,15 +305,24 @@ def test_verify_and_plot_elsewhere_name_where_relative_dataset_paths_were_looked
     # a run that stores the true file's path absolute and the fake file's relative
     argv = ["run", "--true-csv", str(true_csv), "--fake-csv", "fake.csv", "--out", "mixed", *FAST_FLAGS]
     assert cli.main(argv) == 0
+    # a run that stores its dataset paths absolute and its lexicon's relative
+    (made_in / "urgency.tsv").write_text("now\t1.0\n", encoding="utf-8")
+    dataset = ["--true-csv", str(true_csv), "--fake-csv", str(made_in / "fake.csv")]
+    argv = ["run", *dataset, "--out", "lexicon", *FAST_FLAGS, "--urgency-lexicon", "urgency.tsv"]
+    assert cli.main(argv) == 0
     monkeypatch.chdir(tmp_path)
     capsys.readouterr()
-    note = f"(relative to {tmp_path}: 'run' stores dataset paths as they were given to it)"
+    note = f"(relative to {tmp_path}: 'run' stores input paths as they were given to it)"
     assert cli.main(["verify", "--out", "made_in/out"]) == 2
     err = capsys.readouterr().err
     assert f"dataset true.csv cannot be read: No such file or directory {note}" in err
     assert f"dataset fake.csv cannot be read: No such file or directory {note}" in err
     assert cli.main(["plot", "--out", "made_in/out"]) == 2
     assert f"dataset file not found: true.csv {note}" in capsys.readouterr().err
+    assert cli.main(["verify", "--out", "made_in/lexicon"]) == 2
+    assert capsys.readouterr().err == f"verify: lexicon file not found: urgency.tsv {note}\n"
+    assert cli.main(["plot", "--out", "made_in/lexicon"]) == 2
+    assert capsys.readouterr().err == f"error: lexicon file not found: urgency.tsv {note}\n"
     # only a relative path that cannot be read gets the note
     true_csv.rename(made_in / "moved.csv")
     assert cli.main(["verify", "--out", "made_in/mixed"]) == 2

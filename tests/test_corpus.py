@@ -11,11 +11,7 @@ from elmdetect.corpus import (
     load_dataset,
     stratified_folds,
 )
-from elmdetect.errors import (
-    MalformedRowError,
-    MissingTextColumnError,
-    TooFewDocumentsError,
-)
+from elmdetect.errors import ElmDetectError
 
 from oracles import oracle_clean
 from synthetic import make_doc
@@ -83,19 +79,19 @@ class TestLoadDataset:
 
     def test_missing_text_column(self, tmp_path, dataset):
         bad = write_csv(tmp_path / "bad.csv", ["headline", "date"], [["x", "y"]])
-        with pytest.raises(MissingTextColumnError):
+        with pytest.raises(ElmDetectError, match="no 'text' column in header"):
             load_dataset(bad, dataset[1])
 
     def test_wrong_column_count_reports_row(self, tmp_path, dataset):
         bad = tmp_path / "ragged.csv"
         bad.write_text("text,date\nok,2021\nonlyonefield\n", encoding="utf-8")
-        with pytest.raises(MalformedRowError, match="row 2"):
+        with pytest.raises(ElmDetectError, match="row 2: expected 2 columns, got 1"):
             load_dataset(bad, dataset[1])
 
     def test_unclosed_quote(self, tmp_path, dataset):
         bad = tmp_path / "quote.csv"
         bad.write_text('text,date\n"unclosed,2021\n', encoding="utf-8")
-        with pytest.raises(MalformedRowError):
+        with pytest.raises(ElmDetectError, match="row 1: unexpected end of data"):
             load_dataset(bad, dataset[1])
 
     def test_quoted_fields_with_commas_and_newlines(self, tmp_path):
@@ -212,7 +208,7 @@ class TestStratifiedFolds:
 
     def test_too_few_documents(self):
         ds = balanced_set(3)
-        with pytest.raises(TooFewDocumentsError):
+        with pytest.raises(ElmDetectError, match="has 3 documents, fewer than k=4"):
             stratified_folds(ds, 4, seed=0)
 
     def test_k_below_two_rejected(self):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elmdetect.errors import EmptyTrainingSetError
+from elmdetect.errors import ElmDetectError
 from elmdetect.features import (
     FEATURE_NAMES,
     ExtendedFeaturizer,
@@ -218,9 +218,9 @@ class TestFeatureScaler:
         assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_empty_rows_rejected(self):
-        with pytest.raises(EmptyTrainingSetError):
+        with pytest.raises(ElmDetectError, match="cannot fit a scaler on zero rows"):
             FeatureScaler.fit(np.zeros((0, 10)))
-        with pytest.raises(EmptyTrainingSetError):
+        with pytest.raises(ElmDetectError, match="cannot fit a scaler on zero rows"):
             FeatureScaler.fit([])
 
 
@@ -234,20 +234,20 @@ class TestExtendedFeaturizer:
         ]
 
     def test_top_bigrams_by_document_frequency(self):
-        ext = ExtendedFeaturizer.fit(self.docs(), FeatureExtractor(), top_n=3)
+        ext = ExtendedFeaturizer.fit(self.docs(), top_n=3)
         assert ext.bigrams[0] in (("miracle", "cure"), ("officials", "report"))
         assert len(ext.bigrams) == 3
         assert ext.n_features == 4
 
     def test_presence_vector_and_subjectivity_range(self):
-        ext = ExtendedFeaturizer.fit(self.docs(), FeatureExtractor(), top_n=5)
-        v = ext.vector(self.docs()[0])
+        ext = ExtendedFeaturizer.fit(self.docs(), top_n=5)
+        v = ext.vector(self.docs()[0], FeatureExtractor())
         assert set(v[:-1]) <= {0.0, 1.0}
         assert 0.0 <= v[-1] <= 1.0
 
     def test_deterministic_tie_break(self):
-        a = ExtendedFeaturizer.fit(self.docs(), FeatureExtractor(), top_n=10)
-        b = ExtendedFeaturizer.fit(self.docs(), FeatureExtractor(), top_n=10)
+        a = ExtendedFeaturizer.fit(self.docs(), top_n=10)
+        b = ExtendedFeaturizer.fit(self.docs(), top_n=10)
         assert a.bigrams == b.bigrams
 
     def test_subjectivity_counts_lexicon_membership_only(self):
@@ -256,11 +256,11 @@ class TestExtendedFeaturizer:
         assert abs(extractor.subjectivity(doc) - 2 / 3) < 1e-12
 
     def test_matrix_of_no_documents_has_every_column(self):
-        ext = ExtendedFeaturizer.fit(self.docs(), FeatureExtractor(), top_n=3)
-        rows = ext.matrix([])
+        ext = ExtendedFeaturizer.fit(self.docs(), top_n=3)
+        rows = ext.matrix([], FeatureExtractor())
         assert rows.shape == (0, ext.n_features)
         assert rows.dtype == np.float64
 
     def test_empty_fit_rejected(self):
-        with pytest.raises(EmptyTrainingSetError):
-            ExtendedFeaturizer.fit([], FeatureExtractor())
+        with pytest.raises(ElmDetectError, match="cannot fit bigram features on zero documents"):
+            ExtendedFeaturizer.fit([])

@@ -3,11 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from elmdetect.errors import (
-    DimensionMismatchError,
-    IndexOutOfVocabError,
-    SequenceTooShortError,
-)
+from elmdetect.errors import ElmDetectError
 from elmdetect.network import (
     ConvLayer,
     DenseHead,
@@ -63,9 +59,9 @@ class TestEmbedding:
 
     def test_out_of_vocab_rejected(self):
         table = EmbeddingTable(4, 3, np.random.default_rng(0))
-        with pytest.raises(IndexOutOfVocabError):
+        with pytest.raises(ElmDetectError, match=r"token ids must lie in \[0, 4\), got range \[4, 4\]"):
             table.forward(np.array([[4]]))
-        with pytest.raises(IndexOutOfVocabError):
+        with pytest.raises(ElmDetectError, match=r"token ids must lie in \[0, 4\), got range \[-1, -1\]"):
             table.forward(np.array([[-1]]))
 
     def test_gradient_counts_repetitions(self):
@@ -133,7 +129,7 @@ class TestConv:
 
     def test_sequence_too_short(self):
         layer = ConvLayer(n_filters=2, kernel_size=3, in_dim=4, rng=np.random.default_rng(0))
-        with pytest.raises(SequenceTooShortError):
+        with pytest.raises(ElmDetectError, match="sequence length 2 < kernel size 3"):
             layer.forward(np.ones((1, 2, 4)))
 
     def test_gradients_match_finite_differences(self):
@@ -380,7 +376,7 @@ class TestLstm:
 
     def test_dimension_mismatch(self):
         layer = LstmLayer(3, 4, np.random.default_rng(0))
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ElmDetectError, match="expected input dim 3, got 2"):
             layer.forward(np.ones((1, 5, 2)))
 
     def test_bptt_matches_finite_differences(self):
@@ -537,7 +533,7 @@ class TestDenseHead:
 
     def test_dimension_mismatch(self):
         head = DenseHead(3, np.random.default_rng(0))
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ElmDetectError, match="expected input dim 3, got 5"):
             head.forward(np.ones((1, 5)))
 
     def test_gradient_matches_finite_differences(self):

@@ -83,10 +83,10 @@ def test_bigram_sets_and_subjectivity_are_made_once_per_document():
     for fold in range(3):  # fit and score as the combined variant does in each fold
         train_docs = [docs[i] for i in plan.train_indices(fold)]
         test_docs = [docs[i] for i in plan.test_indices(fold)]
-        extended = ExtendedFeaturizer.fit(train_docs, extractor)
+        extended = ExtendedFeaturizer.fit(train_docs)
         for part in (train_docs, test_docs):
             extractor.matrix(part)
-            extended.matrix(part)
+            extended.matrix(part, extractor)
     # each document is read twice, once for its row and once for its subjectivity, over all folds
     assert read_by == Counter({id(d.tokens): 2 for d in docs})
     # one membership test per distinct word, not one per token or per fold

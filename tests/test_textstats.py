@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elmdetect.corpus import clean_text
-from elmdetect.errors import MalformedLineError
+from elmdetect.errors import ElmDetectError
 from elmdetect.features import FEATURE_NAMES, FeatureExtractor
 from elmdetect.textstats import (
     bundled_sentiment_lexicon,
@@ -145,7 +145,7 @@ class TestLexicon:
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "lex.tsv"
         path.write_text("ok\t1.0\nbad\tnotanumber\n", encoding="utf-8")
-        with pytest.raises(MalformedLineError, match=":2"):
+        with pytest.raises(ElmDetectError, match="lex.tsv:2: not a number"):
             load_lexicon(path)
 
     def test_missing_file(self, tmp_path):
