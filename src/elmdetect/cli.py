@@ -9,10 +9,11 @@ timestamp).
 `_render` is the only code that knows what a run directory holds: the fold
 assignments, the unscaled ELM features of every document, the per-fold
 metrics, scores, confusion counts and ROC points, report.json with the
-corpus facts, and the plots. `run` writes what it returns; `verify` rebuilds
-the report from the dataset, the lexicons and the stored scores, renders it
-again and compares every file byte for byte; `plot` redraws the SVGs the
-same way.
+corpus facts, and the plots. Any other file in the directory whose first
+line is a stamp is left from an earlier run: `run` deletes it before writing
+what `_render` returns, and `verify` names it. `verify` rebuilds the report
+from the dataset, the lexicons and the stored scores, renders it again and
+compares every file byte for byte; `plot` redraws the SVGs the same way.
 """
 from __future__ import annotations
 
@@ -43,12 +44,6 @@ REPORT_SCHEMA_VERSION = 2
 
 DATASET_FIELDS = ("true_csv", "fake_csv")
 UNHASHED_FIELDS = ("out_dir", "emit_plots")  # where the outputs go and whether plots are drawn
-
-# the stamped CSVs `run` writes; a re-run first deletes the per-variant ones
-# and the plots of an earlier run
-VARIANT_CSV_PATTERNS = ("scores_*.csv", "roc_*.csv", "confusion_*.csv")
-RUN_CSV_PATTERNS = ("fold_assignments.csv", "features.csv", "folds.csv", *VARIANT_CSV_PATTERNS)
-PLOT_NAMES = ("roc.svg", "improvement.svg")
 
 
 @dataclass(frozen=True)
@@ -126,9 +121,14 @@ def _write(path: Path, text: str) -> None:
 
 def _stamped(path: Path) -> bool:
     """Whether the first line is a run's stamp: `# config_hash=...` in a CSV,
-    `<!-- config_hash=...` in an SVG."""
+    `<!-- config_hash=...` in an SVG; reads at most 32 characters."""
     with open(path, encoding="utf-8", errors="replace") as fh:
-        return fh.readline().startswith(("# config_hash=", "<!-- config_hash="))
+        return fh.readline(32).startswith(("# config_hash=", "<!-- config_hash="))
+
+
+def _stamped_files(out: Path) -> list[Path]:
+    """The CSVs and SVGs of a run in out, this one's or an earlier one's."""
+    return sorted(path for path in out.iterdir() if path.is_file() and _stamped(path))
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -149,28 +149,22 @@ def cmd_run(args) -> int:
     report = build_report(results, plan.k)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _remove_stale_artifacts(out)
     _write_run_outputs(cfg, hashed, corpus, extractor, plan, results, report, out)
     _print_tables(report)
     return EXIT_OK
-
-
-def _remove_stale_artifacts(out: Path) -> None:
-    """Delete the per-variant CSVs and the plots of an earlier run in out,
-    so that a run of fewer variants or without --plots leaves none of them
-    behind; files without an elmdetect stamp stay."""
-    for pattern in (*VARIANT_CSV_PATTERNS, *PLOT_NAMES):
-        for path in out.glob(pattern):
-            if _stamped(path):
-                path.unlink()
 
 
 def _write_run_outputs(
     cfg: RunConfig, hashed: dict, corpus: DocumentSet, extractor: FeatureExtractor, plan: FoldPlan,
     results: list[FoldResult], report: dict, out: Path,
 ) -> None:
+    """Write the run's files to out, first deleting the stamped files of an
+    earlier run that this one does not write (fewer variants, or no plots)."""
     generated_at = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
     files = _render(hashed, corpus, extractor, plan, results, report, generated_at, cfg.emit_plots)
+    for path in _stamped_files(out):
+        if path.name not in files:
+            path.unlink()
     for name, text in files.items():
         _write(out / name, text)
 
@@ -268,9 +262,10 @@ def cmd_plot(args) -> int:
     out = Path(args.out)
     _, hashed, cfg, generated_at = _read_report(out / "report.json")
     files = _render(hashed, *_rederive(out, cfg), generated_at, plots=True)
-    for name in PLOT_NAMES:
+    svgs = [name for name in files if name.endswith(".svg")]
+    for name in svgs:
         _write(out / name, files[name])
-    print(f"wrote {out / 'roc.svg'} and {out / 'improvement.svg'}")
+    print("wrote " + " and ".join(str(out / name) for name in svgs))
     return EXIT_OK
 
 
@@ -376,21 +371,22 @@ def cmd_verify(args) -> int:
             continue
         if digest != hashed["dataset_sha256"][name]:
             problems.append(f"dataset {path} has changed since the run (its sha256 differs from report.json)")
-    stamped = sorted(path for pattern in RUN_CSV_PATTERNS for path in out.glob(pattern))
     # every file, stamp line included, must be what the dataset and the stored scores render to
     if not problems:
-        plots = any((out / name).exists() for name in PLOT_NAMES)
         try:
-            files = _render(hashed, *_rederive(out, cfg), generated_at, plots)
+            files = _render(hashed, *_rederive(out, cfg), generated_at, plots=True)
         except ValueError as exc:
             problems.append(str(exc))
         else:
-            problems += [f"{path.name}: not written by this run" for path in stamped if path.name not in files]
+            # a run without --plots has none of the plots' names, stamped or not
+            if not any((out / name).exists() for name in files if name.endswith(".svg")):
+                files = {name: text for name, text in files.items() if not name.endswith(".svg")}
+            stale = [path.name for path in _stamped_files(out) if path.name not in files]
+            problems += [f"{name}: not written by this run" for name in stale]
             for name, text in files.items():
                 path = out / name
                 if not path.exists():
-                    if name not in PLOT_NAMES:
-                        problems.append(f"{name}: not found")
+                    problems.append(f"{name}: not found")
                 elif path.read_bytes() != text.encode("utf-8"):
                     problems.append(f"{name} does not match the run re-derived from the dataset and the scores")
     if problems:

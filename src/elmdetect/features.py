@@ -56,6 +56,7 @@ FEATURE_NAMES = (
     "all_caps_count",
     "urgency_frequency",
 )
+TOP_BIGRAMS = 50  # bigram-presence columns of the combined variant
 
 
 class FeatureExtractor:
@@ -178,14 +179,14 @@ class ExtendedFeaturizer:
     bigrams: tuple[tuple[str, str], ...]
 
     @classmethod
-    def fit(cls, docs: Sequence[Document], top_n: int = 50) -> "ExtendedFeaturizer":
+    def fit(cls, docs: Sequence[Document]) -> "ExtendedFeaturizer":
         if not docs:
             raise ElmDetectError("cannot fit bigram features on zero documents")
         doc_freq: Counter = Counter()
         for doc in docs:
             doc_freq.update(doc.bigrams)
-        # the first top_n of the (frequency desc, bigram) order, without sorting the rest
-        ranked = heapq.nsmallest(top_n, doc_freq.items(), key=lambda kv: (-kv[1], kv[0]))
+        # the first TOP_BIGRAMS of the (frequency desc, bigram) order, without sorting the rest
+        ranked = heapq.nsmallest(TOP_BIGRAMS, doc_freq.items(), key=lambda kv: (-kv[1], kv[0]))
         top = tuple(bg for bg, _ in ranked)
         return cls(bigrams=top)
 

@@ -190,20 +190,18 @@ class ConvLayer(Layer):
 
 
 class DropoutLayer:
-    """Inverted dropout: survivors are scaled by 1/(1-rate); eval is identity."""
+    """Inverted dropout at DROPOUT_RATE: survivors are scaled by
+    1/(1 - DROPOUT_RATE); eval is identity."""
 
-    def __init__(self, rate: float):
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
+    def __init__(self):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, train: bool, rng: np.random.Generator | None = None) -> np.ndarray:
-        if not train or self.rate == 0.0:
+        if not train:
             self._mask = None
             return x
         # float64 draws whatever the dtype, so the random stream is the same
-        self._mask = np.divide(rng.random(x.shape) >= self.rate, 1.0 - self.rate, dtype=x.dtype)
+        self._mask = np.divide(rng.random(x.shape) >= DROPOUT_RATE, 1.0 - DROPOUT_RATE, dtype=x.dtype)
         return x * self._mask
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
@@ -434,7 +432,7 @@ class Network:
         if text:
             self.embedding = EmbeddingTable(vocab_size, EMBEDDING_DIM, rng)
             self.conv = ConvLayer(CONV_FILTERS, KERNEL_SIZE, EMBEDDING_DIM, rng)
-            self.dropout = DropoutLayer(DROPOUT_RATE)
+            self.dropout = DropoutLayer()
             self.lstm = LstmLayer(CONV_FILTERS, LSTM_UNITS, rng)
             self.layers += [self.embedding, self.conv, self.lstm]
         self.state_dim = LSTM_UNITS if text else 0

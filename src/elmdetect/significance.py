@@ -11,12 +11,14 @@ takes W = min(W+, W-). The p-value is exact for every n: the null
 distribution of W+ over all 2^n sign assignments is counted by subset sums,
 in O(n^3) integer steps (2 ms at n = 26, 0.9 s at n = 200 on 2 vCPU).
 
-The paired t-test uses a hand-rolled Student-t CDF via the continued-fraction
-regularized incomplete beta.
+The paired t-test's df = n - 1 is whole, so its Student-t CDF is the exact
+finite series of Abramowitz & Stegun, Handbook of Mathematical Functions,
+26.7.3 (odd df) and 26.7.4 (even df), of at most df/2 terms.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Sequence
 
 from .errors import ElmDetectError
@@ -54,18 +56,12 @@ def wilcoxon_signed_rank(base: Sequence[float], other: Sequence[float]) -> dict:
 
 
 def _average_ranks(values: list[float]) -> list[float]:
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        i = j + 1
-    return ranks
+    """1-based ranks; tied values share the mean of their first and last position."""
+    first, last = {}, {}
+    for position, value in enumerate(sorted(values), 1):
+        first.setdefault(value, position)
+        last[value] = position
+    return [(first[v] + last[v]) / 2 for v in values]
 
 
 def _exact_p_values(ranks: list[float], w_plus: float) -> tuple[float, float]:
@@ -73,8 +69,7 @@ def _exact_p_values(ranks: list[float], w_plus: float) -> tuple[float, float]:
     # be counted exactly with integer arithmetic.
     scaled = [int(round(2.0 * r)) for r in ranks]
     total = sum(scaled)
-    counts = [0] * (total + 1)
-    counts[0] = 1
+    counts = [1] + [0] * total
     for s in scaled:
         for v in range(total, s - 1, -1):
             counts[v] += counts[v - s]
@@ -102,66 +97,19 @@ def paired_t_test(base: Sequence[float], other: Sequence[float]) -> dict:
 
 
 def t_cdf(t: float, df: int) -> float:
-    """CDF of Student's t via the regularized incomplete beta."""
-    if df < 1:
-        raise ValueError(f"degrees of freedom must be >= 1, got {df}")
-    x = df / (df + t * t)
-    tail = 0.5 * betainc_regularized(df / 2.0, 0.5, x)
-    return 1.0 - tail if t >= 0 else tail
-
-
-def betainc_regularized(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b) by Lentz continued fraction."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log(1.0 - x)
-    )
-    front = math.exp(ln_front)
-    # the continued fraction converges quickly only below the split point
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cf(a, b, x) / a
-    return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
-
-
-def _beta_cf(a: float, b: float, x: float) -> float:
-    max_iter = 300
-    eps = 3e-15
-    fpmin = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < fpmin:
-        d = fpmin
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            break
-    return h
+    """CDF of Student's t with whole df >= 1 (ValueError otherwise), by the
+    series of A&S 26.7.3 (odd df) and 26.7.4 (even df)."""
+    if not isinstance(df, numbers.Integral) or df < 1:  # NumPy's integers included
+        raise ValueError(f"degrees of freedom must be a whole number >= 1, got {df!r}")
+    theta = math.atan2(t, math.sqrt(df))
+    cos, odd = math.cos(theta), df % 2
+    # sum over j = odd, odd + 2, ..., df - 2 of cos^j times (j-1)/j (j-3)/(j-2) ...
+    term = cos if odd else 1.0
+    total = 0.0 if df == 1 else term
+    for j in range(2 + odd, df - 1, 2):
+        term *= cos * cos * (j - 1) / j
+        total += term
+    a = math.sin(theta) * total  # A(t | df) = P(|T| <= |t|), signed as t
+    if odd:
+        a = 2.0 / math.pi * (theta + a)
+    return 0.5 + 0.5 * a

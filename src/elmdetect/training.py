@@ -45,6 +45,7 @@ VARIANTS = tuple(VARIANT_SPECS)
 
 VAL_FRACTION = 0.1  # of each class, carved off the fold-train rows for early stopping
 MIN_FREQ = 2  # occurrences in the training rows a token needs for an id of its own
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -95,17 +96,9 @@ class AdamState:
         self.t = 0
 
 
-def adam_step(
-    params: np.ndarray,
-    grads: np.ndarray,
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> AdamState:
-    """One Adam update, in place: bias-corrected moments, then
-    theta <- theta - lr * m_hat / (sqrt(v_hat) + eps).
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float) -> AdamState:
+    """One Adam update, in place, with ADAM_BETA1, ADAM_BETA2 and ADAM_EPS:
+    bias-corrected moments, then theta <- theta - lr * m_hat / (sqrt(v_hat) + eps).
 
     Every operation rounds as in `oracle_adam` (`tests/oracles.py`) but writes
     into one of two temporaries: a new array per operation, each the size of
@@ -115,17 +108,17 @@ def adam_step(
         raise ElmDetectError(f"params {params.shape}, grads {grads.shape} and state {state.m.shape} differ")
     state.t += 1
     t = state.t
-    step = np.multiply(1.0 - beta1, grads)
-    state.m *= beta1
+    step = np.multiply(1.0 - ADAM_BETA1, grads)
+    state.m *= ADAM_BETA1
     state.m += step
-    np.multiply(1.0 - beta2, grads, out=step)
+    np.multiply(1.0 - ADAM_BETA2, grads, out=step)
     step *= grads
-    state.v *= beta2
+    state.v *= ADAM_BETA2
     state.v += step
-    denom = np.divide(state.v, 1.0 - beta2**t)  # v_hat
+    denom = np.divide(state.v, 1.0 - ADAM_BETA2**t)  # v_hat
     np.sqrt(denom, out=denom)
-    denom += eps
-    np.divide(state.m, 1.0 - beta1**t, out=step)  # m_hat
+    denom += ADAM_EPS
+    np.divide(state.m, 1.0 - ADAM_BETA1**t, out=step)  # m_hat
     step *= lr
     step /= denom
     params -= step
@@ -353,13 +346,19 @@ def _stratified_val_split(
 
 # -- checkpoint container ------------------------------------------------------
 
-CHECKPOINT_VERSION = 6  # 6: the LSTM and conv weights are stored in the layout their GEMMs read
+CHECKPOINT_VERSION = 7  # 7: the sha256 of the lexicons the model was trained with is stored
 
 
 def config_digest(config: TrainConfig) -> str:
     return hashlib.sha256(
         json.dumps(asdict(config), sort_keys=True).encode("utf-8")
     ).hexdigest()
+
+
+def lexicon_digest(extractor: FeatureExtractor) -> str:
+    """sha256 of the sorted entries of the extractor's two lexicons."""
+    entries = [sorted(extractor.sentiment.items()), sorted(extractor.urgency.items())]
+    return hashlib.sha256(repr(entries).encode("utf-8")).hexdigest()
 
 
 def save_model(model: TrainedModel, path) -> None:
@@ -369,6 +368,7 @@ def save_model(model: TrainedModel, path) -> None:
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(model.config),
         "config_hash": config_digest(model.config),
+        "lexicon_sha256": lexicon_digest(model.extractor),
         "vocab": model.vocab.token_to_id if model.vocab else None,
         "scaler": (
             {"mins": model.scaler.mins.tolist(), "maxs": model.scaler.maxs.tolist()}
@@ -388,7 +388,9 @@ def save_model(model: TrainedModel, path) -> None:
 
 
 def load_model(path, extractor: FeatureExtractor | None = None) -> TrainedModel:
-    """Rebuild a TrainedModel from a checkpoint written by save_model."""
+    """Rebuild a TrainedModel from a checkpoint written by save_model. The
+    extractor (by default the bundled lexicons') must hold the lexicons the
+    model was trained with."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("format_version") != CHECKPOINT_VERSION:
@@ -397,6 +399,8 @@ def load_model(path, extractor: FeatureExtractor | None = None) -> TrainedModel:
     if config_digest(config) != payload["config_hash"]:
         raise ValueError("checkpoint config hash mismatch")
     extractor = extractor or FeatureExtractor()
+    if lexicon_digest(extractor) != payload["lexicon_sha256"]:
+        raise ElmDetectError("the extractor's lexicons are not those the checkpoint was trained with")
     vocab = Vocabulary(payload["vocab"]) if payload["vocab"] is not None else None
     scaler = None
     if payload["scaler"] is not None:

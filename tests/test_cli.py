@@ -82,10 +82,10 @@ def test_ingest_features_plot_verify(corpus_dir, run_copy):
     docs = load_dataset(corpus_dir / "true.csv", corpus_dir / "fake.csv")
     assert rows[0] == ["doc_id", "label", *FEATURE_NAMES]
     assert rows[1:] == [[doc.id, str(doc.label), *map(repr, extractor.elm(doc))] for doc in docs]
-    for name in cli.PLOT_NAMES:
+    for name in ("roc.svg", "improvement.svg"):
         (run_copy / name).unlink()
     assert cli.main(["plot", "--out", str(run_copy)]) == 0
-    assert all((run_copy / name).is_file() for name in cli.PLOT_NAMES)
+    assert (run_copy / "roc.svg").is_file() and (run_copy / "improvement.svg").is_file()
     assert cli.main(["verify", "--out", str(run_copy)]) == 0
 
 
@@ -225,10 +225,12 @@ def test_verify_names_a_missing_file_and_a_file_the_run_did_not_write(run3_dir, 
     shutil.copytree(run3_dir, out)
     (out / "confusion_base.csv").unlink()
     shutil.copy(out / "scores_base_0.csv", out / "scores_base_3.csv")  # stamped, but k is 3
+    shutil.copy(out / "folds.csv", out / "folds (copy).csv")  # stamped, under any name
     assert cli.main(["verify", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "verify: confusion_base.csv: not found" in err
     assert "verify: scores_base_3.csv: not written by this run" in err
+    assert "verify: folds (copy).csv: not written by this run" in err
 
 
 def test_verify_names_a_csv_whose_stamp_line_was_edited(run3_dir, tmp_path, capsys):
@@ -240,6 +242,18 @@ def test_verify_names_a_csv_whose_stamp_line_was_edited(run3_dir, tmp_path, caps
     assert cli.main(["verify", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "verify: scores_base_0.csv does not match the run re-derived" in err
+
+
+def test_verify_checks_the_plots_when_both_lost_their_stamp_line(run3_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(run3_dir, out)
+    for name in ("roc.svg", "improvement.svg"):
+        path = out / name
+        path.write_text(path.read_text(encoding="utf-8").split("\n", 1)[1] + "<!-- edited -->\n", encoding="utf-8")
+    assert cli.main(["verify", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "verify: roc.svg does not match the run re-derived" in err
+    assert "verify: improvement.svg does not match the run re-derived" in err
 
 
 def test_run_without_base_plots_zero_improvement(corpus_dir, tmp_path):
@@ -342,7 +356,6 @@ def test_rerun_with_fewer_variants_removes_their_artifacts(corpus_dir, run_copy)
     assert cli.main(argv) == 0
     assert not list(run_copy.glob("*features_only*"))
     assert notes.exists()
-    notes.unlink()
     assert cli.main(["verify", "--out", str(run_copy)]) == 0
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elmdetect import features
 from elmdetect.errors import ElmDetectError
 from elmdetect.features import (
     FEATURE_NAMES,
@@ -233,21 +234,22 @@ class TestExtendedFeaturizer:
             make_doc("officials report new data", 0, doc_id="d"),
         ]
 
-    def test_top_bigrams_by_document_frequency(self):
-        ext = ExtendedFeaturizer.fit(self.docs(), top_n=3)
+    def test_top_bigrams_by_document_frequency(self, monkeypatch):
+        monkeypatch.setattr(features, "TOP_BIGRAMS", 3)
+        ext = ExtendedFeaturizer.fit(self.docs())
         assert ext.bigrams[0] in (("miracle", "cure"), ("officials", "report"))
         assert len(ext.bigrams) == 3
         assert ext.n_features == 4
 
     def test_presence_vector_and_subjectivity_range(self):
-        ext = ExtendedFeaturizer.fit(self.docs(), top_n=5)
+        ext = ExtendedFeaturizer.fit(self.docs())
         v = ext.vector(self.docs()[0], FeatureExtractor())
         assert set(v[:-1]) <= {0.0, 1.0}
         assert 0.0 <= v[-1] <= 1.0
 
     def test_deterministic_tie_break(self):
-        a = ExtendedFeaturizer.fit(self.docs(), top_n=10)
-        b = ExtendedFeaturizer.fit(self.docs(), top_n=10)
+        a = ExtendedFeaturizer.fit(self.docs())
+        b = ExtendedFeaturizer.fit(self.docs())
         assert a.bigrams == b.bigrams
 
     def test_subjectivity_counts_lexicon_membership_only(self):
@@ -256,7 +258,7 @@ class TestExtendedFeaturizer:
         assert abs(extractor.subjectivity(doc) - 2 / 3) < 1e-12
 
     def test_matrix_of_no_documents_has_every_column(self):
-        ext = ExtendedFeaturizer.fit(self.docs(), top_n=3)
+        ext = ExtendedFeaturizer.fit(self.docs())
         rows = ext.matrix([], FeatureExtractor())
         assert rows.shape == (0, ext.n_features)
         assert rows.dtype == np.float64

@@ -30,7 +30,7 @@ RUN_FLAGS = [
     "--epochs", "2", "--patience", "0", "--learning-rate", "0.05", "--max-seq-len", "16", "--plots",
 ]
 
-REPORT_SHA256 = "557d6971ae0f1ded8bef51e4a4efacb8b96cbfef551d3204a3ac8136f42fddf2"
+REPORT_SHA256 = "6f439714d0b0c2e19d1e6d81144ee07eeac0af60e897534dd90ddafce469b2b4"
 CSV_SHA256 = {
     "confusion_base.csv": "84a03ec5e55d642e7385298a22e6376ddbeb8546d92f0c97da24f37e75b84606",
     "confusion_combined.csv": "34e32d84ca47dc61e02a0a3a75f6b752ae3bdd9b31217fb7ad00a31346f99454",
@@ -60,7 +60,7 @@ SVG_SHA256 = {
     "improvement.svg": "05261f5e8eca98d780611c30df9fea592ac419fc604229cdce8dd1e5de6c589e",
     "roc.svg": "f5d169b9f9bfae20802f2470dafe4fa912d9e02276b0c11ac54accaa484959c5",
 }
-TABLES_SHA256 = "059af600b66578b1421e4b318118127e53d45b262025eee4b75a314bed1691b4"
+TABLES_SHA256 = "4f89ba440b77c992f6aa39f99801110691b09e2e63059449d4181b70cbc6d31a"
 
 
 def write_corpus(directory, n=60, seed=3):

@@ -222,18 +222,13 @@ def _smooth_conv_case(seed, kernel_size, margin=1e-3):
 class TestDropout:
     def test_eval_mode_is_identity(self):
         x = np.arange(12.0).reshape(3, 4)
-        layer = DropoutLayer(0.5)
+        layer = DropoutLayer()
         assert np.array_equal(layer.forward(x, train=False, rng=np.random.default_rng(0)), x)
         assert np.array_equal(layer.backward(x), x)
 
-    def test_rate_zero_is_identity(self):
-        x = np.arange(6.0)[None]
-        out = DropoutLayer(0.0).forward(x, train=True, rng=np.random.default_rng(0))
-        assert np.array_equal(out, x)
-
     def test_train_mode_preserves_expectation(self):
         rng = np.random.default_rng(42)
-        layer = DropoutLayer(0.5)
+        layer = DropoutLayer()
         x = np.linspace(0.5, 2.0, 8)[None]
         acc = np.zeros_like(x)
         trials = 10_000
@@ -245,17 +240,12 @@ class TestDropout:
     def test_survivors_scaled_by_inverse_keep(self):
         rng = np.random.default_rng(3)
         x = np.ones((1, 1000))
-        out = DropoutLayer(0.5).forward(x, train=True, rng=rng)
+        out = DropoutLayer().forward(x, train=True, rng=rng)
         assert set(np.unique(out)) == {0.0, 2.0}
-
-    def test_bad_rate_rejected(self):
-        for rate in (-0.1, 1.0):
-            with pytest.raises(ValueError):
-                DropoutLayer(rate)
 
     def test_backward_applies_same_mask(self):
         rng = np.random.default_rng(9)
-        layer = DropoutLayer(0.5)
+        layer = DropoutLayer()
         x = np.ones((4, 4))
         out = layer.forward(x, train=True, rng=rng)
         grad = layer.backward(np.ones((4, 4)))
@@ -585,7 +575,7 @@ class TestNetwork:
 
 def test_float32_input_computes_in_float32_into_float64_gradients():
     rng = np.random.default_rng(31)
-    conv, lstm, dropout = ConvLayer(4, 3, 5, rng=rng), LstmLayer(4, 6, rng), DropoutLayer(0.5)
+    conv, lstm, dropout = ConvLayer(4, 3, 5, rng=rng), LstmLayer(4, 6, rng), DropoutLayer()
     emb = rng.normal(size=(2, 7, 5)).astype(np.float32)
     fmap = conv.forward(emb)
     dropped = dropout.forward(fmap, train=True, rng=rng)
@@ -604,7 +594,7 @@ def test_dropout_draws_the_same_stream_and_mask_in_either_dtype():
     x = np.random.default_rng(0).normal(size=(3, 50))
     masks = []
     for dtype in (np.float64, np.float32):
-        layer, rng = DropoutLayer(0.3), np.random.default_rng(5)
+        layer, rng = DropoutLayer(), np.random.default_rng(5)
         layer.forward(x.astype(dtype), train=True, rng=rng)
         masks.append(layer.backward(np.ones(x.shape, dtype)))
         assert masks[-1].dtype == dtype

@@ -8,12 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elmdetect.errors import ElmDetectError
-from elmdetect.significance import (
-    betainc_regularized,
-    paired_t_test,
-    t_cdf,
-    wilcoxon_signed_rank,
-)
+from elmdetect.significance import paired_t_test, t_cdf, wilcoxon_signed_rank
 
 # two-sided critical values at alpha = 0.05: reject iff W <= value
 WILCOXON_CRITICAL_05 = {6: 0, 7: 2, 8: 3, 9: 5, 10: 8, 11: 10, 12: 13}
@@ -148,8 +143,11 @@ def mpmath_t_cdf(t, df):
     return float(mpmath.quad(pdf, [-mpmath.inf, t]))
 
 
+T_GRID = [-6.0, -2.5, -0.5, 0.0, 0.5, 1.0, 2.776, 6.3246, 15.0]
+
+
 class TestTCdf:
-    @pytest.mark.parametrize("t", [-6.0, -2.5, -0.5, 0.0, 0.5, 1.0, 2.776, 6.3246, 15.0])
+    @pytest.mark.parametrize("t", T_GRID)
     @pytest.mark.parametrize("df", [1, 2, 4, 9, 30])
     def test_against_numeric_integration(self, t, df):
         assert t_cdf(t, df) == pytest.approx(mpmath_t_cdf(t, df), abs=1e-10)
@@ -161,9 +159,28 @@ class TestTCdf:
             df = int(rng.integers(1, 50))
             assert t_cdf(t, df) == pytest.approx(scipy.stats.t.cdf(t, df), abs=1e-12)
 
-    def test_betainc_endpoints(self):
-        assert betainc_regularized(2.0, 3.0, 0.0) == 0.0
-        assert betainc_regularized(2.0, 3.0, 1.0) == 1.0
+    @pytest.mark.parametrize("t", T_GRID)
+    @pytest.mark.parametrize("df", [1, 2, 3, 4, 5, 9, 30, 59])
+    def test_within_1e15_of_the_incomplete_beta(self, t, df):
+        """The series is exact up to rounding: within 1e-15 of a 50-digit
+        P(T <= t) = 1 - I_x(df/2, 1/2) / 2, x = df / (df + t^2), for t >= 0."""
+        import mpmath
+
+        with mpmath.workdps(50):
+            x = df / (df + mpmath.mpf(t) ** 2)
+            tail = mpmath.betainc(mpmath.mpf(df) / 2, 0.5, 0, x, regularized=True) / 2
+            expected = float(1 - tail if t >= 0 else tail)
+        assert abs(t_cdf(t, df) - expected) <= 1e-15
+
+    @pytest.mark.parametrize("df", [0, 2.5])
+    def test_rejects_df_that_is_not_a_whole_number_at_least_1(self, df):
+        with pytest.raises(ValueError, match="degrees of freedom must be a whole number >= 1"):
+            t_cdf(1.0, df)
+
+    @pytest.mark.parametrize("t", [-2.5, 0.5, 6.3246])
+    def test_takes_numpy_integer_df(self, t):
+        assert t_cdf(t, np.int64(4)) == t_cdf(t, 4)
+        assert t_cdf(t, np.int32(9)) == t_cdf(t, 9)
 
 
 class TestPairedTTest:

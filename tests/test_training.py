@@ -1,4 +1,3 @@
-import inspect
 import math
 import tracemalloc
 from dataclasses import replace
@@ -6,7 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from elmdetect import network
 from elmdetect.errors import ElmDetectError
+from elmdetect.features import FeatureExtractor
 from elmdetect.network import (
     DROPOUT_RATE,
     EMBEDDING_DIM,
@@ -14,12 +15,14 @@ from elmdetect.network import (
     LSTM_UNITS,
     PAD_INDEX,
     ConvLayer,
-    DropoutLayer,
     LstmLayer,
     Network,
 )
 from elmdetect.textstats import tokenize
 from elmdetect.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     VARIANT_SPECS,
     VARIANTS,
@@ -105,8 +108,8 @@ class TestAdam:
         for t in range(1, 6):
             net.grads[...] = rng.normal(size=net.grads.size)
             grads = [g.copy() for layer in net.layers for g in layer.grads.values()]
-            adam_step(net.params, net.grads, state, 0.01, 0.8, 0.99, 1e-6)
-            oracle_adam(pieces, grads, m, v, t, 0.01, 0.8, 0.99, 1e-6)
+            adam_step(net.params, net.grads, state, 0.01)
+            oracle_adam(pieces, grads, m, v, t, 0.01, ADAM_BETA1, ADAM_BETA2, ADAM_EPS)
         assert np.array_equal(net.params, np.concatenate([p.reshape(-1) for p in pieces]))
 
 
@@ -389,14 +392,14 @@ class TestTrain:
 
 
 class TestMixedPrecision:
-    def test_training_step_gradients_match_the_step_in_float64(self):
+    def test_training_step_gradients_match_the_step_in_float64(self, monkeypatch):
         """A training step runs the text path in float32. Its gradients,
         relative to their largest magnitude, stay within 1e-5 of the same
         step run in float64 through the layers; measured at most 1.2e-6
         over 20 seeds."""
         rng = np.random.default_rng(3)
         net = Network(60, 3, rng)
-        net.dropout = DropoutLayer(0.0)
+        monkeypatch.setattr(network, "DROPOUT_RATE", 0.0)  # every mask is all ones
         lengths = rng.integers(1, 30, size=16)
         ids = rng.integers(2, 60, size=(16, 40))
         ids[np.arange(40) >= lengths[:, None]] = PAD_INDEX
@@ -510,8 +513,9 @@ class TestCheckpoint:
         # 1: per-gate LSTM parameters; 2: trained to read the state after the padding;
         # 3: the config held the fixed Adam, dropout, vocabulary and validation-split settings;
         # 4: the parameters were stored one named array per layer parameter;
-        # 5: the flat array held the LSTM's Wx, Wh and b and the conv's (F, kernel, dim) filters
-        [1, 2, 3, 4, 5],
+        # 5: the flat array held the LSTM's Wx, Wh and b and the conv's (F, kernel, dim) filters;
+        # 6: no lexicon digest, so a model loaded with other lexicons than its own scored without error
+        [1, 2, 3, 4, 5, 6],
     )
     def test_older_checkpoint_version_rejected(self, version, tmp_path):
         import json
@@ -524,6 +528,25 @@ class TestCheckpoint:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=f"version {version}"):
             load_model(path)
+
+    def test_lexicons_must_be_those_the_model_was_trained_with(self, tmp_path):
+        """A model trained with custom lexicons is refused with the bundled
+        ones, which would score it differently, and scores bit for bit with
+        an extractor of equal lexicons."""
+        docs = list(dual_signal_corpus(n=60, seed=4))
+        lexicons = {
+            "sentiment": dict.fromkeys(NEUTRAL_WORDS[::2], 0.5),
+            "urgency": dict.fromkeys(NEUTRAL_WORDS[1::4], 1.0),
+        }
+        model = train(docs, quick_config("features_only", epochs=1), extractor=FeatureExtractor(**lexicons))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        with pytest.raises(ElmDetectError, match="lexicons are not those the checkpoint was trained with"):
+            load_model(path)
+        loaded = load_model(path, FeatureExtractor(**{name: dict(lex) for name, lex in lexicons.items()}))
+        assert np.array_equal(predict_scores(loaded, docs), predict_scores(model, docs))
+        bundled = replace(loaded, extractor=FeatureExtractor())
+        assert not np.array_equal(predict_scores(bundled, docs), predict_scores(model, docs))
 
     def test_parameter_count_that_does_not_fit_the_model_rejected(self, tmp_path):
         """With one token fewer in the vocabulary the embedding has one row
@@ -549,8 +572,7 @@ class TestTrainConfig:
         assert cfg.batch_size == 32
         assert cfg.learning_rate == 0.001
         assert cfg.max_seq_len == 100
-        adam = inspect.signature(adam_step).parameters
-        assert (adam["beta1"].default, adam["beta2"].default, adam["eps"].default) == (0.9, 0.999, 1e-8)
+        assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) == (0.9, 0.999, 1e-8)
         assert DROPOUT_RATE == 0.5
 
     def test_validation(self):
