@@ -356,7 +356,7 @@ def cmd_verify(args) -> int:
     out = Path(args.out)
     try:
         stored_hash, hashed, cfg, generated_at = _read_report(out / "report.json")
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return EXIT_INPUT
     problems = []

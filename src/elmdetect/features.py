@@ -14,14 +14,11 @@ the same values. An extractor with other lexicons keeps values of its own.
 A document's bigram set depends on no lexicon and is kept by the document
 itself.
 
-A row is built from per-word entries, so each distinct word is analysed
-once per extractor, however often it recurs: for each clean-text token its
-syllable count, sentiment score, sentiment-lexicon membership and lowercase
-form, and for each raw-text token whether it is capitalised, all capitals
-and an urgency word. The entries live as long as the extractor, and there
-is one per distinct token it has seen. Every sum of a row still adds the
-same per-token values in token order, so rows are bit-identical to
-analysing each token on its own.
+The extractor also keeps the syllable count of each distinct clean-text
+token it has seen, for as long as it lives, so each word's vowel groups are
+counted once however often it recurs. Everything else of a row (lowercase
+forms, sentiment scores, casing, lexicon membership) is computed per token,
+and every sum adds the same per-token values in token order.
 """
 from __future__ import annotations
 
@@ -69,27 +66,8 @@ class FeatureExtractor:
         # a value holds no reference to its document, so an entry goes with it
         self._rows: weakref.WeakKeyDictionary[Document, tuple[float, ...]] = weakref.WeakKeyDictionary()
         self._subjectivity: weakref.WeakKeyDictionary[Document, float] = weakref.WeakKeyDictionary()
-        # clean token -> (syllables, sentiment score, in the sentiment lexicon, lowercase form)
-        self._clean_words: dict[str, tuple[int, float, bool, str]] = {}
-        # raw token -> (capitalised, all capitals, an urgency word)
-        self._raw_words: dict[str, tuple[bool, bool, bool]] = {}
-
-    def _clean_entries(self, tokens: Sequence[str]) -> list[tuple[int, float, bool, str]]:
-        """The entry of each clean token, in token order."""
-        words = self._clean_words
-        sentiment = self.sentiment
-        for t in set(tokens).difference(words):
-            low = t.lower()
-            words[t] = (count_syllables(t), sentiment.get(low, 0.0), low in sentiment, low)
-        return list(map(words.__getitem__, tokens))
-
-    def _raw_entries(self, tokens: Sequence[str]) -> list[tuple[bool, bool, bool]]:
-        """The entry of each raw token, in token order."""
-        words = self._raw_words
-        urgency = self.urgency
-        for t in set(tokens).difference(words):
-            words[t] = (t[0].isupper(), len(t) >= 2 and t.isalpha() and t.isupper(), t.lower() in urgency)
-        return list(map(words.__getitem__, tokens))
+        # clean token -> its count_syllables, for every clean token seen
+        self._syllables: dict[str, int] = {}
 
     def central(self, doc: Document) -> tuple[float, ...]:
         """c1..c5, the message-content measures scrutinized under high
@@ -99,9 +77,13 @@ class FeatureExtractor:
         if words == 0:
             return (0.0,) * 5
         sentences = len(split_sentences(doc.clean_text))
-        syllables, scores, _, lowered = zip(*self._clean_entries(tokens))
-        grade = 0.39 * (words / sentences) + 11.8 * (sum(syllables) / words) - 15.59
-        polarity = sum(scores) / words
+        syllables = self._syllables
+        for t in set(tokens).difference(syllables):
+            syllables[t] = count_syllables(t)
+        lowered = list(map(str.lower, tokens))
+        sentiment = self.sentiment
+        grade = 0.39 * (words / sentences) + 11.8 * (sum(map(syllables.__getitem__, tokens)) / words) - 15.59
+        polarity = sum([sentiment.get(w, 0.0) for w in lowered]) / words
         return (grade, len(set(lowered)) / words, polarity, float(words), words / sentences)
 
     def peripheral(self, doc: Document) -> tuple[float, ...]:
@@ -112,7 +94,9 @@ class FeatureExtractor:
         n = len(tokens)
         if n == 0:
             return (0.0,) * 5
-        capitalized, all_caps, urgent = map(sum, zip(*self._raw_entries(tokens)))
+        capitalized = len([t for t in tokens if t[0].isupper()])
+        all_caps = len([t for t in filter(str.isupper, tokens) if len(t) >= 2 and t.isalpha()])
+        urgent = sum(map(self.urgency.__contains__, map(str.lower, tokens)))
         return (raw.count("!") / n, raw.count("?") / n, capitalized / n, float(all_caps), urgent / n)
 
     def elm(self, doc: Document) -> tuple[float, ...]:
@@ -132,7 +116,7 @@ class FeatureExtractor:
         value = self._subjectivity.get(doc)
         if value is None:
             tokens = doc.tokens
-            hits = sum(entry[2] for entry in self._clean_entries(tokens))
+            hits = sum(map(self.sentiment.__contains__, map(str.lower, tokens)))
             value = self._subjectivity[doc] = hits / len(tokens) if tokens else 0.0
         return value
 
@@ -194,10 +178,7 @@ class ExtendedFeaturizer:
     def n_features(self) -> int:
         return len(self.bigrams) + 1
 
-    def vector(self, doc: Document, extractor: FeatureExtractor) -> np.ndarray:
-        return np.array([bg in doc.bigrams for bg in self.bigrams] + [extractor.subjectivity(doc)])
-
     def matrix(self, docs: Sequence[Document], extractor: FeatureExtractor) -> np.ndarray:
         """(n_docs, n_features) matrix in document order."""
-        rows = [self.vector(d, extractor) for d in docs]
+        rows = [[bg in d.bigrams for bg in self.bigrams] + [extractor.subjectivity(d)] for d in docs]
         return np.array(rows, dtype=np.float64).reshape(len(rows), self.n_features)

@@ -7,12 +7,12 @@ Everything here is a pure function of its input and keeps no cache keyed by
 text, so running the same text twice does the work twice. What a run
 computes once is held by the objects it concerns: `Document.tokens` keeps a
 document's clean-text tokens and each `FeatureExtractor` its rows, both for
-as long as the document lives, and the extractor keeps what those rows need
-of each distinct word it has seen (its syllables, its lexicon scores, its
-casing) for as long as the extractor lives.
+as long as the document lives, and the extractor keeps the syllable count
+of each distinct word it has seen for as long as the extractor lives.
 """
 from __future__ import annotations
 
+import math
 import re
 from functools import lru_cache
 from importlib import resources
@@ -68,14 +68,16 @@ def count_syllables(word: str) -> int:
 def load_lexicon(path) -> dict[str, float]:
     """Load a `word<TAB>score` lexicon file as a word -> score dict.
 
-    The score is optional (defaults to 1.0), `#` starts a comment, keys are
-    case-folded, and on duplicates the last entry wins. A leading byte-order
-    mark is skipped, as in the dataset files.
+    The score is optional (defaults to 1.0) and must be finite, `#` starts a
+    comment, keys are case-folded, and on duplicates the last entry wins. A
+    leading byte-order mark is skipped, as in the dataset files. A line is
+    stripped only at its end, so a line that starts with a tab has an empty
+    word and is rejected.
     """
     entries: dict[str, float] = {}
     with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
+            body = line.split("#", 1)[0].rstrip()
             if not body:
                 continue
             parts = body.split("\t")
@@ -89,6 +91,8 @@ def load_lexicon(path) -> dict[str, float]:
                     raise ElmDetectError(
                         f"{path}:{lineno}: not a number: {parts[1]!r}"
                     ) from exc
+                if not math.isfinite(score):
+                    raise ElmDetectError(f"{path}:{lineno}: not a finite number: {parts[1]!r}")
             else:
                 raise ElmDetectError(f"{path}:{lineno}: expected 'word<TAB>score'")
             word = word.strip().lower()

@@ -132,9 +132,10 @@ def test_verify_detects_an_edited_score(run_copy, capsys):
         lambda r: r["config"].update(jobs=2),
         lambda r: r.update(config=[1, 2]),
         lambda r: r.update(schema_version=1),
+        lambda r: r["config"].update(dataset_sha256={"true_csv": r["config"]["dataset_sha256"]["true_csv"]}),
     ],
     ids=["no_config", "no_hash", "no_config_field", "no_defaulted_config_field", "unknown_config_field",
-         "config_not_object", "older_schema"],
+         "config_not_object", "older_schema", "dataset_sha256_of_one_file"],
 )
 def test_verify_reports_a_malformed_report(run_copy, capsys, damage):
     path = run_copy / "report.json"
@@ -218,6 +219,31 @@ def test_verify_detects_a_single_edit(run3_dir, tmp_path, capsys, name, change):
     err = capsys.readouterr().err
     assert f"verify: {name}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name, damage, message",
+    [
+        pytest.param("report.json", lambda p: apply_edit(p, lambda r: r["config"].update(epochs=2)),
+                     "report.json config hash does not match its embedded config", id="config_edited"),
+        pytest.param("scores_base_0.csv", lambda p: apply_edit(p, set_cell(1, 1, lambda v: "high")),
+                     "scores_base_0.csv: a score is not a number", id="score_not_number"),
+        pytest.param("scores_base_0.csv", Path.unlink, "scores_base_0.csv: cannot be read: ", id="scores_deleted"),
+    ],
+)
+def test_verify_names_the_check_that_failed(run3_dir, tmp_path, capsys, name, damage, message):
+    out = tmp_path / "out"
+    shutil.copytree(run3_dir, out)
+    damage(out / name)
+    assert cli.main(["verify", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"verify: {message}"), err
+    assert "Traceback" not in err
+
+
+def test_verify_without_a_report_exits_2_with_one_verify_line(tmp_path, capsys):
+    assert cli.main(["verify", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"verify: {tmp_path / 'report.json'} not found; run the 'run' command first\n"
 
 
 def test_verify_names_a_missing_file_and_a_file_the_run_did_not_write(run3_dir, tmp_path, capsys):

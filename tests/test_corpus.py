@@ -82,6 +82,12 @@ class TestLoadDataset:
         with pytest.raises(ElmDetectError, match="no 'text' column in header"):
             load_dataset(bad, dataset[1])
 
+    def test_empty_file(self, tmp_path, dataset):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("", encoding="utf-8")
+        with pytest.raises(ElmDetectError, match="empty.csv: file is empty"):
+            load_dataset(empty, dataset[1])
+
     def test_wrong_column_count_reports_row(self, tmp_path, dataset):
         bad = tmp_path / "ragged.csv"
         bad.write_text("text,date\nok,2021\nonlyonefield\n", encoding="utf-8")

@@ -243,7 +243,7 @@ class TestExtendedFeaturizer:
 
     def test_presence_vector_and_subjectivity_range(self):
         ext = ExtendedFeaturizer.fit(self.docs())
-        v = ext.vector(self.docs()[0], FeatureExtractor())
+        v = ext.matrix([self.docs()[0]], FeatureExtractor())[0]
         assert set(v[:-1]) <= {0.0, 1.0}
         assert 0.0 <= v[-1] <= 1.0
 

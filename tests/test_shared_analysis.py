@@ -8,7 +8,7 @@ from collections import Counter
 
 import numpy as np
 
-from elmdetect import textstats
+from elmdetect import features, textstats
 from elmdetect.corpus import load_dataset, stratified_folds
 from elmdetect.evaluation import cross_validate
 from elmdetect.features import ExtendedFeaturizer, FeatureExtractor
@@ -63,7 +63,7 @@ class CountingEntries(dict):
         return super().__contains__(word)
 
 
-def test_bigram_sets_and_subjectivity_are_made_once_per_document():
+def test_bigram_sets_and_subjectivity_are_made_once_per_document(monkeypatch):
     doc = make_doc("Stay HOME, stay safe!!", 1)
     assert doc.bigrams == {("stay", "home"), ("home", "stay"), ("stay", "safe")}
     assert doc.bigrams is doc.bigrams
@@ -71,14 +71,20 @@ def test_bigram_sets_and_subjectivity_are_made_once_per_document():
     docs = list(corpus)
     entries = CountingEntries(FeatureExtractor().sentiment)
     extractor = FeatureExtractor(sentiment=entries)
-    read_by: Counter = Counter()  # id of a document's tokens -> calls that read their entries
-    clean_entries = extractor._clean_entries
+    rows_of: Counter = Counter()  # id of a document -> calls of `central` on it
+    syllables_of: Counter = Counter()  # clean token -> calls of `count_syllables` on it
+    central, count_syllables = FeatureExtractor.central, features.count_syllables
 
-    def counting_clean_entries(tokens):
-        read_by[id(tokens)] += 1
-        return clean_entries(tokens)
+    def counting_central(self, doc):
+        rows_of[id(doc)] += 1
+        return central(self, doc)
 
-    extractor._clean_entries = counting_clean_entries
+    def counting_syllables(word):
+        syllables_of[word] += 1
+        return count_syllables(word)
+
+    monkeypatch.setattr(FeatureExtractor, "central", counting_central)
+    monkeypatch.setattr(features, "count_syllables", counting_syllables)
     plan = stratified_folds(corpus, 3, seed=4)
     for fold in range(3):  # fit and score as the combined variant does in each fold
         train_docs = [docs[i] for i in plan.train_indices(fold)]
@@ -87,10 +93,11 @@ def test_bigram_sets_and_subjectivity_are_made_once_per_document():
         for part in (train_docs, test_docs):
             extractor.matrix(part)
             extended.matrix(part, extractor)
-    # each document is read twice, once for its row and once for its subjectivity, over all folds
-    assert read_by == Counter({id(d.tokens): 2 for d in docs})
-    # one membership test per distinct word, not one per token or per fold
-    assert entries.lookups == len({t for d in docs for t in d.tokens}) < sum(len(d.tokens) for d in docs)
+    # over all folds: one row per document, one syllable count per distinct word,
+    # and one membership test per token for the document's subjectivity
+    assert rows_of == Counter({id(d): 1 for d in docs})
+    assert syllables_of == Counter({t: 1 for d in docs for t in d.tokens})
+    assert entries.lookups == sum(len(d.tokens) for d in docs)
 
 
 def test_rows_are_kept_per_lexicon_pair():
@@ -139,7 +146,7 @@ def test_a_warm_extractor_gives_a_fresh_ones_rows_bit_for_bit():
     np.testing.assert_array_equal(warm.matrix(docs), rows)
     assert [warm.subjectivity(d) for d in docs] == [fresh.subjectivity(d) for d in docs]
     # the words of the new documents were analysed before, by another document
-    assert {t for d in docs for t in d.tokens} & set(warm._clean_words)
+    assert {t for d in docs for t in d.tokens} & set(warm._syllables)
 
 
 def test_rows_are_freed_with_their_documents():

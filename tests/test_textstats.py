@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -147,6 +149,26 @@ class TestLexicon:
         path.write_text("ok\t1.0\nbad\tnotanumber\n", encoding="utf-8")
         with pytest.raises(ElmDetectError, match="lex.tsv:2: not a number"):
             load_lexicon(path)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("good\tnan", "not a finite number: 'nan'"),
+            ("good\tinf", "not a finite number: 'inf'"),
+            ("good\t-inf", "not a finite number: '-inf'"),
+            ("\t0.5", "empty word"),
+        ],
+    )
+    def test_non_finite_score_or_empty_word_reports_number(self, tmp_path, line, message):
+        path = tmp_path / "lex.tsv"
+        path.write_text(f"ok\t1.0\n{line}\n", encoding="utf-8")
+        with pytest.raises(ElmDetectError, match=re.escape(f"lex.tsv:2: {message}")):
+            load_lexicon(path)
+
+    def test_line_indented_with_spaces_loads(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_text("  good\t0.5\n", encoding="utf-8")
+        assert load_lexicon(path) == {"good": 0.5}
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
