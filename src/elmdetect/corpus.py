@@ -36,15 +36,16 @@ class Document:
     @cached_property
     def tokens(self) -> tuple[str, ...]:
         """The tokens of clean_text, made on first use and kept with the
-        document, so every task of a run reads the same tuple."""
+        document, so every task of a run reads the same tuple. clean_text
+        is lowercase, so they are too."""
         return tokenize(self.clean_text)
 
     @cached_property
     def bigrams(self) -> frozenset[tuple[str, str]]:
-        """The distinct pairs of adjacent lowercased tokens, made on first
-        use and kept like `tokens`."""
-        words = [t.lower() for t in self.tokens]
-        return frozenset(zip(words, words[1:]))
+        """The distinct pairs of adjacent tokens, made on first use and kept
+        like `tokens`."""
+        tokens = self.tokens
+        return frozenset(zip(tokens, tokens[1:]))
 
     @property
     def empty_after_cleaning(self) -> bool:

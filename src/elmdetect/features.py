@@ -16,9 +16,11 @@ itself.
 
 The extractor also keeps the syllable count of each distinct clean-text
 token it has seen, for as long as it lives, so each word's vowel groups are
-counted once however often it recurs. Everything else of a row (lowercase
-forms, sentiment scores, casing, lexicon membership) is computed per token,
-and every sum adds the same per-token values in token order.
+counted once however often it recurs. Everything else of a row (sentiment
+scores, casing, lexicon membership, the lowercase forms of raw-text tokens)
+is computed per token, and every sum adds the same per-token values in
+token order. Clean-text tokens are lowercase already and are looked up as
+they are.
 """
 from __future__ import annotations
 
@@ -80,11 +82,10 @@ class FeatureExtractor:
         syllables = self._syllables
         for t in set(tokens).difference(syllables):
             syllables[t] = count_syllables(t)
-        lowered = list(map(str.lower, tokens))
         sentiment = self.sentiment
         grade = 0.39 * (words / sentences) + 11.8 * (sum(map(syllables.__getitem__, tokens)) / words) - 15.59
-        polarity = sum([sentiment.get(w, 0.0) for w in lowered]) / words
-        return (grade, len(set(lowered)) / words, polarity, float(words), words / sentences)
+        polarity = sum([sentiment.get(w, 0.0) for w in tokens]) / words
+        return (grade, len(set(tokens)) / words, polarity, float(words), words / sentences)
 
     def peripheral(self, doc: Document) -> tuple[float, ...]:
         """p1..p5, the surface cues that sway acceptance without deep
@@ -116,7 +117,7 @@ class FeatureExtractor:
         value = self._subjectivity.get(doc)
         if value is None:
             tokens = doc.tokens
-            hits = sum(map(self.sentiment.__contains__, map(str.lower, tokens)))
+            hits = sum(map(self.sentiment.__contains__, tokens))
             value = self._subjectivity[doc] = hits / len(tokens) if tokens else 0.0
         return value
 

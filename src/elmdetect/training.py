@@ -6,6 +6,12 @@ them.
 
 All randomness flows from TrainConfig.seed through one numpy Generator, so a
 training run is reproducible bit for bit.
+
+Scoring and validation run the network in eval mode over length-sorted
+chunks of at most batch_size x max_seq_len tokens, so their memory is
+bounded by that budget, not by the number of documents; within a chunk the
+LSTM steps only the rows still running, so a chunk of short rows wastes no
+steps on padding.
 """
 from __future__ import annotations
 
@@ -55,7 +61,8 @@ class TrainConfig:
     ``max_seq_len``, at least one conv window, caps how many tokens of a
     document the text path reads; it does not set the work done, since each
     batch is trimmed to its longest document and each row is read at its
-    last real step.
+    last real step. Times ``batch_size``, it is the token budget of a
+    scoring chunk.
     """
 
     variant: str = VARIANTS[0]
@@ -204,30 +211,42 @@ def predict_scores(model: TrainedModel, docs: Sequence[Document]) -> np.ndarray:
 
 
 def _eval_forward(net: Network, ids: np.ndarray, feats: np.ndarray, size: int) -> np.ndarray:
-    """Eval-mode probabilities, `size` rows at a time.
+    """Eval-mode probabilities, in chunks of at most `size` rows' worth of
+    tokens: `size` times the width of `ids`, or one conv window per row for a
+    variant without ids.
 
-    The conv and the LSTM keep nothing after an eval forward, and the LSTM
-    holds one step of state whatever the length, so a chunk's largest arrays
-    are its embeddings and conv output; memory is bounded by `size` times
-    the longest row, however many rows there are.
+    Rows run in a stable order of their length, and each chunk takes as
+    many of the next rows as fit that budget, counted as its rows times its
+    longest row (at least one conv window), the length its text path is
+    trimmed to (the sequence bucketing of Khomenko et al.,
+    arXiv:1708.05604). Short rows thus run in large chunks, while the LSTM
+    steps only the rows still running, so a large chunk costs no padded
+    steps. Each chunk's probabilities go back to its rows' input positions.
+    Rows without ids, all of length 0, run `size` at a time in input order.
 
-    Rows with token ids run in a stable order of their length, so each
-    chunk, trimmed to its own longest row, holds rows of about one length
-    and little padding (the sequence bucketing of Khomenko et al.,
-    arXiv:1708.05604); each chunk's probabilities go back to its rows'
-    input positions. Rows without ids, all of length 0, run in input order.
+    The conv and the LSTM keep nothing after an eval forward, so a chunk's
+    largest arrays are its embeddings and conv output, bounded by the
+    budget however many rows there are; the LSTM's state, one step of each
+    row, is bounded by the budget over one conv window.
 
     A chunk of one row runs as two copies of it, and the first result is
     kept: the network never sees a one-row batch, whose GEMMs would run as
     GEMVs and round the float32 text path differently, so each row's score
     is the same bits however the documents are batched.
     """
-    order = np.argsort(np.count_nonzero(ids != PAD_INDEX, axis=1), kind="stable")
+    lengths = np.count_nonzero(ids != PAD_INDEX, axis=1)
+    order = np.argsort(lengths, kind="stable")
+    widths = np.maximum(lengths[order], KERNEL_SIZE)  # nondecreasing, so a chunk's longest row is its last
+    budget = size * max(KERNEL_SIZE, ids.shape[1])
     out = np.empty(len(ids))
-    for start in range(0, len(ids), size):
-        rows = order[start : start + size]
+    start = 0
+    while start < len(ids):
+        tokens = np.arange(1, len(ids) - start + 1) * widths[start:]  # of the chunks from `start` on
+        stop = start + int(np.searchsorted(tokens, budget, side="right"))
+        rows = order[start:stop]
         run = np.repeat(rows, 2) if rows.size == 1 else rows
         out[rows] = net.forward(ids[run], feats[run], train=False)[: rows.size]
+        start = stop
     return out
 
 

@@ -1,4 +1,5 @@
 import csv
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -153,6 +154,16 @@ class TestCleanText:
         for block in range(0, 0x30000, 0x1000):
             s = "".join(f"a{chr(c)}b" for c in range(block, block + 0x1000))
             assert clean_text(s) == oracle_clean(s), hex(block)
+
+    def test_every_cased_code_point_cleans_to_lowercase(self):
+        """Each code point that str.lower or str.upper changes, alone and
+        between two letters, cleans to characters that str.lower leaves
+        as they are, so clean-text tokens need no lowercasing."""
+        cased = [c for c in map(chr, range(sys.maxunicode + 1)) if c.lower() != c or c.upper() != c]
+        assert len(cased) > 2000
+        for c in cased:
+            for text in (c, f"a{c}b"):
+                assert all(ch.lower() == ch for ch in clean_text(text)), hex(ord(c))
 
     @given(st.text(max_size=200))
     @settings(max_examples=300, deadline=None)

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from elmdetect import network
 from elmdetect.errors import ElmDetectError
 from elmdetect.network import (
     ConvLayer,
@@ -441,12 +442,21 @@ class TestLstm:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize(
         "batch, steps, last",
-        [(2, 1, [0, 0]), (4, 7, [6, 0, 3, 3]), (5, 33, [32, 1, 17, 0, 32]), (32, 98, None)],
-        ids=["b2_t1", "b4_rows_end_apart", "b5_rows_end_apart", "b32_t98"],
+        [
+            (2, 1, [0, 0]),
+            (2, 9, [8, 0]),
+            (4, 7, [6, 0, 3, 3]),
+            (5, 33, [32, 1, 17, 0, 32]),
+            (7, 20, [0, 19, 5, 0, 12, 5, 2]),
+            (32, 98, None),
+        ],
+        ids=["b2_t1", "b2_one_row_runs_on", "b4_rows_end_apart", "b5_rows_end_apart", "b7_lone_longest", "b32_t98"],
     )
     def test_eval_forward_equals_the_training_forward(self, batch, steps, last, dtype):
         """Bit for bit: with two rows or more, projecting each step's input
-        on its own gives the same bits as projecting every step at once."""
+        on its own, over only the rows still running (at least two), gives
+        the same bits as projecting every step of every row at once. A lone
+        longest row runs its late steps beside one row that has ended."""
         rng = np.random.default_rng(steps)
         layer = LstmLayer(64, 100, rng)
         seq = rng.normal(size=(batch, steps, 64)).astype(dtype)
@@ -465,6 +475,29 @@ class TestLstm:
         seq = rng.normal(size=(1, steps, 64)).astype(dtype)
         want = layer.forward(seq, np.array([last]))
         assert_matches_oracle(layer.forward(seq, np.array([last]), train=False), want, dtype)
+
+    def test_eval_forward_steps_only_the_rows_still_running(self, monkeypatch):
+        """A step of the eval loop computes max(running, 2) rows, where a
+        training step computes every row."""
+        rows = []
+
+        def counting_cell(a, *args):
+            rows.append(len(a))
+            return cell(a, *args)
+
+        cell = network._lstm_cell
+        monkeypatch.setattr(network, "_lstm_cell", counting_cell)
+        rng = np.random.default_rng(7)
+        layer = LstmLayer(8, 6, rng)
+        last = np.array([3, 0, 9, 3, 0, 1, 3])
+        seq = rng.normal(size=(7, 10, 8)).astype(np.float32)
+        layer.forward(seq, last, train=False)
+        running = [np.count_nonzero(last >= t) for t in range(10)]
+        assert running == [7, 5, 4, 4, 1, 1, 1, 1, 1, 1]
+        assert rows == [max(n, 2) for n in running]
+        rows.clear()
+        layer.forward(seq, last)
+        assert rows == [7] * 10
 
     def test_backward_after_an_eval_forward_raises(self):
         rng = np.random.default_rng(6)

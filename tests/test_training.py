@@ -337,22 +337,45 @@ class TestTrain:
         assert {dtype for _, dtype in dtypes} == {np.dtype(np.float32)}
 
     def test_scoring_runs_documents_in_length_order(self, monkeypatch):
-        """Alternating 3- and 60-token documents, 16 per chunk: sorted by
-        length, one chunk runs the LSTM for 1 step and the other for 58,
-        where chunks in input order would each run 58."""
+        """Documents of 3 to 100 tokens, 16 rows' worth of 100 tokens per
+        chunk: the chunks come in length order, and each takes as many rows
+        as fit its budget of rows times its longest row."""
         model = train(list(planted_token_corpus(40, seed=17)), quick_config("base", epochs=1, max_seq_len=100))
         rng = np.random.default_rng(18)
-        docs = [make_doc(" ".join(rng.choice(NEUTRAL_WORDS, (3, 60)[i % 2])), i % 2, f"d{i}") for i in range(32)]
-        steps = []
-        forward = LstmLayer.forward
+        docs = [make_doc(" ".join(rng.choice(NEUTRAL_WORDS, rng.integers(3, 101))), i % 2, f"d{i}") for i in range(64)]
+        chunks = []
+        forward = Network.forward
 
-        def counting_forward(self, seq, last=None, train=True):
-            steps.append(seq.shape[1])
-            return forward(self, seq, last, train)
+        def recording_forward(self, ids, feats, train, rng=None):
+            chunks.append(np.count_nonzero(ids != PAD_INDEX, axis=1))
+            return forward(self, ids, feats, train, rng)
 
-        monkeypatch.setattr(LstmLayer, "forward", counting_forward)
+        monkeypatch.setattr(Network, "forward", recording_forward)
         predict_scores(model, docs)
-        assert sorted(steps) == [3 - KERNEL_SIZE + 1, 60 - KERNEL_SIZE + 1]
+        budget = model.config.batch_size * model.config.max_seq_len
+        lengths = np.concatenate(chunks)
+        assert sorted(lengths) == sorted(len(d.tokens) for d in docs)
+        assert np.all(np.diff(lengths) >= 0)
+        for chunk, after in zip(chunks, chunks[1:]):
+            assert len(chunk) * max(KERNEL_SIZE, chunk.max()) <= budget
+            assert (len(chunk) + 1) * max(KERNEL_SIZE, after[0]) > budget  # the next row did not fit
+        assert len(chunks[-1]) * max(KERNEL_SIZE, chunks[-1].max()) <= budget
+        assert 1 < len(chunks) < len(docs) // model.config.batch_size
+
+    def test_a_model_without_ids_scores_batch_size_rows_in_input_order(self, monkeypatch):
+        model = train(list(planted_token_corpus(40, seed=24)), quick_config("features_only", epochs=1))
+        docs = list(planted_token_corpus(40, seed=25))
+        chunks = []
+        forward = Network.forward
+
+        def recording_forward(self, ids, feats, train, rng=None):
+            chunks.append(feats)
+            return forward(self, ids, feats, train, rng)
+
+        monkeypatch.setattr(Network, "forward", recording_forward)
+        predict_scores(model, docs)
+        assert [len(c) for c in chunks] == [16, 16, 8]
+        assert np.array_equal(np.concatenate(chunks), _feature_batch(model, docs))
 
     def test_scores_follow_their_documents_through_the_length_order(self):
         corpus = list(planted_token_corpus(40, seed=19))
