@@ -23,9 +23,9 @@ from .evaluation import (
 )
 from .significance import paired_t_test, wilcoxon_signed_rank
 from .textstats import (
+    count_sentences,
     count_syllables,
     load_lexicon,
-    split_sentences,
     tokenize,
 )
 from .training import (
@@ -45,7 +45,7 @@ __all__ = [
     "FEATURE_NAMES", "FeatureExtractor", "FeatureScaler",
     "confusion", "metrics", "roc_curve", "auc", "cross_validate",
     "wilcoxon_signed_rank", "paired_t_test",
-    "tokenize", "split_sentences", "count_syllables", "load_lexicon",
+    "tokenize", "count_sentences", "count_syllables", "load_lexicon",
     "TrainConfig", "TrainedModel", "train", "bce_loss", "adam_step",
     "save_model", "load_model",
 ]

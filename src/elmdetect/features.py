@@ -37,8 +37,8 @@ from .errors import ElmDetectError
 from .textstats import (
     bundled_sentiment_lexicon,
     bundled_urgency_lexicon,
+    count_sentences,
     count_syllables,
-    split_sentences,
     tokenize,
 )
 
@@ -78,14 +78,15 @@ class FeatureExtractor:
         words = len(tokens)
         if words == 0:
             return (0.0,) * 5
-        sentences = len(split_sentences(doc.clean_text))
+        sentences = count_sentences(doc.clean_text)
+        distinct = set(tokens)
         syllables = self._syllables
-        for t in set(tokens).difference(syllables):
+        for t in distinct.difference(syllables):
             syllables[t] = count_syllables(t)
         sentiment = self.sentiment
         grade = 0.39 * (words / sentences) + 11.8 * (sum(map(syllables.__getitem__, tokens)) / words) - 15.59
         polarity = sum([sentiment.get(w, 0.0) for w in tokens]) / words
-        return (grade, len(set(tokens)) / words, polarity, float(words), words / sentences)
+        return (grade, len(distinct) / words, polarity, float(words), words / sentences)
 
     def peripheral(self, doc: Document) -> tuple[float, ...]:
         """p1..p5, the surface cues that sway acceptance without deep

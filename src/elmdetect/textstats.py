@@ -28,9 +28,9 @@ from .errors import ElmDetectError
 # speed.
 _WORD_RE = re.compile(r"[\w']+")
 
-# A sentence boundary is the end of a run of terminators, so "Wait... what?!"
-# splits into exactly two segments.
-_SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])(?![.!?])")
+# A sentence is a maximal run of characters other than '.', '!' and '?'
+# that holds a token character, so "Wait... what?!" holds exactly two.
+_SENTENCE_RE = re.compile(r"[^.!?]*?(?:[^\W_]|')[^.!?]*")
 
 _VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
 
@@ -40,15 +40,14 @@ def tokenize(text: str) -> tuple[str, ...]:
     return tuple(_WORD_RE.findall(text.replace("_", " ")))
 
 
-def split_sentences(text: str) -> list[str]:
-    """Split into sentences ended by '.', '!' or '?'.
+def count_sentences(text: str) -> int:
+    """The number of sentences ended by '.', '!' or '?'.
 
     Runs of terminators count once, and a trailing unterminated segment that
     still contains a token counts as one sentence. Segments without any token
-    (e.g. stray punctuation) are dropped.
+    (e.g. stray punctuation) are not counted.
     """
-    segments = _SENTENCE_SPLIT_RE.split(text)
-    return [s.strip() for s in segments if _WORD_RE.search(s.replace("_", " "))]
+    return len(_SENTENCE_RE.findall(text))
 
 
 def count_syllables(word: str) -> int:

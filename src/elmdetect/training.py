@@ -225,9 +225,10 @@ def _eval_forward(net: Network, ids: np.ndarray, feats: np.ndarray, size: int) -
     Rows without ids, all of length 0, run `size` at a time in input order.
 
     The conv and the LSTM keep nothing after an eval forward, so a chunk's
-    largest arrays are its embeddings and conv output, bounded by the
-    budget however many rows there are; the LSTM's state, one step of each
-    row, is bounded by the budget over one conv window.
+    largest arrays are its conv output and one conv tap's gathered
+    products, bounded by the budget however many rows there are; its
+    embeddings are one row per distinct id, and the LSTM's state, one step
+    of each row, is bounded by the budget over one conv window.
 
     A chunk of one row runs as two copies of it, and the first result is
     kept: the network never sees a one-row batch, whose GEMMs would run as

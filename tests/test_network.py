@@ -65,6 +65,22 @@ class TestEmbedding:
         with pytest.raises(ElmDetectError, match=r"token ids must lie in \[0, 4\), got range \[-1, -1\]"):
             table.forward(np.array([[-1]]))
 
+    def test_distinct_rows_index_back_to_the_ids(self):
+        table = EmbeddingTable(9, 3, np.random.default_rng(0))
+        ids = np.array([[5, 2, 5, 0], [8, 2, 0, 0]])
+        rows, index = table.distinct(ids)
+        assert rows.tolist() == [0, 2, 5, 8]
+        assert np.array_equal(rows[index], ids)
+
+    @pytest.mark.parametrize("bad, shown", [(-1, r"\[-1, 3\]"), (4, r"\[0, 4\]")])
+    def test_an_eval_forward_rejects_an_id_out_of_range(self, bad, shown):
+        """The range is checked before the presence mask, where a negative
+        id would wrap around."""
+        net = Network(4, 0, np.random.default_rng(0))
+        ids = np.array([[2, 3, bad, 1], [1, 2, 0, 0]])
+        with pytest.raises(ElmDetectError, match=r"token ids must lie in \[0, 4\), got range " + shown):
+            net.text_states(ids, train=False)
+
     def test_gradient_counts_repetitions(self):
         table = EmbeddingTable(6, 3, np.random.default_rng(0))
         ids = np.array([[2, 3, 2, 2]])
@@ -204,6 +220,27 @@ def test_conv_eval_forward_keeps_nothing_and_equals_the_training_forward():
     with pytest.raises(RuntimeError):
         layer.backward(np.ones_like(out))
     assert np.array_equal(out, layer.forward(emb))
+
+
+@pytest.mark.parametrize("case", ["one_id", "every_position_distinct", "padded_rows"])
+def test_conv_forward_over_a_row_index_is_the_forward_of_the_gathered_rows(case):
+    """Bit for bit on float32 input, eval and training alike. A table of one
+    row runs its GEMMs on two copies of it, since one row would run as a
+    GEMV and round differently."""
+    rng = np.random.default_rng(24)
+    layer = ConvLayer(n_filters=64, kernel_size=3, in_dim=100, rng=rng)
+    batch, length = 4, 12
+    if case == "one_id":
+        table, index = rng.normal(size=(1, 100)), np.zeros((batch, length), np.intp)
+    elif case == "every_position_distinct":
+        table, index = rng.normal(size=(batch * length, 100)), rng.permutation(batch * length).reshape(batch, length)
+    else:
+        table, index = rng.normal(size=(6, 100)), rng.integers(1, 6, size=(batch, length))
+        table[PAD_INDEX] = 0.0
+        index[np.arange(length) >= np.array([[12], [7], [3], [9]])] = PAD_INDEX
+    table = table.astype(np.float32)
+    for train in (False, True):
+        assert np.array_equal(layer.forward(table, train, index), layer.forward(table[index], train))
 
 
 def _smooth_conv_case(seed, kernel_size, margin=1e-3):

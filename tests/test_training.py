@@ -29,6 +29,7 @@ from elmdetect.training import (
     TrainConfig,
     Vocabulary,
     _encode_batch,
+    _eval_forward,
     _feature_batch,
     adam_step,
     bce_loss,
@@ -310,15 +311,29 @@ class TestTrain:
             assert np.array_equal(halves, whole), variant
             assert np.array_equal(singles, whole), variant
 
-    def test_a_one_row_chunk_scores_as_inside_a_larger_chunk(self):
-        """batch_size + 1 documents leave the longest one alone in the last
-        chunk; its score is the same bits as in one chunk of all of them."""
+    def test_a_one_row_chunk_scores_as_inside_a_larger_chunk(self, monkeypatch):
+        """A budget of one 30-token row leaves the 30-token document alone
+        in the last chunk, which runs as two copies of its row; its score
+        is the same bits as in one chunk of all the documents. Its row
+        holds one distinct id, so the conv runs its two-row floor."""
         corpus = list(planted_token_corpus(40, seed=21))
-        model = train(corpus, quick_config("base", epochs=1, max_seq_len=100))
-        docs = [*corpus[: model.config.batch_size], make_doc("zorblat " * 30, 1, doc_id="long")]
+        model = train(corpus, quick_config("base", epochs=1, max_seq_len=30))
+        docs = [*corpus[:16], make_doc("zorblat " * 30, 1, doc_id="long")]
         assert max(len(d.tokens) for d in corpus) < 30
-        alone = predict_scores(model, docs)
+        chunks = []
+        forward = Network.forward
+
+        def recording_forward(self, ids, feats, train, rng=None):
+            chunks.append(ids)
+            return forward(self, ids, feats, train, rng)
+
+        monkeypatch.setattr(Network, "forward", recording_forward)
+        alone = predict_scores(replace(model, config=replace(model.config, batch_size=1)), docs)
+        last = chunks[-1]
+        assert last.shape == (2, 30) and np.unique(last).size == 1  # one row, run twice
+        chunks.clear()
         together = predict_scores(replace(model, config=replace(model.config, batch_size=len(docs))), docs)
+        assert [len(ids) for ids in chunks] == [len(docs)]
         assert alone[-1] == together[-1]
         assert np.array_equal(alone, together)
 
@@ -405,6 +420,26 @@ class TestTrain:
         # keeps cached, land in this first call over every document
         peak_bytes(256)
         assert peak_bytes(256) < 1.2 * peak_bytes(64)
+
+    def test_a_chunk_of_few_distinct_ids_peaks_below_its_per_position_embedding(self):
+        """A score_bulk-sized chunk, 246 rows of 8-16 tokens over 195
+        distinct ids, embeds one row per distinct id: its tracemalloc peak
+        measured 2.56 MB, where gathering every position's embedding in
+        float64 and casting it peaked at 4.79 MB."""
+        rng = np.random.default_rng(0)
+        net = Network(3000, 10, rng)
+        lengths = rng.integers(8, 17, 246)
+        ids = rng.zipf(1.3, size=(246, 16)) % 200 + 2
+        ids[np.arange(16) >= lengths[:, None]] = PAD_INDEX
+        feats = rng.random((246, 10))
+        _eval_forward(net, ids, feats, len(ids))  # one chunk; one-off allocations land here
+        tracemalloc.start()
+        try:
+            _eval_forward(net, ids, feats, len(ids))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.0e6
 
     def test_base_learns_at_the_default_max_seq_len(self):
         """Posts of 8-18 tokens padded to 100: the head must read each row
