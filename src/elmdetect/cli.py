@@ -30,7 +30,7 @@ from pathlib import Path
 
 from .corpus import SOURCE_FAKE, SOURCE_TRUE, DocumentSet, FoldPlan, load_dataset, stratified_folds
 from .errors import ElmDetectError
-from .evaluation import METRIC_NAMES, FoldResult, build_report, cross_validate, evaluate_fold, roc_curve
+from .evaluation import METRIC_NAMES, FoldResult, auc, build_report, cross_validate, evaluate_fold, roc_curve
 from .features import FEATURE_NAMES, FeatureExtractor
 from .plots import render_improvement_svg, render_roc_svg
 from .textstats import load_lexicon
@@ -205,12 +205,12 @@ def _render(
         files[f"confusion_{variant}.csv"] = _csv_text(
             stamp, ["fold", "tp", "tn", "fp", "fn"], ([r.fold, *r.confusion.values()] for r in rows)
         )
-        # pooled out-of-fold scores give one ROC per variant
+        # pooled out-of-fold scores give one ROC per variant, labelled with its own AUC
         fpr, tpr, thresholds = roc_curve([s for r in rows for s in r.scores], [y for r in rows for y in r.labels])
         files[f"roc_{variant}.csv"] = _csv_text(
             stamp, ["fpr", "tpr", "threshold"], (map(repr, row) for row in zip(fpr, tpr, thresholds))
         )
-        curves[variant] = (fpr, tpr, report["mean_metrics"][variant]["roc_auc"])
+        curves[variant] = (fpr, tpr, auc((fpr, tpr, thresholds)))
     n_true, n_fake = corpus.class_counts
     payload = {
         "schema_version": REPORT_SCHEMA_VERSION,

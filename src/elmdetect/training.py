@@ -1,8 +1,10 @@
 """Training of the four model variants of VARIANT_SPECS.
 
-Each variant trains one `network.Network`: a vocabulary for the text path
-when the variant reads tokens, and a scaler for the features when it reads
-them.
+`train` fits a variant's parts on the training rows: a vocabulary when the
+variant reads tokens, bigrams when it reads the extended features and a
+scaler when it reads features. `_untrained` builds the model of those parts
+around one `network.Network`, for `train` and `load_model` alike, and `_fit`
+runs the epochs, the validation passes and early stopping.
 
 All randomness flows from TrainConfig.seed through one numpy Generator, so a
 training run is reproducible bit for bit.
@@ -85,6 +87,8 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be a finite number > 0, got {self.learning_rate}")
         if self.max_seq_len < KERNEL_SIZE:
             raise ValueError(f"max_seq_len must be >= {KERNEL_SIZE}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def bce_loss(preds: np.ndarray, labels: np.ndarray) -> float:
@@ -256,13 +260,13 @@ def train(
     config: TrainConfig,
     extractor: FeatureExtractor | None = None,
 ) -> TrainedModel:
-    """Train one variant on fold-train documents.
+    """Train one variant on fold-train documents, in three steps.
 
-    Carves off a stratified validation split, fits vocabulary/scaler/bigrams
-    on the remaining rows only and runs mini-batch Adam on binary
-    cross-entropy. With a patience > 0, training stops once the validation
-    loss has not improved for that many epochs in a row, and the parameters
-    of the best validation epoch are restored.
+    It carves off a stratified validation split and fits the variant's parts
+    on the remaining rows only: vocabulary, bigrams and feature scaler.
+    `_untrained` builds the model of those parts, and `_fit` runs the epochs,
+    the validation passes and early stopping. The one generator draws the
+    split, then the initial weights, then each epoch's order and dropout masks.
     """
     config.validate()
     docs = list(docs)
@@ -278,42 +282,55 @@ def train(
 
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     train_docs, val_docs = _stratified_val_split(docs, rng)
-
     spec = VARIANT_SPECS[config.variant]
-    vocab = scaler = extended = None
-    if spec.text:
-        vocab = Vocabulary.build([d.tokens for d in train_docs])
-    feats_train = np.zeros((len(train_docs), 0))
-    if spec.features:
-        if spec.extended:
-            extended = ExtendedFeaturizer.fit(train_docs)
-        raw = _raw_features(extractor, extended, train_docs)
-        scaler = FeatureScaler.fit(raw)
-        feats_train = scaler.transform(raw)
+    vocab = Vocabulary.build([d.tokens for d in train_docs]) if spec.text else None
+    extended = ExtendedFeaturizer.fit(train_docs) if spec.extended else None
+    raw = _raw_features(extractor, extended, train_docs) if spec.features else np.zeros((len(train_docs), 0))
+    scaler = FeatureScaler.fit(raw) if spec.features else None
 
-    net = Network(vocab.size if vocab else None, feats_train.shape[1], rng)
-    model = TrainedModel(
-        model=net,
-        vocab=vocab,
-        scaler=scaler,
-        extended=extended,
-        extractor=extractor,
-        config=config,
-        history=[],
-        best_epoch=-1,
-        fit_doc_ids=tuple(d.id for d in train_docs),
+    model = _untrained(config, extractor, vocab, scaler, extended, tuple(d.id for d in train_docs), rng)
+    feats_train = scaler.transform(raw) if scaler else raw
+    model.history, model.best_epoch = _fit(model, train_docs, feats_train, val_docs, rng)
+    return model
+
+
+def _untrained(
+    config: TrainConfig, extractor: FeatureExtractor, vocab: Vocabulary | None, scaler: FeatureScaler | None,
+    extended: ExtendedFeaturizer | None, fit_doc_ids: tuple[str, ...], rng: np.random.Generator,
+) -> TrainedModel:
+    """The model of fitted parts, with no history and its initial weights
+    drawn from rng: a text path when there is a vocabulary, and as many
+    feature inputs as the scaler has columns. `train` and `load_model` both
+    build their model here."""
+    net = Network(vocab.size if vocab else None, scaler.n_features if scaler else 0, rng)
+    return TrainedModel(
+        model=net, vocab=vocab, scaler=scaler, extended=extended, extractor=extractor, config=config,
+        history=[], best_epoch=-1, fit_doc_ids=fit_doc_ids,
     )
 
+
+def _fit(
+    model: TrainedModel, train_docs: list[Document], feats_train: np.ndarray, val_docs: list[Document],
+    rng: np.random.Generator,
+) -> tuple[list[tuple[float, float]], int]:
+    """Run the epochs of `model.config` in place and return the history of
+    (train loss, validation loss) and the epoch whose parameters the model
+    keeps. feats_train holds the scaled features of train_docs.
+
+    With a patience > 0, training stops once the validation loss has not
+    improved for that many epochs in a row, and the parameters of the best
+    validation epoch are restored; otherwise the last epoch's are kept.
+    """
+    net, config = model.model, model.config
     ids_train = _encode_batch(model, train_docs)
     y_train = np.array([d.label for d in train_docs], dtype=np.float64)
-    ids_val = _encode_batch(model, val_docs)
-    feats_val = _feature_batch(model, val_docs)
+    ids_val, feats_val = _encode_batch(model, val_docs), _feature_batch(model, val_docs)
     y_val = np.array([d.label for d in val_docs], dtype=np.float64)
-
     params, grads = net.params, net.grads
     adam = AdamState(params)
     n = len(train_docs)
     patience = config.early_stop_patience
+    history: list[tuple[float, float]] = []
     best_loss, best_epoch, stale = np.inf, 0, 0  # stale: epochs since best_epoch
     best_params: np.ndarray | None = None
 
@@ -330,7 +347,7 @@ def train(
             adam_step(params, grads, adam, config.learning_rate)
         train_loss = loss_sum / n
         val_loss = bce_loss(_eval_forward(net, ids_val, feats_val, config.batch_size), y_val)
-        model.history.append((train_loss, val_loss))
+        history.append((train_loss, val_loss))
         if config.progress:
             print(f"epoch={epoch} train_loss={train_loss:.6f} val_loss={val_loss:.6f}")
         if val_loss < best_loss:
@@ -342,12 +359,10 @@ def train(
             if 0 < patience <= stale:
                 break
 
-    if best_params is not None:
-        params[...] = best_params
-        model.best_epoch = best_epoch
-    else:
-        model.best_epoch = len(model.history)
-    return model
+    if best_params is None:
+        return history, len(history)
+    params[...] = best_params
+    return history, best_epoch
 
 
 def _stratified_val_split(
@@ -390,14 +405,8 @@ def save_model(model: TrainedModel, path) -> None:
         "config_hash": config_digest(model.config),
         "lexicon_sha256": lexicon_digest(model.extractor),
         "vocab": model.vocab.token_to_id if model.vocab else None,
-        "scaler": (
-            {"mins": model.scaler.mins.tolist(), "maxs": model.scaler.maxs.tolist()}
-            if model.scaler
-            else None
-        ),
-        "extended_bigrams": (
-            [list(bg) for bg in model.extended.bigrams] if model.extended else None
-        ),
+        "scaler": {"mins": model.scaler.mins.tolist(), "maxs": model.scaler.maxs.tolist()} if model.scaler else None,
+        "extended_bigrams": [list(bg) for bg in model.extended.bigrams] if model.extended else None,
         "history": model.history,
         "best_epoch": model.best_epoch,
         "fit_doc_ids": list(model.fit_doc_ids),
@@ -422,26 +431,14 @@ def load_model(path, extractor: FeatureExtractor | None = None) -> TrainedModel:
     if lexicon_digest(extractor) != payload["lexicon_sha256"]:
         raise ElmDetectError("the extractor's lexicons are not those the checkpoint was trained with")
     vocab = Vocabulary(payload["vocab"]) if payload["vocab"] is not None else None
-    scaler = None
-    if payload["scaler"] is not None:
-        scaler = FeatureScaler(
-            mins=np.array(payload["scaler"]["mins"], dtype=np.float64),
-            maxs=np.array(payload["scaler"]["maxs"], dtype=np.float64),
-        )
-    extended = None
-    if payload["extended_bigrams"] is not None:
-        extended = ExtendedFeaturizer(bigrams=tuple(tuple(bg) for bg in payload["extended_bigrams"]))
-    model = TrainedModel(
-        model=Network(vocab.size if vocab else None, scaler.n_features if scaler else 0, np.random.default_rng(0)),
-        vocab=vocab,
-        scaler=scaler,
-        extended=extended,
-        extractor=extractor,
-        config=config,
-        history=[tuple(h) for h in payload["history"]],
-        best_epoch=payload["best_epoch"],
-        fit_doc_ids=tuple(payload["fit_doc_ids"]),
+    bounds, bigrams = payload["scaler"], payload["extended_bigrams"]
+    scaler = None if bounds is None else FeatureScaler(
+        mins=np.array(bounds["mins"], dtype=np.float64), maxs=np.array(bounds["maxs"], dtype=np.float64)
     )
+    extended = None if bigrams is None else ExtendedFeaturizer(bigrams=tuple(tuple(bg) for bg in bigrams))
+    fit_doc_ids = tuple(payload["fit_doc_ids"])
+    model = _untrained(config, extractor, vocab, scaler, extended, fit_doc_ids, np.random.default_rng(0))
+    model.history, model.best_epoch = [tuple(h) for h in payload["history"]], payload["best_epoch"]
     params = np.frombuffer(base64.b64decode(payload["params"]), dtype="<f8")
     if params.size != model.model.params.size:
         raise ValueError(

@@ -241,9 +241,27 @@ def test_verify_names_the_check_that_failed(run3_dir, tmp_path, capsys, name, da
     assert "Traceback" not in err
 
 
-def test_verify_without_a_report_exits_2_with_one_verify_line(tmp_path, capsys):
-    assert cli.main(["verify", "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == f"verify: {tmp_path / 'report.json'} not found; run the 'run' command first\n"
+@pytest.mark.parametrize(
+    "command, prefix", [pytest.param("verify", "verify:", id="verify"), pytest.param("plot", "error:", id="plot")]
+)
+def test_verify_without_a_report_exits_2_with_one_verify_line(command, prefix, tmp_path, capsys):
+    """So does `plot`, whose line begins `error:`."""
+    assert cli.main([command, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"{prefix} {tmp_path / 'report.json'} not found; run the 'run' command first\n"
+
+
+@pytest.mark.parametrize("fixture", ["run_dir", "run3_dir"])
+def test_roc_legend_reads_the_auc_of_the_curve_it_labels(fixture, request):
+    """roc.svg draws each variant's ROC over its out-of-fold scores pooled
+    across the folds, so its legend reads that curve's AUC, not the mean of
+    the fold AUCs."""
+    out = request.getfixturevalue(fixture)
+    legends = dict(re.findall(r">(\w+) \(AUC=([0-9.]+)\)<", (out / "roc.svg").read_text(encoding="utf-8")))
+    assert set(legends) == {"base", "features_only"}
+    for variant, value in legends.items():
+        rows = [row for path in out.glob(f"scores_{variant}_*.csv") for row in cli._read_csv(path)]
+        pooled = evaluation.roc_auc([float(r["score"]) for r in rows], [int(r["label"]) for r in rows])
+        assert value == f"{pooled:.4f}", variant
 
 
 def test_verify_names_a_missing_file_and_a_file_the_run_did_not_write(run3_dir, tmp_path, capsys):
@@ -458,12 +476,13 @@ def test_train_config_takes_every_field_but_progress_from_the_run_config():
         pytest.param("--batch-size", "0", "batch_size must be >= 1", id="batch-size-0"),
         *(pytest.param("--max-seq-len", n, f"max_seq_len must be >= {KERNEL_SIZE}", id=f"max-seq-len-{n}")
           for n in ("-5", "0", "2")),
+        pytest.param("--seed", "-1", "seed must be >= 0, got -1", id="seed-negative"),
     ],
 )
 def test_learning_rate_that_is_not_finite_and_positive_exits_2(corpus_dir, tmp_path, flag, value, message):
-    """So does an epoch count or a batch size below 1, or a max_seq_len below
-    the conv kernel: a flag no variant can train with is an input error,
-    reported before the dataset is read."""
+    """So does an epoch count or a batch size below 1, a max_seq_len below
+    the conv kernel or a negative seed: a flag no variant can train with is
+    an input error, reported before the dataset is read."""
     out = tmp_path / "out"
     done = run_cli("run", *dataset_flags(corpus_dir), "--out", str(out), *FAST_FLAGS, flag, value)
     assert done.returncode == 2

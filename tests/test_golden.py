@@ -58,7 +58,7 @@ CSV_SHA256 = {
 }
 SVG_SHA256 = {
     "improvement.svg": "05261f5e8eca98d780611c30df9fea592ac419fc604229cdce8dd1e5de6c589e",
-    "roc.svg": "f5d169b9f9bfae20802f2470dafe4fa912d9e02276b0c11ac54accaa484959c5",
+    "roc.svg": "d1da4d4b25fa6ca53a2ed88821e1c962ca1ca4a3b7d0887ce8132bdf77689cca",
 }
 TABLES_SHA256 = "4f89ba440b77c992f6aa39f99801110691b09e2e63059449d4181b70cbc6d31a"
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -207,18 +208,22 @@ class TestTrain:
     def test_restored_params_hit_best_val_loss(self):
         """Early stopping hands back the parameters of the best validation
         epoch, not those of the last one: they score the validation rows to
-        exactly the loss recorded for that epoch."""
+        exactly the loss recorded for that epoch. With patience 0 the model
+        keeps the last epoch's parameters, though an earlier epoch scored a
+        lower validation loss."""
         corpus = planted_token_corpus(48, seed=3)
-        for variant in ("base", "features_only", "enhanced"):
-            cfg = quick_config(variant, epochs=8, early_stop_patience=3, learning_rate=0.05)
+        for patience, variant in itertools.product((3, 0), ("base", "features_only", "enhanced")):
+            cfg = quick_config(variant, epochs=8, early_stop_patience=patience, learning_rate=0.05)
             model = train(list(corpus), cfg)
             vals = [v for _, v in model.history]
-            assert model.best_epoch == int(np.argmin(vals)) + 1
-            assert model.best_epoch < len(model.history), variant  # the last epoch was not the best
+            best = int(np.argmin(vals)) + 1
+            assert best < len(model.history), (patience, variant)  # the last epoch was not the best
+            assert model.best_epoch == (best if patience > 0 else len(model.history)), (patience, variant)
             fit_ids = set(model.fit_doc_ids)
             val_docs = [d for d in corpus if d.id not in fit_ids]
             y_val = np.array([d.label for d in val_docs], dtype=np.float64)
-            assert bce_loss(predict_scores(model, val_docs), y_val) == vals[model.best_epoch - 1], variant
+            loss = bce_loss(predict_scores(model, val_docs), y_val)
+            assert loss == vals[model.best_epoch - 1], (patience, variant)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_layer_arrays_are_views_into_the_flat_buffers(self, variant, tmp_path):
@@ -641,3 +646,5 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"max_seq_len must be >= {KERNEL_SIZE}"):
             TrainConfig(max_seq_len=KERNEL_SIZE - 1).validate()
         TrainConfig(max_seq_len=KERNEL_SIZE).validate()
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            TrainConfig(seed=-1).validate()
