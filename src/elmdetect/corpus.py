@@ -134,38 +134,32 @@ def _load_file(path: Path, source: str, label: int) -> tuple[list[Document], int
     dropped = 0
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh, strict=True)
+        row_idx = -1  # the header is row 0
         try:
             header = next(reader, None)
+            if header is None:
+                raise ElmDetectError(f"{path}: file is empty")
+            text_col = _find_text_column(header, path)
+            row_idx = 0
+            for row_idx, row in enumerate(reader, start=1):
+                if len(row) != len(header):
+                    raise ElmDetectError(
+                        f"{path}: row {row_idx}: expected {len(header)} columns, got {len(row)}"
+                    )
+                raw = row[text_col]
+                if not raw.strip():
+                    dropped += 1
+                    continue
+                docs.append(
+                    Document(
+                        id=f"{source}:{row_idx - 1}",
+                        raw_text=raw,
+                        clean_text=clean_text(raw),
+                        label=label,
+                    )
+                )
         except csv.Error as exc:
-            raise ElmDetectError(f"{path}: row 0: {exc}") from exc
-        if header is None:
-            raise ElmDetectError(f"{path}: file is empty")
-        text_col = _find_text_column(header, path)
-        row_idx = 0
-        while True:
-            try:
-                row = next(reader, None)
-            except csv.Error as exc:
-                raise ElmDetectError(f"{path}: row {row_idx + 1}: {exc}") from exc
-            if row is None:
-                break
-            row_idx += 1
-            if len(row) != len(header):
-                raise ElmDetectError(
-                    f"{path}: row {row_idx}: expected {len(header)} columns, got {len(row)}"
-                )
-            raw = row[text_col]
-            if not raw.strip():
-                dropped += 1
-                continue
-            docs.append(
-                Document(
-                    id=f"{source}:{row_idx - 1}",
-                    raw_text=raw,
-                    clean_text=clean_text(raw),
-                    label=label,
-                )
-            )
+            raise ElmDetectError(f"{path}: row {row_idx + 1}: {exc}") from exc
     return docs, dropped
 
 

@@ -86,10 +86,6 @@ def roc_curve(scores: Sequence[float], labels: Sequence[int]) -> tuple[tuple[flo
     fp = ends + 1 - tp
     fpr, tpr = [0.0, *(fp / n_neg).tolist()], [0.0, *(tp / n_pos).tolist()]
     thresholds = [np.inf, *sorted_scores[ends].tolist()]
-    if (fpr[-1], tpr[-1]) != (1.0, 1.0):
-        fpr.append(1.0)
-        tpr.append(1.0)
-        thresholds.append(-np.inf)
     return tuple(fpr), tuple(tpr), tuple(thresholds)
 
 

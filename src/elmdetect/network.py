@@ -4,35 +4,38 @@ Layers take arrays with a leading batch dimension and cache whatever the
 backward pass needs. The convolution and the LSTM, whose caches grow with
 the sequence, cache only in a training forward (``train=True``, the
 default): an eval forward keeps nothing, and a backward after it raises
-``RuntimeError``. An eval forward of the convolution takes one embedding
-row per distinct token id and each position's index into them, and runs
-its GEMMs over those rows only; an eval forward of the LSTM runs each step
-over only the rows still running at it. So in eval the largest arrays are
-the convolution's output and one tap's gathered products, and the
-embeddings are one row per distinct id. Parameters and their gradients are
-float64. The convolution, dropout and LSTM compute in the dtype of their
-input: they cast their parameters to it at forward, keep their caches in
-it, and add their gradients into the float64 ``grads`` dicts, so float32
-input gives float32 compute over float64 master weights (Micikevicius et
-al., "Mixed Precision Training", arXiv:1710.03740). ``Network`` feeds them
-float32 in every forward: training steps, validation and scoring alike.
-Every backward returns the gradient w.r.t. the layer input. A single
-example is a batch of one, but then the LSTM's GEMMs run as GEMVs, which
-round differently, so ``training`` scores a lone row as a batch of two
-copies. Each layer stores its weights in the layout its GEMMs read, so no
-forward or backward restacks them: the convolution one ``(dim, kernel *
-F)`` tap matrix, the LSTM one ``(in_dim + 1 + H, 4H)`` matrix whose rows
-match its ``[x, 1, h]`` inputs. In a ``Network`` the layers' ``params``
-and ``grads`` dicts hold views into the model's one flat parameter buffer
-and one flat gradient buffer, so layers update those arrays only in place,
-and ``train`` zeroes every gradient with one ``fill`` per step.
+``RuntimeError``. The embedding gives one row per distinct token id and
+each position's index into them, in every forward. A training forward of
+the convolution gathers every position's row; an eval forward runs its
+GEMMs over the distinct rows only, and an eval forward of the LSTM runs
+each step over only the rows still running at it. So in eval the largest
+arrays are the convolution's output and one tap's gathered products.
+Parameters and their gradients are float64. The convolution, dropout and
+LSTM compute in the dtype of their input: they cast their parameters to it
+at forward, keep their caches in it, and add their gradients into the
+float64 ``grads`` dicts, so float32 input gives float32 compute over
+float64 master weights (Micikevicius et al., "Mixed Precision Training",
+arXiv:1710.03740). ``Network`` feeds them float32 in every forward:
+training steps, validation and scoring alike. Every backward returns the
+gradient w.r.t. the layer input. A single example is a batch of one, but
+then the LSTM's GEMMs run as GEMVs, which round differently, so
+``Network.predict`` scores a lone row as a batch of two copies. Each layer
+stores its weights in the layout its GEMMs read, so no forward or backward
+restacks them: the convolution one ``(dim, kernel * F)`` tap matrix, the
+LSTM one ``(in_dim + 1 + H, 4H)`` matrix whose rows match its
+``[x, 1, h]`` inputs. In a ``Network`` the layers' ``params`` and
+``grads`` dicts hold views into the model's one flat parameter buffer and
+one flat gradient buffer, so layers update those arrays only in place, and
+a training step zeroes every gradient with one ``fill``.
 
 ``Network`` chains the layers in two fixed steps: ``text_states``
 (embedding, convolution, dropout, recurrence) and then ``fuse`` (the
 optional feature layer, concatenation, sigmoid head). So explicit per-layer
 backprop is used instead of a general autodiff graph; tests verify every
 layer, and the network without a text path as a whole, against central
-finite differences.
+finite differences. ``Network.predict`` scores and validates: it runs eval
+forwards over length-sorted chunks of a bounded number of tokens, so its
+memory does not grow with the number of documents.
 """
 from __future__ import annotations
 
@@ -119,36 +122,30 @@ class EmbeddingTable(Layer):
         self._register("weights", weights)
         self._ids: np.ndarray | None = None
 
-    def _check(self, ids: np.ndarray) -> None:
+    def forward(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The float64 rows of the distinct ids of ``ids``, ascending, and
+        each position's index into them, so that ``rows[index]`` embeds
+        ``ids``. ``ids`` is kept for the backward.
+
+        The distinct ids are found with a presence mask over the vocabulary,
+        after the range check, so that a negative id raises instead of
+        wrapping around. ``np.unique`` would sort every position, and its
+        first call in a process added about 0.6 MB of resident memory, the
+        mask 0.05 MB.
+        """
+        ids = np.asarray(ids)
         if ids.size and (ids.min() < 0 or ids.max() >= self.vocab_size):
             raise ElmDetectError(
                 f"token ids must lie in [0, {self.vocab_size}), got range "
                 f"[{ids.min()}, {ids.max()}]"
             )
-
-    def forward(self, ids: np.ndarray) -> np.ndarray:
-        ids = np.asarray(ids)
-        self._check(ids)
         self._ids = ids
-        return self.params["weights"][ids]
-
-    def distinct(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct ids of ``ids``, ascending, and the index of each
-        position's id among them, so that ``rows[index]`` equals ``ids``.
-
-        They are found with a presence mask over the vocabulary, after the
-        range check, so that a negative id raises instead of wrapping
-        around. ``np.unique`` would sort every position, and its first call
-        in a process added about 0.6 MB of resident memory, the mask 0.05 MB.
-        """
-        ids = np.asarray(ids)
-        self._check(ids)
         present = np.zeros(self.vocab_size, bool)
         present[ids] = True
         rows = np.flatnonzero(present)
         slot = np.empty(self.vocab_size, np.intp)
         slot[rows] = np.arange(rows.size)
-        return rows, slot[ids]
+        return self.params["weights"][rows], slot[ids]
 
     def backward(self, dout: np.ndarray) -> None:
         # one segment sum over the rows sorted by id; padding, the smallest
@@ -540,27 +537,21 @@ class Network:
         real tokens, so the result does not depend on how far the rows were
         padded.
 
-        Every forward, training or eval, runs the conv, dropout and LSTM in
-        float32, about twice as fast, while the parameters, their gradients,
-        Adam, the head and the probabilities stay float64. Per row, a GEMM
-        of two rows or more gives the same float32 bits whatever its row
-        count, but a one-row GEMM runs as a GEMV, which rounds differently;
-        ``training`` never scores a one-row batch, and the head sums each row
-        on its own, so a score does not depend on the batching.
-
-        A training forward embeds every position, since the conv's backward
-        needs each one. An eval forward embeds and casts one row per
-        distinct id and passes the conv each position's row index, so the
-        conv's GEMMs run once per distinct id; its scores are the same bits.
+        Every forward, training or eval, embeds and casts one row per
+        distinct id and runs the conv, dropout and LSTM in float32, about
+        twice as fast, while the parameters, their gradients, Adam, the head
+        and the probabilities stay float64. The conv gets the distinct rows
+        and each position's index into them: a training conv gathers every
+        position's row, since its backward needs each one, and an eval conv
+        runs its GEMMs once per distinct id. Casting the distinct rows and
+        then gathering gives the same bits as gathering and then casting. A
+        one-row batch rounds differently, which ``predict`` avoids.
         """
         if not self.state_dim:
             return np.empty((len(ids), 0), np.float32)
         lengths = np.count_nonzero(ids != PAD_INDEX, axis=1)
-        ids = ids[:, : max(KERNEL_SIZE, int(lengths.max()))]
-        index = None
-        if not train:
-            ids, index = self.embedding.distinct(ids)
-        fmap = self.conv.forward(self.embedding.forward(ids).astype(np.float32), train, index)
+        rows, index = self.embedding.forward(ids[:, : max(KERNEL_SIZE, int(lengths.max()))])
+        fmap = self.conv.forward(rows.astype(np.float32), train, index)
         fmap = self.dropout.forward(fmap, train=train, rng=rng)
         return self.lstm.forward(fmap, last=np.maximum(lengths - KERNEL_SIZE, 0), train=train)
 
@@ -577,6 +568,48 @@ class Network:
     def forward(self, ids: np.ndarray, feats: np.ndarray, train: bool, rng=None) -> np.ndarray:
         """Probabilities for end-padded id rows and their scaled features."""
         return self.fuse(self.text_states(ids, train, rng), feats)
+
+    def predict(self, ids: np.ndarray, feats: np.ndarray, size: int) -> np.ndarray:
+        """Eval-mode probabilities, in chunks of at most ``size`` rows' worth
+        of tokens: ``size`` times the width of ``ids``, or one conv window
+        per row for a network without ids.
+
+        Rows run in a stable order of their length, and each chunk takes as
+        many of the next rows as fit that budget, counted as its rows times
+        its longest row (at least one conv window), the length its text path
+        is trimmed to (the sequence bucketing of Khomenko et al.,
+        arXiv:1708.05604). Short rows thus run in large chunks, while the
+        LSTM steps only the rows still running, so a large chunk costs no
+        padded steps. Each chunk's probabilities go back to its rows' input
+        positions. Rows without ids, all of length 0, run ``size`` at a time
+        in input order.
+
+        The conv and the LSTM keep nothing after an eval forward, so a
+        chunk's largest arrays are its conv output and one conv tap's
+        gathered products, bounded by the budget however many rows there
+        are; its embeddings are one row per distinct id, and the LSTM's
+        state, one step of each row, is bounded by the budget over one conv
+        window.
+
+        A chunk of one row runs as two copies of it, and the first result is
+        kept: the network never sees a one-row batch, whose GEMMs would run
+        as GEMVs and round the float32 text path differently, so each row's
+        score is the same bits however the documents are batched.
+        """
+        lengths = np.count_nonzero(ids != PAD_INDEX, axis=1)
+        order = np.argsort(lengths, kind="stable")
+        widths = np.maximum(lengths[order], KERNEL_SIZE)  # nondecreasing, so a chunk's longest row is its last
+        budget = size * max(KERNEL_SIZE, ids.shape[1])
+        out = np.empty(len(ids))
+        start = 0
+        while start < len(ids):
+            tokens = np.arange(1, len(ids) - start + 1) * widths[start:]  # of the chunks from `start` on
+            stop = start + int(np.searchsorted(tokens, budget, side="right"))
+            rows = order[start:stop]
+            run = np.repeat(rows, 2) if rows.size == 1 else rows
+            out[rows] = self.forward(ids[run], feats[run], train=False)[: rows.size]
+            start = stop
+        return out
 
     def backward_logit(self, dlogit: np.ndarray) -> None:
         """Backward of the last training forward from the gradient of each

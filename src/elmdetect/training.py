@@ -9,11 +9,8 @@ runs the epochs, the validation passes and early stopping.
 All randomness flows from TrainConfig.seed through one numpy Generator, so a
 training run is reproducible bit for bit.
 
-Scoring and validation run the network in eval mode over length-sorted
-chunks of at most batch_size x max_seq_len tokens, so their memory is
-bounded by that budget, not by the number of documents; within a chunk the
-LSTM steps only the rows still running, so a chunk of short rows wastes no
-steps on padding.
+Scoring and validation run `Network.predict` with a token budget of
+batch_size x max_seq_len per chunk.
 """
 from __future__ import annotations
 
@@ -211,48 +208,7 @@ def _feature_batch(model: TrainedModel, docs: Sequence[Document]) -> np.ndarray:
 
 def predict_scores(model: TrainedModel, docs: Sequence[Document]) -> np.ndarray:
     """Vectorized eval-mode scoring (dropout is the identity)."""
-    return _eval_forward(model.model, _encode_batch(model, docs), _feature_batch(model, docs), model.config.batch_size)
-
-
-def _eval_forward(net: Network, ids: np.ndarray, feats: np.ndarray, size: int) -> np.ndarray:
-    """Eval-mode probabilities, in chunks of at most `size` rows' worth of
-    tokens: `size` times the width of `ids`, or one conv window per row for a
-    variant without ids.
-
-    Rows run in a stable order of their length, and each chunk takes as
-    many of the next rows as fit that budget, counted as its rows times its
-    longest row (at least one conv window), the length its text path is
-    trimmed to (the sequence bucketing of Khomenko et al.,
-    arXiv:1708.05604). Short rows thus run in large chunks, while the LSTM
-    steps only the rows still running, so a large chunk costs no padded
-    steps. Each chunk's probabilities go back to its rows' input positions.
-    Rows without ids, all of length 0, run `size` at a time in input order.
-
-    The conv and the LSTM keep nothing after an eval forward, so a chunk's
-    largest arrays are its conv output and one conv tap's gathered
-    products, bounded by the budget however many rows there are; its
-    embeddings are one row per distinct id, and the LSTM's state, one step
-    of each row, is bounded by the budget over one conv window.
-
-    A chunk of one row runs as two copies of it, and the first result is
-    kept: the network never sees a one-row batch, whose GEMMs would run as
-    GEMVs and round the float32 text path differently, so each row's score
-    is the same bits however the documents are batched.
-    """
-    lengths = np.count_nonzero(ids != PAD_INDEX, axis=1)
-    order = np.argsort(lengths, kind="stable")
-    widths = np.maximum(lengths[order], KERNEL_SIZE)  # nondecreasing, so a chunk's longest row is its last
-    budget = size * max(KERNEL_SIZE, ids.shape[1])
-    out = np.empty(len(ids))
-    start = 0
-    while start < len(ids):
-        tokens = np.arange(1, len(ids) - start + 1) * widths[start:]  # of the chunks from `start` on
-        stop = start + int(np.searchsorted(tokens, budget, side="right"))
-        rows = order[start:stop]
-        run = np.repeat(rows, 2) if rows.size == 1 else rows
-        out[rows] = net.forward(ids[run], feats[run], train=False)[: rows.size]
-        start = stop
-    return out
+    return model.model.predict(_encode_batch(model, docs), _feature_batch(model, docs), model.config.batch_size)
 
 
 def train(
@@ -346,7 +302,7 @@ def _fit(
             net.backward_logit((p - y) / len(idx))
             adam_step(params, grads, adam, config.learning_rate)
         train_loss = loss_sum / n
-        val_loss = bce_loss(_eval_forward(net, ids_val, feats_val, config.batch_size), y_val)
+        val_loss = bce_loss(net.predict(ids_val, feats_val, config.batch_size), y_val)
         history.append((train_loss, val_loss))
         if config.progress:
             print(f"epoch={epoch} train_loss={train_loss:.6f} val_loss={val_loss:.6f}")

@@ -101,6 +101,16 @@ class TestLoadDataset:
         with pytest.raises(ElmDetectError, match="row 1: unexpected end of data"):
             load_dataset(bad, dataset[1])
 
+    @pytest.mark.parametrize(
+        "text, row", [('"text,date\nok,2021\n', 0), ('text,date\nok,2021\nfine,2022\n"unclosed,2021\n', 3)]
+    )
+    def test_unclosed_quote_in_the_header_or_a_later_row(self, tmp_path, dataset, text, row):
+        """The header is row 0 and the data rows count from 1."""
+        bad = tmp_path / "quote.csv"
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(ElmDetectError, match=f"quote.csv: row {row}: unexpected end of data"):
+            load_dataset(bad, dataset[1])
+
     def test_quoted_fields_with_commas_and_newlines(self, tmp_path):
         t = tmp_path / "t.csv"
         t.write_text('text,date\n"hello, world\nsecond line",2021\n', encoding="utf-8")

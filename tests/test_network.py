@@ -46,17 +46,23 @@ def zero_grads(layer):
         g[...] = 0.0
 
 
+def embedded(table, ids):
+    """Each position's embedding row, from the distinct rows and their index."""
+    rows, index = table.forward(ids)
+    return rows[index]
+
+
 class TestEmbedding:
     def test_pad_rows_are_zero(self):
         table = EmbeddingTable(5, 4, np.random.default_rng(0))
-        out = table.forward(np.array([[PAD_INDEX, PAD_INDEX, PAD_INDEX]]))
+        out = embedded(table, np.array([[PAD_INDEX, PAD_INDEX, PAD_INDEX]]))
         assert out.shape == (1, 3, 4)
         assert np.all(out == 0.0)
 
     def test_lookup_identity(self):
         table = EmbeddingTable(4, 3, np.random.default_rng(0))
         table.params["weights"][2] = [7.0, 8.0, 9.0]
-        assert np.array_equal(table.forward(np.array([[2]]))[0, 0], [7.0, 8.0, 9.0])
+        assert np.array_equal(embedded(table, np.array([[2]]))[0, 0], [7.0, 8.0, 9.0])
 
     def test_out_of_vocab_rejected(self):
         table = EmbeddingTable(4, 3, np.random.default_rng(0))
@@ -68,9 +74,11 @@ class TestEmbedding:
     def test_distinct_rows_index_back_to_the_ids(self):
         table = EmbeddingTable(9, 3, np.random.default_rng(0))
         ids = np.array([[5, 2, 5, 0], [8, 2, 0, 0]])
-        rows, index = table.distinct(ids)
-        assert rows.tolist() == [0, 2, 5, 8]
-        assert np.array_equal(rows[index], ids)
+        rows, index = table.forward(ids)
+        assert rows.dtype == np.float64
+        assert np.array_equal(rows, table.params["weights"][[0, 2, 5, 8]])
+        assert index.tolist() == [[2, 1, 2, 0], [3, 1, 0, 0]]
+        assert np.array_equal(rows[index], table.params["weights"][ids])
 
     @pytest.mark.parametrize("bad, shown", [(-1, r"\[-1, 3\]"), (4, r"\[0, 4\]")])
     def test_an_eval_forward_rejects_an_id_out_of_range(self, bad, shown):
@@ -97,7 +105,7 @@ class TestEmbedding:
         table = EmbeddingTable(7, 4, rng)
         ids = np.array([[2, 5, 2, 6, 1]])
         proj = rng.normal(size=(1, 5, 4))
-        loss = projection_loss(lambda: table.forward(ids), proj)
+        loss = projection_loss(lambda: embedded(table, ids), proj)
         loss()
         zero_grads(table)
         table.backward(proj)

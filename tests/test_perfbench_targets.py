@@ -94,6 +94,23 @@ def test_predict_scores_reaches_every_scoring_path_target():
     assert tracer.calls["textstats.tokenize"] == 2 * len(docs)
 
 
+def test_the_embedding_counter_counts_every_real_token_of_a_scoring_call():
+    """`network.pad_frac` is built on the ids `EmbeddingTable.forward`
+    receives: a scoring call must hand it every position, so that its
+    non-pad ids are the documents' real tokens."""
+    corpus = list(dual_signal_corpus(120, 0))
+    model = training.train(corpus[:80], training.TrainConfig(variant="enhanced", epochs=1, progress=False))
+    held_out = corpus[80:]
+    tracer = load_perfbench("spans").Tracer()
+    tracer.install()
+    try:
+        training.predict_scores(model, held_out)
+    finally:
+        tracer.uninstall()
+    real = sum(min(len(d.tokens), model.config.max_seq_len) for d in held_out)
+    assert tracer.counts["embedding_ids"] - tracer.counts["embedding_pad_ids"] == real
+
+
 def perfbench_imports():
     """(file, module, name) of every `from elmdetect... import name` in perfbench/*.py."""
     for path in sorted(PERFBENCH.glob("*.py")):

@@ -30,7 +30,6 @@ from elmdetect.training import (
     TrainConfig,
     Vocabulary,
     _encode_batch,
-    _eval_forward,
     _feature_batch,
     adam_step,
     bce_loss,
@@ -437,10 +436,10 @@ class TestTrain:
         ids = rng.zipf(1.3, size=(246, 16)) % 200 + 2
         ids[np.arange(16) >= lengths[:, None]] = PAD_INDEX
         feats = rng.random((246, 10))
-        _eval_forward(net, ids, feats, len(ids))  # one chunk; one-off allocations land here
+        net.predict(ids, feats, len(ids))  # one chunk; one-off allocations land here
         tracemalloc.start()
         try:
-            _eval_forward(net, ids, feats, len(ids))
+            net.predict(ids, feats, len(ids))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -473,8 +472,8 @@ class TestMixedPrecision:
         for layer in net.layers:
             for g in layer.grads.values():
                 g[...] = 0.0
-        emb = net.embedding.forward(ids[:, : max(KERNEL_SIZE, lengths.max())])
-        text = net.lstm.forward(net.conv.forward(emb), last=np.maximum(lengths - KERNEL_SIZE, 0))
+        rows, index = net.embedding.forward(ids[:, : max(KERNEL_SIZE, lengths.max())])
+        text = net.lstm.forward(net.conv.forward(rows[index]), last=np.maximum(lengths - KERNEL_SIZE, 0))
         p64 = net.head.forward(np.concatenate([text, feats], axis=1))
         dz = net.head.backward_logit((p64 - y) / 16)
         net.embedding.backward(net.conv.backward(net.lstm.backward(dz[:, :LSTM_UNITS])))
@@ -500,14 +499,46 @@ class TestMixedPrecision:
         model = train(corpus[:90], cfg)
         net, ids, feats = model.model, _encode_batch(model, corpus), _feature_batch(model, corpus)
         lengths = np.count_nonzero(ids != PAD_INDEX, axis=1)
-        emb = net.embedding.forward(ids[:, : max(KERNEL_SIZE, lengths.max())])
-        assert emb.dtype == np.float64
-        fmap = net.conv.forward(emb, train=False)
+        rows, index = net.embedding.forward(ids[:, : max(KERNEL_SIZE, lengths.max())])
+        assert rows.dtype == np.float64
+        fmap = net.conv.forward(rows[index], train=False)
         text = net.lstm.forward(fmap, last=np.maximum(lengths - KERNEL_SIZE, 0), train=False)
         reference = net.head.forward(np.concatenate([text, feats], axis=1))
         scores = predict_scores(model, corpus)
         np.testing.assert_allclose(scores, reference, rtol=0, atol=5e-6)
         assert not np.array_equal(scores, reference)  # scoring did not run in float64
+
+    def test_a_training_step_has_the_bits_of_embedding_every_position(self):
+        """A training forward embeds the distinct ids and the conv gathers
+        each position's row. Its states, probabilities and gradients are
+        the same bits as the chain that gathers every position's float64
+        row and casts it: conv, dropout from the same generator, LSTM."""
+        rng = np.random.default_rng(8)
+        net = Network(60, 3, rng)
+        lengths = rng.integers(1, 30, size=16)
+        ids = rng.zipf(1.5, size=(16, 40)) % 58 + 2
+        ids[np.arange(40) >= lengths[:, None]] = PAD_INDEX
+        feats, y = rng.random((16, 3)), rng.integers(0, 2, 16).astype(float)
+        states = net.text_states(ids, train=True, rng=np.random.default_rng(9))
+        p = net.fuse(states, feats)
+        net.grads.fill(0.0)
+        net.backward_logit((p - y) / 16)
+        grads = net.grads.copy()
+
+        net.grads.fill(0.0)
+        trimmed = ids[:, : max(KERNEL_SIZE, lengths.max())]
+        net.embedding.forward(trimmed)  # keeps the ids for its backward
+        emb = net.embedding.params["weights"][trimmed].astype(np.float32)
+        fmap = net.dropout.forward(net.conv.forward(emb), train=True, rng=np.random.default_rng(9))
+        want_states = net.lstm.forward(fmap, last=np.maximum(lengths - KERNEL_SIZE, 0))
+        want_p = net.head.forward(np.concatenate([want_states, feats], axis=1))
+        dz = net.head.backward_logit((want_p - y) / 16)
+        net.embedding.backward(net.conv.backward(net.dropout.backward(net.lstm.backward(dz[:, :LSTM_UNITS]))))
+        assert states.dtype == np.float32
+        assert np.array_equal(states, want_states)
+        assert np.array_equal(p, want_p)
+        assert np.array_equal(grads, net.grads)
+        assert np.count_nonzero(net.embedding.grads["weights"])  # the chain reached the embedding
 
 
 class TestPredictIsolation:
