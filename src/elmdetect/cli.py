@@ -375,7 +375,7 @@ def cmd_verify(args) -> int:
     if not problems:
         try:
             files = _render(hashed, *_rederive(out, cfg), generated_at, plots=True)
-        except ValueError as exc:
+        except (OSError, ValueError, ElmDetectError) as exc:  # a lexicon that is there but does not load
             problems.append(str(exc))
         else:
             # a run without --plots has none of the plots' names, stamped or not

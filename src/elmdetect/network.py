@@ -5,11 +5,11 @@ backward pass needs. The convolution and the LSTM, whose caches grow with
 the sequence, cache only in a training forward (``train=True``, the
 default): an eval forward keeps nothing, and a backward after it raises
 ``RuntimeError``. The embedding gives one row per distinct token id and
-each position's index into them, in every forward. A training forward of
-the convolution gathers every position's row; an eval forward runs its
-GEMMs over the distinct rows only, and an eval forward of the LSTM runs
-each step over only the rows still running at it. So in eval the largest
-arrays are the convolution's output and one tap's gathered products.
+each position's index into them, in every forward, and the convolution
+runs its GEMMs over those rows only and keeps them, not every position's
+row, for its backward. An eval forward of the LSTM runs each step over
+only the rows still running at it. So in eval the largest arrays are the
+convolution's output and one tap's gathered products.
 Parameters and their gradients are float64. The convolution, dropout and
 LSTM compute in the dtype of their input: they cast their parameters to it
 at forward, keep their caches in it, and add their gradients into the
@@ -165,30 +165,28 @@ class ConvLayer(Layer):
     """Valid 1-D convolution over the token axis, ReLU activation.
 
     The filters are stored as one tap matrix ``taps (dim, kernel * F)``:
-    column ``j * F + f`` is tap ``j`` of filter ``f``. Forward multiplies the
-    embedding of every position by each tap's block of ``F`` columns, one
-    GEMM ``(B * L, dim) @ (dim, F)`` per tap, and adds tap
-    ``j``'s output taken ``j`` positions later to the bias (the kn2row scheme
-    of Vasudevan et al., arXiv:1704.04428), so no window is copied. One GEMM
-    for all taps at once is no faster, and its ``(B, L, kernel * F)``
-    temporary raised the peak memory of a run. Backward writes the output
-    gradient into those shifted blocks of one zeroed ``(B, L, kernel * F)``
-    array and gets the filter gradient and the input gradient from one GEMM
-    each. An eval forward (``train=False``) keeps neither the input nor the
-    pre-activation and applies the ReLU in place.
+    column ``j * F + f`` is tap ``j`` of filter ``f``.
 
     ``forward(table, train, index)`` convolves ``table[index]``: ``table``
     holds ``U`` embedding rows and ``index (B, L)`` each position's row in
-    it. An eval forward then runs each tap's GEMM over the ``U`` rows only,
-    never fewer than two, and gathers each position's product by its row
-    index, so a batch whose positions repeat few distinct tokens costs ``U``
-    rows of GEMM, not ``B * L`` (the pre-computed hidden layer of Devlin et
-    al., ACL 2014, §3.3). A GEMM of two rows or more rounds each row the
-    same whatever its row count, and the taps are added in the same order,
-    so the result is the same bits as the forward of ``table[index]``. Its
-    largest arrays are the output and one tap's gathered products. A
-    training forward gathers ``table[index]`` first, since its backward
-    needs every position's input.
+    it; without ``index``, ``table`` is ``(B, L, dim)`` and each position is
+    its own row. Every forward runs one body: one GEMM ``(U, dim) @ (dim,
+    F)`` per tap over the rows, never fewer than two, whose products are
+    gathered by the index ``j`` positions later and added to the bias (the
+    kn2row scheme of Vasudevan et al., arXiv:1704.04428), then one in-place
+    ReLU. So no window is copied, and a batch that repeats few distinct
+    tokens costs ``U`` rows of GEMM, not ``B * L`` (the pre-computed hidden
+    layer of Devlin et al., ACL 2014, §3.3). A GEMM of two rows or more
+    rounds each row the same whatever its row count, so the result is the
+    same bits as the convolution of ``table[index]``. One GEMM for all taps
+    at once is no faster, and its ``(B, L, kernel * F)`` temporary raised
+    the peak memory of a run. ``train`` only decides whether the table, the
+    index and the returned output are kept for the backward.
+
+    Backward gathers ``table[index]``, takes the ReLU's mask from the kept
+    output, writes the output gradient into the shifted blocks of one zeroed
+    ``(B, L, kernel * F)`` array and gets the filter gradient and the input
+    gradient from one GEMM each.
     """
 
     def __init__(self, n_filters: int, kernel_size: int, in_dim: int, rng: np.random.Generator):
@@ -199,46 +197,42 @@ class ConvLayer(Layer):
         filters = _glorot(rng, (n_filters, kernel_size, in_dim), kernel_size * in_dim, n_filters)
         self._register("taps", filters.transpose(2, 1, 0).reshape(in_dim, -1))
         self._register("bias", np.zeros(n_filters))
-        self._emb: np.ndarray | None = None
-        self._pre: np.ndarray | None = None
+        self._table: np.ndarray | None = None
+        self._index: np.ndarray | None = None
+        self._out: np.ndarray | None = None
 
-    def forward(self, emb: np.ndarray, train: bool = True, index: np.ndarray | None = None) -> np.ndarray:
-        if index is not None and train:
-            emb, index = emb[index], None
-        batch, length = emb.shape[:2] if index is None else index.shape
-        dim = emb.shape[-1]
+    def forward(self, table: np.ndarray, train: bool = True, index: np.ndarray | None = None) -> np.ndarray:
+        if index is None:
+            batch, length, dim = table.shape
+            table, index = table.reshape(batch * length, dim), np.arange(batch * length).reshape(batch, length)
+        batch, length = index.shape
+        dim = table.shape[-1]
         h, nf = self.kernel_size, self.n_filters
         if length < h:
             raise ElmDetectError(f"sequence length {length} < kernel size {h}")
         if dim != self.in_dim:
             raise ElmDetectError(f"expected embedding dim {self.in_dim}, got {dim}")
         out_len = length - h + 1
-        self._emb = self._pre = None
-        w = self.params["taps"].astype(emb.dtype, copy=False)
-        pre = np.empty((batch, out_len, nf), emb.dtype)
-        pre[...] = self.params["bias"]
-        if index is None:
-            flat = emb.reshape(-1, dim)
-            for j in range(h):
-                pre += (flat @ w[:, j * nf : (j + 1) * nf]).reshape(batch, length, nf)[:, j : j + out_len]
-        else:
-            table = np.repeat(emb, 2, axis=0) if len(emb) == 1 else emb  # one row would run as a GEMV
-            for j in range(h):
-                pre += (table @ w[:, j * nf : (j + 1) * nf])[index[:, j : j + out_len]]
-        if not train:
-            return np.maximum(pre, 0.0, out=pre)
-        self._emb = emb
-        self._pre = pre
-        return np.maximum(pre, 0.0)
+        self._table = self._index = self._out = None
+        w = self.params["taps"].astype(table.dtype, copy=False)
+        rows = np.repeat(table, 2, axis=0) if len(table) == 1 else table  # one row would run as a GEMV
+        out = np.empty((batch, out_len, nf), table.dtype)
+        out[...] = self.params["bias"]
+        for j in range(h):
+            out += (rows @ w[:, j * nf : (j + 1) * nf])[index[:, j : j + out_len]]
+        np.maximum(out, 0.0, out=out)
+        if train:
+            self._table, self._index, self._out = table, index, out
+        return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._pre is None:
+        if self._out is None:
             raise RuntimeError("ConvLayer.backward needs a train-mode forward first")
         h, nf, dim = self.kernel_size, self.n_filters, self.in_dim
-        emb, pre = self._emb, self._pre
+        emb, out = self._table[self._index], self._out
         batch, length, _ = emb.shape
-        out_len = pre.shape[1]
-        dpre = dout * (pre > 0)
+        out_len = out.shape[1]
+        dpre = dout * (out > 0)
         dtaps = np.zeros((batch, length, h * nf), emb.dtype)
         for j in range(h):
             dtaps[:, j : j + out_len, j * nf : (j + 1) * nf] = dpre
@@ -541,11 +535,10 @@ class Network:
         distinct id and runs the conv, dropout and LSTM in float32, about
         twice as fast, while the parameters, their gradients, Adam, the head
         and the probabilities stay float64. The conv gets the distinct rows
-        and each position's index into them: a training conv gathers every
-        position's row, since its backward needs each one, and an eval conv
-        runs its GEMMs once per distinct id. Casting the distinct rows and
-        then gathering gives the same bits as gathering and then casting. A
-        one-row batch rounds differently, which ``predict`` avoids.
+        and each position's index into them, and runs its GEMMs once per
+        distinct id. Casting the distinct rows and then gathering gives the
+        same bits as gathering and then casting. A one-row batch rounds
+        differently, which ``predict`` avoids.
         """
         if not self.state_dim:
             return np.empty((len(ids), 0), np.float32)

@@ -351,6 +351,30 @@ def test_verify_detects_a_changed_or_missing_lexicon(corpus_dir, tmp_path, capsy
     assert capsys.readouterr().err == f"error: lexicon file not found: {lexicon}\n"
 
 
+@pytest.mark.parametrize("damage", ["score_edited_to_nan", "replaced_by_a_directory"])
+def test_verify_reports_a_lexicon_that_exists_but_no_longer_loads(corpus_dir, tmp_path, capsys, damage):
+    """One `verify:` line and exit 2, as for a missing lexicon; `plot`
+    keeps its `error:` line."""
+    lexicon = tmp_path / "sentiment.tsv"
+    lexicon.write_text("good\t0.5\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["run", *dataset_flags(corpus_dir), "--out", str(out), *FAST_FLAGS, "--sentiment-lexicon", str(lexicon)]
+    assert cli.main(argv) == 0
+    if damage == "score_edited_to_nan":
+        lexicon.write_text("good\tnan\n", encoding="utf-8")
+    else:
+        lexicon.unlink()
+        lexicon.mkdir()
+    capsys.readouterr()
+    assert cli.main(["verify", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("verify: ") and err.count("\n") == 1, err
+    if damage == "score_edited_to_nan":
+        assert err == f"verify: {lexicon}:1: not a finite number: 'nan'\n"
+    assert cli.main(["plot", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: " + err.removeprefix("verify: ")
+
+
 def test_verify_and_plot_elsewhere_name_where_relative_dataset_paths_were_looked_for(tmp_path, monkeypatch, capsys):
     made_in = tmp_path / "made_in"
     made_in.mkdir()

@@ -211,12 +211,14 @@ def test_conv_of_each_kernel_size_matches_the_offset_sum_oracle(kernel_size, len
 
 
 def test_conv_holds_no_array_larger_than_its_input_and_pre_activation():
+    """Besides views of its input, a training forward keeps only the
+    output it returns, in place of a pre-activation, and the index."""
     rng = np.random.default_rng(22)
     layer = ConvLayer(n_filters=64, kernel_size=3, in_dim=100, rng=rng)
     emb = rng.normal(size=(4, 20, 100))
     out = layer.forward(emb)
-    held = [value for value in vars(layer).values() if isinstance(value, np.ndarray) and value is not emb]
-    assert sum(a.nbytes for a in held) <= out.nbytes  # the pre-activation, shaped like the output
+    held = [v for v in vars(layer).values() if isinstance(v, np.ndarray) and not np.shares_memory(v, emb)]
+    assert sum(a.nbytes for a in held) <= out.nbytes + layer._index.nbytes
 
 
 def test_conv_eval_forward_keeps_nothing_and_equals_the_training_forward():
@@ -224,10 +226,20 @@ def test_conv_eval_forward_keeps_nothing_and_equals_the_training_forward():
     layer = ConvLayer(n_filters=64, kernel_size=3, in_dim=100, rng=rng)
     emb = rng.normal(size=(4, 20, 100))
     out = layer.forward(emb, train=False)
-    assert layer._emb is None and layer._pre is None
+    assert layer._table is None and layer._index is None and layer._out is None
     with pytest.raises(RuntimeError):
         layer.backward(np.ones_like(out))
     assert np.array_equal(out, layer.forward(emb))
+
+
+def test_a_training_conv_keeps_one_row_per_distinct_id():
+    """Ids 0, 2, 3 and 4 fill the 10 positions the batch is cut to, so the
+    conv keeps four embedding rows for its backward, not one per position."""
+    net = Network(10, 3, np.random.default_rng(25))
+    ids = np.array([[2, 3, 2, 3, 2, 0], [3, 2, 4, 0, 0, 0]])
+    net.forward(ids, np.zeros((2, 3)), train=True, rng=np.random.default_rng(0))
+    assert net.conv._table.shape == (4, network.EMBEDDING_DIM)
+    assert net.conv._index.shape == (2, 5)
 
 
 @pytest.mark.parametrize("case", ["one_id", "every_position_distinct", "padded_rows"])
@@ -258,8 +270,9 @@ def _smooth_conv_case(seed, kernel_size, margin=1e-3):
         rng = np.random.default_rng((seed, attempt))
         layer = ConvLayer(n_filters=4, kernel_size=kernel_size, in_dim=5, rng=rng)
         emb = rng.normal(size=(3, 7, 5))
-        layer.forward(emb)
-        if np.abs(layer._pre).min() > margin:
+        taps = layer.params["taps"].reshape(5, kernel_size, 4)
+        pre = layer.params["bias"] + sum(emb[:, j : j + 8 - kernel_size] @ taps[:, j] for j in range(kernel_size))
+        if np.abs(pre).min() > margin:
             proj = rng.normal(size=(3, 8 - kernel_size, 4))
             return layer, emb, proj
     raise AssertionError("could not find a smooth conv case")

@@ -509,9 +509,9 @@ class TestMixedPrecision:
         assert not np.array_equal(scores, reference)  # scoring did not run in float64
 
     def test_a_training_step_has_the_bits_of_embedding_every_position(self):
-        """A training forward embeds the distinct ids and the conv gathers
-        each position's row. Its states, probabilities and gradients are
-        the same bits as the chain that gathers every position's float64
+        """A training forward embeds the distinct ids and the conv runs its
+        GEMMs over those rows only. Its states, probabilities and gradients
+        are the same bits as the chain that gathers every position's float64
         row and casts it: conv, dropout from the same generator, LSTM."""
         rng = np.random.default_rng(8)
         net = Network(60, 3, rng)
